@@ -455,13 +455,13 @@ ResultCache::appendLocked(const std::string &key,
 }
 
 std::string
-ResultCache::keyOf(const ClusterConfig &cfg, const FunctionSpec &spec,
+ResultCache::keyOf(const ClusterConfig &cfg, const std::string &name,
                    const std::string &mode) const
 {
     std::ostringstream os;
     os << platformTag(cfg) << "," << db::dbKindName(cfg.dbKind) << ","
        << (cfg.startDb ? 1 : 0) << (cfg.startMemcached ? 1 : 0) << ","
-       << spec.name << "," << mode;
+       << name << "," << mode;
     return os.str();
 }
 
@@ -469,7 +469,7 @@ std::string
 ResultCache::detailedKey(const ClusterConfig &cfg,
                          const FunctionSpec &spec) const
 {
-    return keyOf(cfg, spec, "o3");
+    return keyOf(cfg, spec.name, "o3");
 }
 
 std::string
@@ -545,7 +545,7 @@ std::string
 ResultCache::rowKey(const ClusterConfig &cfg, const FunctionSpec &spec,
                     RunMode mode) const
 {
-    return keyOf(cfg, spec, runModeName(mode));
+    return keyOf(cfg, spec.name, runModeName(mode));
 }
 
 RunResult
@@ -630,14 +630,14 @@ std::string
 ResultCache::loadCalKey(const ClusterConfig &cfg,
                         const FunctionSpec &spec) const
 {
-    return keyOf(cfg, spec, "ldcal");
+    return keyOf(cfg, spec.name, "ldcal");
 }
 
 bool
 ResultCache::lookupLoadCal(const ClusterConfig &cfg,
                            const FunctionSpec &spec, LoadCalibration &out)
 {
-    const std::string key = keyOf(cfg, spec, "ldcal");
+    const std::string key = keyOf(cfg, spec.name, "ldcal");
     std::lock_guard<std::mutex> lk(mtx);
     auto it = rows.find(key);
     if (it == rows.end() || !it->second.count("ok"))
@@ -661,7 +661,7 @@ ResultCache::recordLoadCal(const ClusterConfig &cfg,
                            const FunctionSpec &spec,
                            const LoadCalibration &cal)
 {
-    const std::string key = keyOf(cfg, spec, "ldcal");
+    const std::string key = keyOf(cfg, spec.name, "ldcal");
     std::lock_guard<std::mutex> lk(mtx);
     appendLocked(key, packLoadCal(cal));
 }
@@ -680,42 +680,13 @@ ResultCache::loadCalibration(const ClusterConfig &cfg,
 }
 
 std::string
-ResultCache::loadKey(const ClusterConfig &cfg,
-                     const std::string &scenario) const
+ResultCache::scenarioKey(const ClusterConfig &cfg,
+                         const std::string &scenario,
+                         const std::string &mode) const
 {
     svb_assert(scenario.find_first_of(",|=") == std::string::npos,
                "scenario name contains a CSV metacharacter");
-    std::ostringstream os;
-    os << platformTag(cfg) << "," << db::dbKindName(cfg.dbKind) << ","
-       << (cfg.startDb ? 1 : 0) << (cfg.startMemcached ? 1 : 0) << ","
-       << scenario << ",load";
-    return os.str();
-}
-
-std::string
-ResultCache::workflowKey(const ClusterConfig &cfg,
-                         const std::string &scenario) const
-{
-    svb_assert(scenario.find_first_of(",|=") == std::string::npos,
-               "scenario name contains a CSV metacharacter");
-    std::ostringstream os;
-    os << platformTag(cfg) << "," << db::dbKindName(cfg.dbKind) << ","
-       << (cfg.startDb ? 1 : 0) << (cfg.startMemcached ? 1 : 0) << ","
-       << scenario << ",wflow";
-    return os.str();
-}
-
-std::string
-ResultCache::coldRestoreKey(const ClusterConfig &cfg,
-                            const std::string &scenario) const
-{
-    svb_assert(scenario.find_first_of(",|=") == std::string::npos,
-               "scenario name contains a CSV metacharacter");
-    std::ostringstream os;
-    os << platformTag(cfg) << "," << db::dbKindName(cfg.dbKind) << ","
-       << (cfg.startDb ? 1 : 0) << (cfg.startMemcached ? 1 : 0) << ","
-       << scenario << ",coldrs";
-    return os.str();
+    return keyOf(cfg, scenario, mode);
 }
 
 bool
@@ -740,20 +711,6 @@ ResultCache::recordRow(const std::string &key,
                "row does not match its mode's schema");
     std::lock_guard<std::mutex> lk(mtx);
     appendLocked(key, row);
-}
-
-bool
-ResultCache::lookupLoadRow(const std::string &key,
-                           std::map<std::string, uint64_t> &out)
-{
-    return lookupRow(key, out);
-}
-
-void
-ResultCache::recordLoadRow(const std::string &key,
-                           const std::map<std::string, uint64_t> &fields)
-{
-    recordRow(key, fields);
 }
 
 void

@@ -178,46 +178,22 @@ class ResultCache
     std::string loadCalKey(const ClusterConfig &cfg,
                            const FunctionSpec &spec) const;
 
-    // --- load-scenario summary rows (mode "load") ------------------------
-    // The load subsystem owns the semantics of these fields; the
-    // cache validates the schema (field set + version) on load.
-
-    /** Key of a load-scenario row. @p scenario must not contain the
-     *  CSV metacharacters ',', '|' or '='. */
-    std::string loadKey(const ClusterConfig &cfg,
-                        const std::string &scenario) const;
-
-    /** @return true and fill @p out when the load row is cached. */
-    bool lookupLoadRow(const std::string &key,
-                       std::map<std::string, uint64_t> &out);
-
-    /** Store a load-scenario summary row (schema-checked). */
-    void recordLoadRow(const std::string &key,
-                       const std::map<std::string, uint64_t> &fields);
-
-    // --- workflow-scenario summary rows (mode "wflow") -------------------
-    // The workflow engine (load/workflow.hh) owns the field semantics;
-    // rows travel through the generic lookupRow()/recordRow() pair.
-
-    /** Key of a workflow-scenario row. @p scenario must not contain
-     *  the CSV metacharacters ',', '|' or '='. */
-    std::string workflowKey(const ClusterConfig &cfg,
-                            const std::string &scenario) const;
-
-    // --- cold-start restore-mode rows (mode "coldrs") --------------------
-    // bench/coldstart_restore.cc owns the field semantics (cold/warm
-    // latencies plus REAP/CoW page accounting per restore mode).
-
-    /** Key of a cold-start restore row. @p scenario must not contain
-     *  the CSV metacharacters ',', '|' or '='. */
-    std::string coldRestoreKey(const ClusterConfig &cfg,
-                               const std::string &scenario) const;
+    /**
+     * Key of a scenario summary row under @p mode: "load" and "wflow"
+     * (load/load_runner.hh, load/workflow.hh) and "coldrs"
+     * (bench/coldstart_restore.cc), whose owners define the fields;
+     * rows travel through lookupRow()/recordRow(). @p scenario must not
+     * contain the CSV metacharacters ',', '|' or '='.
+     */
+    std::string scenarioKey(const ClusterConfig &cfg,
+                            const std::string &scenario,
+                            const std::string &mode) const;
 
     /** Forget everything (and remove the backing file). */
     void clear();
 
   private:
-    std::string keyOf(const ClusterConfig &cfg, const FunctionSpec &spec,
+    std::string keyOf(const ClusterConfig &cfg, const std::string &name,
                       const std::string &mode) const;
     ExperimentRunner &runnerFor(const ClusterConfig &cfg);
     void load();

@@ -1,0 +1,393 @@
+/**
+ * @file
+ * The attempt engine: the one event-driven timeline that replays
+ * calibrated service times for both the load runner (one task per
+ * invocation) and the workflow engine (one DAG instance per
+ * invocation).
+ *
+ * An attempt's lifecycle is the same in both: circuit-breaker admit,
+ * fleet route (throttle, or scale-wait until a node is routable),
+ * pool acquire, fault dice, calibrated cold/warm service scaled by the
+ * node's speed, client timeout, node-crash cancellation, and retry
+ * with backoff. AttemptEngine owns all of it — the StreamId
+ * substreams, the Fleet and per-function breakers, the (time, seq)
+ * event heap, the three latency histograms and the aggregation into
+ * ReplayResult. A compile-time Policy supplies only what differs:
+ *
+ *   uint32_t fn(unit, task)                function a task runs
+ *   unsigned preferredNode(unit, task)     placement hint (badNode: none)
+ *   uint64_t transferNs(unit, task, node)  input transfer charged
+ *                                          before the pool acquire
+ *   std::string tag(unit, task, attempt)   span-name suffix
+ *   SpanArgs transferArgs(task)            xfer span args
+ *   SpanArgs serviceArgs(task)             cold/warm span args
+ *   bool taskSucceeded(engine, event)      a task ended well; true
+ *                                          when its unit completed
+ *
+ * A *unit* is what the client submits and the histograms count: an
+ * invocation, or a workflow instance. Unit and task state lives in
+ * flat arrays indexed by unit (times task), and one event is 40 bytes,
+ * so a long stream costs a few words per invocation plus its event.
+ */
+
+#ifndef SVB_LOAD_ATTEMPT_ENGINE_HH
+#define SVB_LOAD_ATTEMPT_ENGINE_HH
+
+#include <map>
+#include <queue>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/parallel.hh"
+#include "load_runner.hh"
+#include "obs/trace.hh"
+
+namespace svb::load
+{
+
+/** Calibrated service models, indexed [class group][function]. */
+using CalibrationMatrix = std::vector<std::vector<LoadCalibration>>;
+
+/** Key-value args of one trace span. */
+using SpanArgs = std::vector<std::pair<std::string, std::string>>;
+
+/** One result-cache row: field name -> value. */
+using Row = std::map<std::string, uint64_t>;
+
+/**
+ * Calibrate (through @p cache) every function of @p fns on every
+ * calibration platform of @p s's fleet, into the matrix the engine
+ * indexes by the class of the node an attempt lands on. @return false,
+ * after a warning naming the scenario, when a calibration failed.
+ */
+bool calibrate(ResultCache &cache, const ReplayScenario &s,
+               const std::vector<LoadMixEntry> &fns, CalibrationMatrix &cals);
+
+/** The ReplayResult part of a "load" or "wflow" row (both schemas
+ *  name these fields alike). */
+Row packReplay(const ReplayResult &res);
+
+/** Fill @p res's ReplayResult part from @p row. */
+void unpackReplay(const std::string &scenario, const Row &row,
+                  ReplayResult &res);
+
+/** One scenario of a sweep and the functions it calibrates. */
+using CalibrationNeed =
+    std::pair<const ReplayScenario *, const std::vector<LoadMixEntry> *>;
+
+/**
+ * Phase 1 of replaySweep(): calibrate every distinct (platform,
+ * function) @p needs names — concurrently, but recorded in submission
+ * order, so the ldcal rows match a serial sweep's at any worker count.
+ */
+void calibrateAll(ResultCache &cache,
+                  const std::vector<CalibrationNeed> &needs,
+                  unsigned jobs_override);
+
+/**
+ * The sweep behind loadSweep() and workflowSweep(): phase 1
+ * calibrates, phase 2 simulates the scenarios across SVBENCH_JOBS
+ * workers, answers cached rows inline and records fresh rows in
+ * submission order, so the backing CSV is byte-identical to a serial
+ * sweep. Scenarios sharing a row key simulate once. @p Rows names the
+ * Scenario and Result types and supplies
+ *   static constexpr const char *mode;            the row tag
+ *   static const std::vector<LoadMixEntry> &functions(const Scenario &);
+ *   static Result run(ResultCache &, const Scenario &);
+ *   static Row pack(const Result &);
+ *   static Result unpack(const std::string &scenario, const Row &);
+ */
+template <class Rows>
+std::vector<typename Rows::Result>
+replaySweep(ResultCache &cache,
+            const std::vector<typename Rows::Scenario> &scenarios,
+            unsigned jobs_override)
+{
+    using Result = typename Rows::Result;
+    std::vector<CalibrationNeed> needs;
+    for (const auto &s : scenarios) {
+        validateScenarioName(s.name);
+        needs.emplace_back(&s, &Rows::functions(s));
+    }
+    calibrateAll(cache, needs, jobs_override);
+
+    std::vector<Result> results(scenarios.size());
+    std::vector<std::string> keys(scenarios.size());
+    std::map<std::string, size_t> primaryForKey;
+    std::vector<size_t> primaries;
+    std::vector<char> isHit(scenarios.size(), 0);
+    for (size_t i = 0; i < scenarios.size(); ++i) {
+        keys[i] = cache.scenarioKey(scenarios[i].cluster, scenarios[i].name,
+                                    Rows::mode);
+        Row row;
+        if (cache.lookupRow(keys[i], row)) {
+            results[i] = Rows::unpack(scenarios[i].name, row);
+            isHit[i] = 1;
+        } else if (primaryForKey.emplace(keys[i], i).second) {
+            primaries.push_back(i);
+        }
+    }
+    if (!primaries.empty()) {
+        const auto fresh = parallelIndexed<Result>(
+            primaries.size(),
+            [&](size_t k) {
+                return Rows::run(cache, scenarios[primaries[k]]);
+            },
+            jobs_override);
+        for (size_t k = 0; k < primaries.size(); ++k) {
+            results[primaries[k]] = fresh[k];
+            cache.recordRow(keys[primaries[k]], Rows::pack(fresh[k]));
+        }
+    }
+    for (size_t i = 0; i < scenarios.size(); ++i) {
+        const size_t primary = isHit[i] ? i : primaryForKey.at(keys[i]);
+        if (primary != i)
+            results[i] = results[primary];
+    }
+    return results;
+}
+
+/** Client-visible outcome of one attempt. */
+enum class AttemptOutcome : uint8_t
+{
+    Success,
+    ColdFail, ///< injected failed cold start
+    Crash,    ///< instance crash (injected, or a node-level crash)
+    Timeout,  ///< client abandoned the attempt (per-attempt timeout)
+};
+
+/** What a timeline event is. */
+enum class EvKind : uint8_t
+{
+    /** Admit through the breaker, route across the fleet, place on
+     *  the node's pool, roll the fault dice. */
+    Start,
+    /** Apply the client-visible outcome to the breaker and either
+     *  finish the task or schedule its retry. */
+    End,
+    /** Apply a scheduled node-level crash/partition. */
+    NodeFault,
+};
+
+/**
+ * One timeline event. Events are processed in (time, seq) order — seq
+ * is the push order, so ties resolve deterministically at any
+ * SVBENCH_JOBS value. NodeFault events reuse `unit` as the index into
+ * the scenario's nodeFaults list.
+ */
+struct AttemptEvent
+{
+    uint64_t timeNs = 0;
+    uint64_t seq = 0;
+    uint32_t unit = 0;
+    uint32_t task = 0;
+    uint32_t attempt = 0;
+    /** Node an End event's attempt ran on. */
+    uint32_t node = 0;
+    EvKind kind = EvKind::Start;
+    AttemptOutcome outcome = AttemptOutcome::Success;
+    /** An End synthesised by a node crash, replacing the original
+     *  end of the same attempt. */
+    bool synthetic = false;
+};
+static_assert(sizeof(AttemptEvent) <= 40,
+              "a stream holds one event per invocation");
+
+/**
+ * The replay timeline of one scenario. Deterministic in (scenario,
+ * calibrations) alone: all randomness comes from seed-derived
+ * substreams, never from threads or wall clocks. With every fault rate
+ * zero and retries/breaker at their defaults it performs exactly the
+ * pool operations and draws of the pre-fault single-pass replay.
+ */
+class AttemptEngine
+{
+  public:
+    /**
+     * Draw every unit's arrival and schedule the @p source_tasks of
+     * each unit, unit-major, then the scenario's node faults.
+     *
+     * @param num_fns        functions the tasks index (one breaker each)
+     * @param tasks_per_unit tasks of one unit (1 for an invocation)
+     * @param res            receives the ReplayResult fields
+     * @param track_kind     trace track suffix ("load" / "wflow")
+     */
+    AttemptEngine(const ReplayScenario &scenario, size_t num_fns,
+                  uint32_t tasks_per_unit,
+                  const std::vector<uint32_t> &source_tasks,
+                  const CalibrationMatrix &cals, ReplayResult &res,
+                  const char *track_kind);
+
+    /** Replay the whole timeline, then aggregate the ReplayResult. */
+    template <class Policy>
+    void run(Policy &policy);
+
+    // --- for policies --------------------------------------------------
+    uint64_t arrivalNs(uint32_t unit) const { return arrivals[unit]; }
+    /** Has @p unit ended (completed, failed, shed or throttled)? */
+    bool finished(uint32_t unit) const { return ended[unit] != 0; }
+    /** Schedule an attempt of @p task of @p unit at @p at_ns. */
+    void pushStart(uint64_t at_ns, uint32_t unit, uint32_t task,
+                   uint32_t attempt = 0);
+    bool tracing() const { return track != obs::badTrack; }
+    void trace(const std::string &name, const char *cat, uint64_t start_ns,
+               uint64_t dur_ns, SpanArgs args = {}) const;
+    const Fleet &fleetState() const { return fleet; }
+    /** Units whose failed task ran out of attempts. */
+    uint64_t failures() const { return failed; }
+    /** Latest client-visible completion of any unit. */
+    uint64_t lastEndNs() const { return lastEnd; }
+
+  private:
+    template <class Policy>
+    void start(Policy &policy, const AttemptEvent &ev);
+    template <class Policy>
+    void end(Policy &policy, const AttemptEvent &ev);
+
+    /**
+     * Admit @p ev's attempt of @p fn through its breaker and route it
+     * (@p preferred_node is the placement hint). @return the node it
+     * runs on, or Fleet::badNode when it was shed or throttled (both
+     * end the unit) or deferred until a node is routable.
+     */
+    unsigned place(const AttemptEvent &ev, uint32_t fn,
+                   unsigned preferred_node, const std::string &tag);
+    /** Acquire a slot on @p node at @p exec_start_ns, roll the fault
+     *  dice and service time, and schedule the attempt's End. */
+    void serve(const AttemptEvent &ev, uint32_t fn, unsigned node,
+               uint64_t exec_start_ns, const std::string &tag,
+               SpanArgs service_args);
+    /** A failed attempt's End: update the breaker, then retry the task
+     *  (@p retry_tag names the retry span) or end the unit. */
+    void fail(const AttemptEvent &ev, uint32_t fn,
+              const std::string &retry_tag);
+    void traceRoute(const std::string &tag, unsigned node,
+                    uint64_t at_ns) const;
+    void nodeFault(const AttemptEvent &ev);
+    /** In-flight bookkeeping of a non-synthetic End; @return false
+     *  when a node crash already superseded it. */
+    bool retire(const AttemptEvent &ev, uint32_t fn);
+    /** Record @p unit's client-visible end in the histograms. */
+    void finish(uint64_t end_ns, uint32_t unit, bool good);
+    void push(const AttemptEvent &ev);
+    size_t taskIndex(uint32_t unit, uint32_t task) const
+    {
+        return size_t(unit) * tasksPerUnit + task;
+    }
+    void aggregate();
+
+    struct Later
+    {
+        bool operator()(const AttemptEvent &a, const AttemptEvent &b) const
+        {
+            if (a.timeNs != b.timeNs)
+                return a.timeNs > b.timeNs;
+            return a.seq > b.seq;
+        }
+    };
+
+    /** A client-side attempt in flight on a node: what a crash
+     *  cancels. */
+    struct Pending
+    {
+        uint32_t unit;
+        uint32_t task;
+        uint32_t attempt;
+        uint32_t fn;
+        uint64_t serverEndNs;
+    };
+
+    const ReplayScenario &s;
+    const CalibrationMatrix &cals;
+    ReplayResult &res;
+    const uint32_t tasksPerUnit;
+
+    // Fault, retry and routing randomness live on substreams of their
+    // own: runs with faults disabled never touch them, and enabling
+    // faults never perturbs the arrival / mix / warm-sample sequences.
+    // The scheduler never draws when only one node is routable.
+    Rng warmRng;
+    Rng retryRng;
+    Rng routeRng;
+    FaultInjector faults;
+    Fleet fleet;
+    std::vector<CircuitBreaker> breakers;
+    obs::TrackId track = obs::badTrack;
+
+    std::vector<uint64_t> arrivals;
+    std::vector<uint8_t> ended;
+    /** Per task; empty when no attempt can be retried. */
+    std::vector<BackoffSchedule> backoffs;
+    /** Per node. */
+    std::vector<std::vector<Pending>> pending;
+    std::priority_queue<AttemptEvent, std::vector<AttemptEvent>, Later>
+        events;
+    uint64_t seq = 0;
+    uint64_t lastEnd = 0;
+    uint64_t failed = 0;
+};
+
+template <class Policy>
+void
+AttemptEngine::run(Policy &policy)
+{
+    while (!events.empty()) {
+        const AttemptEvent ev = events.top();
+        events.pop();
+        if (ev.kind == EvKind::NodeFault)
+            nodeFault(ev);
+        else if (ev.kind == EvKind::Start)
+            start(policy, ev);
+        else
+            end(policy, ev);
+    }
+    aggregate();
+}
+
+template <class Policy>
+void
+AttemptEngine::start(Policy &policy, const AttemptEvent &ev)
+{
+    if (finished(ev.unit))
+        return; // a sibling task already ended the unit
+    const uint32_t fn = policy.fn(ev.unit, ev.task);
+    const std::string tag =
+        tracing() ? policy.tag(ev.unit, ev.task, ev.attempt) : std::string();
+    const unsigned node =
+        place(ev, fn, policy.preferredNode(ev.unit, ev.task), tag);
+    if (node == Fleet::badNode)
+        return;
+    // Inputs the task pulls before it can be placed (a workflow's
+    // payloads) delay its acquire, so they queue like service does.
+    const uint64_t xferNs = policy.transferNs(ev.unit, ev.task, node);
+    if (tracing() && xferNs > 0)
+        trace("xfer#" + tag, "xfer", ev.timeNs, xferNs,
+              policy.transferArgs(ev.task));
+    serve(ev, fn, node, ev.timeNs + xferNs, tag,
+          tracing() ? policy.serviceArgs(ev.task) : SpanArgs{});
+}
+
+template <class Policy>
+void
+AttemptEngine::end(Policy &policy, const AttemptEvent &ev)
+{
+    const uint32_t fn = policy.fn(ev.unit, ev.task);
+    if (!ev.synthetic && !retire(ev, fn))
+        return; // superseded by a node-crash end
+    if (ev.outcome != AttemptOutcome::Success) {
+        fail(ev, fn,
+             tracing() ? policy.tag(ev.unit, ev.task, ev.attempt + 1)
+                       : std::string());
+        return;
+    }
+    breakers[fn].onSuccess(ev.timeNs);
+    if (policy.taskSucceeded(*this, ev)) {
+        ++res.succeeded;
+        finish(ev.timeNs, ev.unit, true);
+    }
+}
+
+} // namespace svb::load
+
+#endif // SVB_LOAD_ATTEMPT_ENGINE_HH

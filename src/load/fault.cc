@@ -182,6 +182,13 @@ CircuitBreaker::onFailure(uint64_t now_ns)
     }
 }
 
+void
+CircuitBreaker::releaseProbe()
+{
+    if (st == State::HalfOpen)
+        probeInFlight = false;
+}
+
 FaultInjector::Draw
 FaultInjector::draw(bool cold)
 {

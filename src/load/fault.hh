@@ -24,8 +24,8 @@
  *    that sheds to a degraded fast-path response while open and
  *    closes again after successful half-open probes.
  *
- * Everything here is plain value-semantics state driven by the load
- * engine (load_runner.cc); nothing reads clocks or global state, so
+ * Everything here is plain value-semantics state driven by the attempt
+ * engine (attempt_engine.cc); nothing reads clocks or global state, so
  * SVBENCH_JOBS worker count cannot influence an outcome.
  */
 
@@ -166,6 +166,14 @@ class CircuitBreaker
 
     /** A client-visible failure completed at @p now_ns. */
     void onFailure(uint64_t now_ns);
+
+    /**
+     * The request just admitted never reached a server (throttled, or
+     * deferred until a node is routable): hand back the half-open
+     * probe slot it holds, so the next request can probe. A no-op
+     * unless HalfOpen.
+     */
+    void releaseProbe();
 
     State state() const { return st; }
 

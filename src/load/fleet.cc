@@ -188,6 +188,13 @@ Fleet::pool(unsigned node)
     return nodes[node].pool;
 }
 
+const InstancePool &
+Fleet::pool(unsigned node) const
+{
+    svb_assert(node < nodes.size(), "unknown fleet node");
+    return nodes[node].pool;
+}
+
 double
 Fleet::speedFactor(unsigned node) const
 {

@@ -290,6 +290,7 @@ class Fleet
 
     /** The instance pool of @p node. */
     InstancePool &pool(unsigned node);
+    const InstancePool &pool(unsigned node) const;
 
     /**
      * An attempt was placed on @p node: runs from @p start_ns to

@@ -1,15 +1,7 @@
 #include "load_runner.hh"
 
-#include <cmath>
-#include <map>
-#include <queue>
-#include <sstream>
-
-#include "core/parallel.hh"
-#include "isa/isa_info.hh"
-#include "names.hh"
+#include "attempt_engine.hh"
 #include "obs/stat_export.hh"
-#include "obs/trace.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 
@@ -19,567 +11,81 @@ namespace svb::load
 namespace
 {
 
-std::map<std::string, uint64_t>
-packLoadResult(const LoadResult &res)
-{
-    return {
-        {"invocations", res.invocations},
-        {"coldStarts", res.coldStarts},
-        {"warmHits", res.warmHits},
-        {"evictions", res.evictions},
-        {"p50Ns", res.p50Ns},
-        {"p90Ns", res.p90Ns},
-        {"p99Ns", res.p99Ns},
-        {"p999Ns", res.p999Ns},
-        {"maxNs", res.maxNs},
-        {"throughputMrps",
-         uint64_t(std::llround(res.throughputRps * 1000.0))},
-        {"histoFp", res.histoFingerprint},
-        {"succeeded", res.succeeded},
-        {"failedInv", res.failedInvocations},
-        {"sheds", res.sheds},
-        {"retries", res.retries},
-        {"crashes", res.crashes},
-        {"timeouts", res.timeouts},
-        {"coldFails", res.coldStartFailures},
-        {"corruptRestores", res.corruptRestores},
-        {"stragglers", res.stragglers},
-        {"breakerOpens", res.breakerOpens},
-        {"goodP50Ns", res.goodP50Ns},
-        {"goodP99Ns", res.goodP99Ns},
-        {"errP99Ns", res.errP99Ns},
-        {"goodFp", res.goodFingerprint},
-        {"nodes", res.nodes},
-        {"policy", res.policyId},
-        {"maxActive", res.maxActiveNodes},
-        {"throttles", res.throttles},
-        {"nodeFaults", res.nodeFaults},
-        {"utilPermil",
-         uint64_t(std::llround(res.fleetUtilisation * 1000.0))},
-        {"classes", res.classes},
-        {"powerMw", res.fleetPowerMw},
-        {"costMilli", res.fleetCostMilli},
-        {"ok", res.ok ? 1u : 0u},
-    };
-}
-
-LoadResult
-unpackLoadResult(const std::string &scenario,
-                 const std::map<std::string, uint64_t> &fields)
-{
-    LoadResult res;
-    res.scenario = scenario;
-    res.invocations = fields.at("invocations");
-    res.coldStarts = fields.at("coldStarts");
-    res.warmHits = fields.at("warmHits");
-    res.evictions = fields.at("evictions");
-    res.p50Ns = fields.at("p50Ns");
-    res.p90Ns = fields.at("p90Ns");
-    res.p99Ns = fields.at("p99Ns");
-    res.p999Ns = fields.at("p999Ns");
-    res.maxNs = fields.at("maxNs");
-    res.throughputRps = double(fields.at("throughputMrps")) / 1000.0;
-    res.histoFingerprint = fields.at("histoFp");
-    res.succeeded = fields.at("succeeded");
-    res.failedInvocations = fields.at("failedInv");
-    res.sheds = fields.at("sheds");
-    res.retries = fields.at("retries");
-    res.crashes = fields.at("crashes");
-    res.timeouts = fields.at("timeouts");
-    res.coldStartFailures = fields.at("coldFails");
-    res.corruptRestores = fields.at("corruptRestores");
-    res.stragglers = fields.at("stragglers");
-    res.breakerOpens = fields.at("breakerOpens");
-    res.goodP50Ns = fields.at("goodP50Ns");
-    res.goodP99Ns = fields.at("goodP99Ns");
-    res.errP99Ns = fields.at("errP99Ns");
-    res.goodFingerprint = fields.at("goodFp");
-    res.nodes = fields.at("nodes");
-    res.policyId = fields.at("policy");
-    res.maxActiveNodes = fields.at("maxActive");
-    res.throttles = fields.at("throttles");
-    res.nodeFaults = fields.at("nodeFaults");
-    res.fleetUtilisation = double(fields.at("utilPermil")) / 1000.0;
-    res.classes = fields.at("classes");
-    res.fleetPowerMw = fields.at("powerMw");
-    res.fleetCostMilli = fields.at("costMilli");
-    res.ok = fields.at("ok") != 0;
-    return res;
-}
-
-/** Client-visible outcome of one attempt. */
-enum class AttemptOutcome
-{
-    Success,
-    ColdFail, ///< injected failed cold start
-    Crash,    ///< instance crash (injected, or a node-level crash)
-    Timeout,  ///< client abandoned the attempt (per-attempt timeout)
-};
-
-/** What a timeline event is. */
-enum class EvKind : uint8_t
-{
-    /** Admit through the breaker, route across the fleet, place on
-     *  the node's pool, roll the fault dice. */
-    AttemptStart,
-    /** Apply the client-visible outcome to the breaker and either
-     *  finish the invocation or schedule its retry. */
-    AttemptEnd,
-    /** Apply a scheduled node-level crash/partition. */
-    NodeFault,
-};
-
 /**
- * One timeline event of the stream engine. Events are processed in
- * (time, seq) order — seq is the push order, so ties resolve
- * deterministically at any SVBENCH_JOBS value. Attempt events carry
- * the node the attempt runs on; NodeFault events reuse `inv` as the
- * index into the scenario's nodeFaults list.
+ * What a plain invocation stream adds to the attempt engine: each
+ * invocation is one task running the function its traffic-mix draw
+ * chose, with no placement hint and no input transfer, and its spans
+ * are named "<inv>[.<attempt>]".
  */
-struct StreamEvent
+class StreamPolicy
 {
-    uint64_t timeNs = 0;
-    uint64_t seq = 0;
-    uint32_t inv = 0;
-    unsigned attempt = 0;
-    EvKind kind = EvKind::AttemptStart;
-    AttemptOutcome outcome = AttemptOutcome::Success;
-    /** Node of an attempt event (unused for NodeFault events). */
-    unsigned node = 0;
-    /** An AttemptEnd synthesised by a node crash, replacing the
-     *  cancelled original end of the same attempt. */
-    bool synthetic = false;
-};
-
-struct StreamEventLater
-{
-    bool operator()(const StreamEvent &a, const StreamEvent &b) const
+  public:
+    /** Draw every invocation's function from the mix, in arrival
+     *  order, off the mix substream. */
+    explicit StreamPolicy(const LoadScenario &s)
     {
-        if (a.timeNs != b.timeNs)
-            return a.timeNs > b.timeNs;
-        return a.seq > b.seq;
-    }
-};
-
-/**
- * The pure load simulation: replay calibrated service times through
- * the arrival process, instance pool, fault model, retry policy and
- * circuit breakers on one event-driven simulated timeline.
- * Deterministic in (scenario, calibrations) alone — all randomness
- * comes from seed-derived substreams, never from threads or wall
- * clocks. With every fault rate zero and retries/breaker at their
- * defaults, the engine performs the identical sequence of pool
- * operations and RNG draws as the pre-fault single-pass loop, so the
- * histograms and fingerprints are byte-identical to it.
- */
-LoadResult
-simulateStream(const LoadScenario &s,
-               const std::vector<std::vector<LoadCalibration>> &cals)
-{
-    LoadResult res;
-    res.scenario = s.name;
-    res.invocations = s.invocations;
-    res.policyId = uint64_t(s.fleet.routing);
-
-    // Substream ids come from the StreamId claim table (load_runner.hh).
-    const Rng master(s.seed);
-    ArrivalProcess arrivals(s.arrival, master.split(kStreamArrival));
-    Rng mixRng = master.split(kStreamMix);
-    Rng warmRng = master.split(kStreamWarm);
-    // Fault and retry randomness lives on streams of its own: runs
-    // with faults disabled never touch them, and enabling faults
-    // never perturbs the arrival / mix / warm-sample sequences.
-    FaultInjector faults(s.fault, master.split(kStreamFault));
-    Rng retryRng = master.split(kStreamRetry);
-    // Routing randomness gets the same treatment, and the scheduler
-    // never draws when only one node is routable — the default
-    // single-node fleet replays the exact pre-fleet byte stream.
-    Rng routeRng = master.split(kStreamRoute);
-    Fleet fleet(s.fleet, s.pool, unsigned(s.mix.size()));
-    const bool fleetOn = s.fleet.engaged();
-    svb_assert(cals.size() == fleet.groupCount(),
-               "calibration matrix does not match the fleet's classes");
-    res.nodes = fleet.nodeCount();
-    res.classes = fleet.groupCount();
-    res.fleetPowerMw = fleet.fleetPowerMw();
-    res.fleetCostMilli = fleet.fleetCostMilli();
-    std::vector<CircuitBreaker> breakers(s.mix.size(),
-                                         CircuitBreaker(s.breaker));
-
-    // Per-scenario trace track (simulated nanoseconds): queue spans
-    // when an invocation waits for a slot, one cold/warm span per
-    // attempt, plus retry / timeout / breaker-open spans from the
-    // fault layer. All times come from the load timeline, so the
-    // track is deterministic in (scenario, calibrations).
-    obs::Tracer &tracer = obs::Tracer::global();
-    obs::TrackId track = obs::badTrack;
-    if (tracer.enabled()) {
-        std::ostringstream os;
-        os << isaName(s.cluster.system.isa) << "/"
-           << db::dbKindName(s.cluster.dbKind)
-           << (s.cluster.startDb ? 1 : 0)
-           << (s.cluster.startMemcached ? 1 : 0) << "/" << s.name
-           << "/load";
-        track = tracer.track(os.str());
-    }
-
-    double totalWeight = 0.0;
-    for (const LoadMixEntry &entry : s.mix)
-        totalWeight += entry.weight;
-    svb_assert(totalWeight > 0.0, "load mix has no weight");
-    svb_assert(s.retry.maxAttempts >= 1, "retry policy needs >= 1 attempt");
-
-    // Arrival times and function choices are drawn up front in
-    // arrival order — the exact draw sequence of the legacy
-    // single-pass loop (each stream is independent, so interleaving
-    // relative to other streams is irrelevant).
-    struct Invocation
-    {
-        uint64_t arrivalNs = 0;
-        uint32_t fn = 0;
-        BackoffSchedule backoff;
-    };
-    std::vector<Invocation> invs;
-    invs.reserve(s.invocations);
-    for (uint64_t i = 0; i < s.invocations; ++i) {
-        Invocation iv{0, 0, BackoffSchedule(s.retry)};
-        iv.arrivalNs = arrivals.nextArrivalNs();
-        double u = mixRng.nextDouble() * totalWeight;
-        for (size_t m = 0; m + 1 < s.mix.size(); ++m) {
-            u -= s.mix[m].weight;
-            if (u < 0.0)
-                break;
-            iv.fn = uint32_t(m + 1);
+        double totalWeight = 0.0;
+        for (const LoadMixEntry &entry : s.mix)
+            totalWeight += entry.weight;
+        svb_assert(totalWeight > 0.0, "load mix has no weight");
+        Rng mixRng = Rng(s.seed).split(kStreamMix);
+        fns.resize(s.invocations);
+        for (uint32_t &fn : fns) {
+            double u = mixRng.nextDouble() * totalWeight;
+            fn = 0;
+            for (size_t m = 0; m + 1 < s.mix.size(); ++m) {
+                u -= s.mix[m].weight;
+                if (u < 0.0)
+                    break;
+                fn = uint32_t(m + 1);
+            }
         }
-        invs.push_back(std::move(iv));
     }
 
-    std::priority_queue<StreamEvent, std::vector<StreamEvent>,
-                        StreamEventLater>
-        events;
-    uint64_t seq = 0;
-    for (uint32_t i = 0; i < s.invocations; ++i)
-        events.push({invs[i].arrivalNs, seq++, i, 0,
-                     EvKind::AttemptStart, AttemptOutcome::Success, 0,
-                     false});
-    for (size_t f = 0; f < s.fleet.nodeFaults.size(); ++f)
-        events.push({s.fleet.nodeFaults[f].atNs, seq++, uint32_t(f), 0,
-                     EvKind::NodeFault, AttemptOutcome::Success,
-                     s.fleet.nodeFaults[f].node, false});
-
-    // A node crash cancels the original AttemptEnd of every attempt
-    // in flight on the node and replaces it with a synthetic Crash
-    // end at the crash instant. The flag is keyed by (invocation,
-    // attempt); the synthetic replacement shares the key, so only
-    // non-synthetic ends consult it.
-    std::vector<uint8_t> cancelled(
-        size_t(s.invocations) * s.retry.maxAttempts, 0);
-    auto cancelKey = [&](uint32_t inv, unsigned attempt) {
-        return size_t(inv) * s.retry.maxAttempts + attempt;
-    };
-    // Client-side in-flight attempts per node: what a crash cancels.
-    struct Pending
+    uint32_t fn(uint32_t inv, uint32_t) const { return fns[inv]; }
+    unsigned preferredNode(uint32_t, uint32_t) const { return Fleet::badNode; }
+    uint64_t transferNs(uint32_t, uint32_t, unsigned) const { return 0; }
+    SpanArgs transferArgs(uint32_t) const { return {}; }
+    SpanArgs serviceArgs(uint32_t) const { return {}; }
+    bool taskSucceeded(AttemptEngine &, const AttemptEvent &) const
     {
-        uint32_t inv;
-        unsigned attempt;
-        uint64_t serverEndNs;
-    };
-    std::vector<std::vector<Pending>> pending(fleet.nodeCount());
+        return true;
+    }
 
-    // A label suffix only retry attempts carry, so fault-free traces
-    // keep the legacy "cold#i"/"warm#i"/"queue#i" span names.
-    auto attemptTag = [](uint32_t inv, unsigned attempt) {
+    /** Only retries carry the attempt suffix, so fault-free traces
+     *  keep the plain "cold#i"/"warm#i"/"queue#i" span names. */
+    std::string tag(uint32_t inv, uint32_t, uint32_t attempt) const
+    {
         std::string t = std::to_string(inv);
         if (attempt > 0)
             t += "." + std::to_string(attempt);
         return t;
-    };
-
-    uint64_t lastEndNs = 0;
-    auto finish = [&](uint64_t end_ns, uint64_t arrival_ns, bool good) {
-        res.latency.record(end_ns - arrival_ns);
-        (good ? res.goodLatency : res.errorLatency)
-            .record(end_ns - arrival_ns);
-        if (end_ns > lastEndNs)
-            lastEndNs = end_ns;
-    };
-
-    while (!events.empty()) {
-        const StreamEvent ev = events.top();
-        events.pop();
-
-        if (ev.kind == EvKind::NodeFault) {
-            // ---- node-level fault at ev.timeNs -----------------------
-            const NodeFaultEvent &nf = s.fleet.nodeFaults[ev.inv];
-            ++res.nodeFaults;
-            fleet.applyNodeFault(nf);
-            if (track != obs::badTrack)
-                tracer.record(track,
-                              std::string("node-") +
-                                  nodeFaultKindName(nf.kind) + "#" +
-                                  std::to_string(ev.inv) + "@n" +
-                                  std::to_string(nf.node),
-                              "node", ev.timeNs, nf.durationNs);
-            if (nf.kind == NodeFaultEvent::Kind::Crash) {
-                // Every attempt in flight on the node dies with it:
-                // cancel the scheduled end, hand back the busy time
-                // the node will no longer serve, and let the client
-                // learn of the crash right now via the retry path.
-                for (const Pending &p : pending[nf.node]) {
-                    cancelled[cancelKey(p.inv, p.attempt)] = 1;
-                    if (p.serverEndNs > ev.timeNs)
-                        fleet.truncateBusy(nf.node,
-                                           p.serverEndNs - ev.timeNs);
-                    fleet.onAttemptEnd(nf.node, invs[p.inv].fn);
-                    ++res.crashes;
-                    events.push({ev.timeNs, seq++, p.inv, p.attempt,
-                                 EvKind::AttemptEnd,
-                                 AttemptOutcome::Crash, nf.node, true});
-                }
-                pending[nf.node].clear();
-            }
-            continue;
-        }
-
-        Invocation &iv = invs[ev.inv];
-        CircuitBreaker &breaker = breakers[iv.fn];
-
-        if (ev.kind == EvKind::AttemptStart) {
-            // ---- attempt start at ev.timeNs --------------------------
-            if (!breaker.admit(ev.timeNs)) {
-                // Shed: the open breaker answers with the degraded
-                // fast path; terminal, but not a good response.
-                ++res.sheds;
-                const uint64_t end = ev.timeNs + s.breaker.degradedNs;
-                if (track != obs::badTrack)
-                    tracer.record(track,
-                                  "shed#" + attemptTag(ev.inv, ev.attempt),
-                                  "breaker", ev.timeNs,
-                                  s.breaker.degradedNs);
-                finish(end, iv.arrivalNs, false);
-                continue;
-            }
-
-            const Fleet::Route rt =
-                fleet.route(iv.fn, ev.timeNs, routeRng);
-            if (rt.throttled) {
-                // Per-function concurrency limit: the platform answers
-                // with a fast 429-style response — terminal, shed-like
-                // (counted in both sheds and throttles).
-                ++res.throttles;
-                ++res.sheds;
-                const uint64_t end = ev.timeNs + s.fleet.throttleNs;
-                if (track != obs::badTrack)
-                    tracer.record(track,
-                                  "throttle#" +
-                                      attemptTag(ev.inv, ev.attempt),
-                                  "throttle", ev.timeNs,
-                                  s.fleet.throttleNs);
-                finish(end, iv.arrivalNs, false);
-                continue;
-            }
-            if (rt.node == Fleet::badNode) {
-                // No routable node yet (scale-up lag, or every node in
-                // a fault window): the attempt re-enters the timeline
-                // once capacity can exist. Progress is guaranteed —
-                // either the retry time is strictly later, or a
-                // zero-lag activation just made a node routable.
-                svb_assert(rt.retryAtNs >= ev.timeNs,
-                           "unroutable attempt scheduled into the past");
-                if (track != obs::badTrack)
-                    tracer.record(track,
-                                  "scale-wait#" +
-                                      attemptTag(ev.inv, ev.attempt),
-                                  "scale", ev.timeNs,
-                                  rt.retryAtNs - ev.timeNs);
-                events.push({rt.retryAtNs, seq++, ev.inv, ev.attempt,
-                             EvKind::AttemptStart,
-                             AttemptOutcome::Success, 0, false});
-                continue;
-            }
-
-            InstancePool &pool = fleet.pool(rt.node);
-            const InstancePool::Placement pl =
-                pool.acquire(iv.fn, ev.timeNs);
-            // The node's CLASS picks the calibrated service model:
-            // on a mixed-ISA fleet the same function replays different
-            // measured cold/warm times depending on where it landed.
-            const LoadCalibration &cal =
-                cals[fleet.groupOf(rt.node)][iv.fn];
-            const FaultInjector::Draw dice = faults.draw(pl.cold);
-
-            uint64_t service =
-                pl.cold ? cal.coldNs
-                        : cal.warmNs[warmRng.nextBounded(loadWarmSamples)];
-            if (pl.cold && dice.restoreCorrupt) {
-                // The restored snapshot came up corrupt: the platform
-                // falls back to booting from scratch — the start still
-                // succeeds but pays the boot penalty.
-                service = uint64_t(double(service) *
-                                   s.fault.restoreBootFactor);
-                ++res.corruptRestores;
-            }
-            if (dice.straggler) {
-                service =
-                    uint64_t(double(service) * s.fault.stragglerFactor);
-                ++res.stragglers;
-            }
-            // Heterogeneous fleets scale the calibrated service time
-            // by the node's speed factor; exactly 1.0 (the homogeneous
-            // default) leaves the value bit-untouched.
-            const double speed = fleet.speedFactor(rt.node);
-            if (speed != 1.0)
-                service = uint64_t(double(service) * speed);
-            service = std::max<uint64_t>(1, service);
-            const uint64_t end = pl.startNs + service;
-
-            if (track != obs::badTrack) {
-                const std::string tag = attemptTag(ev.inv, ev.attempt);
-                // Class-structured fleets tag the route span with the
-                // node's class so mixed-ISA placement is visible in
-                // the trace; class-less traces keep the legacy spans
-                // byte-for-byte.
-                if (fleetOn && fleet.classed())
-                    tracer.record(
-                        track,
-                        "route#" + tag + "@n" + std::to_string(rt.node),
-                        "route", ev.timeNs, 0,
-                        {{"class",
-                          fleet.nodeClass(fleet.groupOf(rt.node)).name}});
-                else if (fleetOn)
-                    tracer.record(track,
-                                  "route#" + tag + "@n" +
-                                      std::to_string(rt.node),
-                                  "route", ev.timeNs, 0);
-                if (pl.startNs > ev.timeNs)
-                    tracer.record(track, "queue#" + tag, "queue",
-                                  ev.timeNs, pl.startNs - ev.timeNs);
-                tracer.record(track, (pl.cold ? "cold#" : "warm#") + tag,
-                              pl.cold ? "cold" : "warm", pl.startNs,
-                              end - pl.startNs);
-            }
-
-            AttemptOutcome outcome = AttemptOutcome::Success;
-            uint64_t clientEnd = end;
-            uint64_t serverEnd = end;
-            if (pl.cold && dice.coldFail) {
-                // The instance never comes up; the client learns at
-                // the point the cold path would have completed.
-                outcome = AttemptOutcome::ColdFail;
-                pool.kill(pl.slot, end);
-                ++res.coldStartFailures;
-            } else if (dice.crash) {
-                const uint64_t crashAt =
-                    pl.startNs +
-                    std::max<uint64_t>(
-                        1, uint64_t(double(service) * dice.crashFrac));
-                outcome = AttemptOutcome::Crash;
-                clientEnd = crashAt;
-                serverEnd = crashAt;
-                pool.kill(pl.slot, crashAt);
-                ++res.crashes;
-            } else {
-                pool.release(pl.slot, end);
-            }
-            // The client-side timeout wins over any later outcome;
-            // the instance still finishes (or crashes) server-side —
-            // abandoned work stays on the slot's timeline.
-            if (s.retry.timeoutNs > 0 &&
-                clientEnd > ev.timeNs + s.retry.timeoutNs) {
-                outcome = AttemptOutcome::Timeout;
-                clientEnd = ev.timeNs + s.retry.timeoutNs;
-                ++res.timeouts;
-                if (track != obs::badTrack)
-                    tracer.record(track,
-                                  "timeout#" + attemptTag(ev.inv,
-                                                          ev.attempt),
-                                  "timeout", ev.timeNs, s.retry.timeoutNs);
-            }
-            fleet.onAttemptStart(rt.node, iv.fn, pl.startNs, serverEnd);
-            pending[rt.node].push_back({ev.inv, ev.attempt, serverEnd});
-            events.push({clientEnd, seq++, ev.inv, ev.attempt,
-                         EvKind::AttemptEnd, outcome, rt.node, false});
-        } else {
-            // ---- attempt end at ev.timeNs ----------------------------
-            if (!ev.synthetic) {
-                if (cancelled[cancelKey(ev.inv, ev.attempt)])
-                    continue; // superseded by a node-crash end
-                std::vector<Pending> &inflight = pending[ev.node];
-                for (auto it = inflight.begin(); it != inflight.end();
-                     ++it) {
-                    if (it->inv == ev.inv && it->attempt == ev.attempt) {
-                        inflight.erase(it);
-                        break;
-                    }
-                }
-                fleet.onAttemptEnd(ev.node, iv.fn);
-            }
-            if (ev.outcome == AttemptOutcome::Success) {
-                breaker.onSuccess(ev.timeNs);
-                ++res.succeeded;
-                finish(ev.timeNs, iv.arrivalNs, true);
-                continue;
-            }
-            const uint64_t opensBefore = breaker.timesOpened();
-            breaker.onFailure(ev.timeNs);
-            if (track != obs::badTrack &&
-                breaker.timesOpened() > opensBefore)
-                tracer.record(track,
-                              "breaker-open#" +
-                                  std::to_string(breaker.timesOpened()),
-                              "breaker", ev.timeNs,
-                              s.breaker.openCooldownNs);
-            if (ev.attempt + 1 < s.retry.maxAttempts) {
-                const uint64_t delay = iv.backoff.nextDelayNs(retryRng);
-                ++res.retries;
-                if (track != obs::badTrack)
-                    tracer.record(
-                        track,
-                        "retry#" + attemptTag(ev.inv, ev.attempt + 1),
-                        "retry", ev.timeNs, delay);
-                events.push({ev.timeNs + delay, seq++, ev.inv,
-                             ev.attempt + 1, EvKind::AttemptStart,
-                             AttemptOutcome::Success, 0, false});
-            } else {
-                ++res.failedInvocations;
-                finish(ev.timeNs, iv.arrivalNs, false);
-            }
-        }
     }
 
-    // Pool counters aggregate across the fleet (a single-node fleet
-    // reads the one pool, exactly as the pre-fleet engine did).
-    uint64_t fleetBusyNs = 0;
+  private:
+    std::vector<uint32_t> fns;
+};
+
+/**
+ * The load simulation: replay calibrated service times through the
+ * arrival process, fleet, fault model, retry policy and circuit
+ * breakers, one task per invocation.
+ */
+LoadResult
+simulateStream(const LoadScenario &s, const CalibrationMatrix &cals)
+{
+    LoadResult res;
+    StreamPolicy policy(s);
+    AttemptEngine engine(s, s.mix.size(), 1, {0}, cals, res, "load");
+    engine.run(policy);
+    res.failedInvocations = engine.failures();
+
+    const Fleet &fleet = engine.fleetState();
+    const uint64_t nodeCapacityNs = engine.lastEndNs() * s.pool.maxInstances;
     res.nodeUtilisation.assign(fleet.nodeCount(), 0.0);
-    for (unsigned n = 0; n < fleet.nodeCount(); ++n) {
-        const PoolStats &ps = fleet.pool(n).stats();
-        res.coldStarts += ps.coldStarts;
-        res.warmHits += ps.warmHits;
-        res.evictions += ps.evictions;
-        fleetBusyNs += fleet.nodeStats(n).busyNs;
-    }
-    for (const CircuitBreaker &breaker : breakers)
-        res.breakerOpens += breaker.timesOpened();
-    res.p50Ns = res.latency.percentile(50.0);
-    res.p90Ns = res.latency.percentile(90.0);
-    res.p99Ns = res.latency.percentile(99.0);
-    res.p999Ns = res.latency.percentile(99.9);
-    res.maxNs = res.latency.maxValue();
-    res.goodP50Ns = res.goodLatency.percentile(50.0);
-    res.goodP99Ns = res.goodLatency.percentile(99.0);
-    res.errP99Ns = res.errorLatency.percentile(99.0);
-    res.throughputRps = safeRatePerSec(s.invocations, lastEndNs);
-    res.histoFingerprint = res.latency.fingerprint();
-    res.goodFingerprint = res.goodLatency.fingerprint();
-    res.maxActiveNodes = fleet.maxActiveNodes();
-    // Utilisation: occupied slot-time over the run's span, normalised
-    // by each node's slot count (so 1.0 = every slot busy throughout).
-    const uint64_t nodeCapacityNs = lastEndNs * s.pool.maxInstances;
     for (unsigned n = 0; n < fleet.nodeCount(); ++n)
         res.nodeUtilisation[n] =
             safeShare(fleet.nodeStats(n).busyNs, nodeCapacityNs);
-    res.fleetUtilisation =
-        safeShare(fleetBusyNs, nodeCapacityNs * fleet.nodeCount());
     if (fleet.classed()) {
         res.classRouted.assign(fleet.groupCount(), 0);
         res.classNames.resize(fleet.groupCount());
@@ -588,13 +94,12 @@ simulateStream(const LoadScenario &s,
         for (unsigned n = 0; n < fleet.nodeCount(); ++n)
             res.classRouted[fleet.groupOf(n)] += fleet.nodeStats(n).routed;
     }
-    res.ok = true;
 
     // fault.* StatGroup counters through the observability layer: a
     // per-scenario stat tree, dumped wherever SVBENCH_STATDUMP points
     // (only when the resilience machinery is actually engaged, so
     // fault-free runs emit exactly the legacy file set).
-    if ((faults.enabled() || s.breaker.enabled) &&
+    if ((s.fault.any() || s.breaker.enabled) &&
         !obs::statDumpDir().empty()) {
         StatGroup fstats("fault");
         auto set = [&fstats](const char *name, const char *desc,
@@ -626,7 +131,7 @@ simulateStream(const LoadScenario &s,
     // fleet.* StatGroup counters, same discipline: only emitted when
     // the fleet machinery is engaged, so plain single-node scenarios
     // keep the legacy stat-file set byte-for-byte.
-    if (fleetOn && !obs::statDumpDir().empty()) {
+    if (s.fleet.engaged() && !obs::statDumpDir().empty()) {
         StatGroup fstats("fleet");
         auto set = [&fstats](const std::string &name,
                              const std::string &desc, uint64_t v) {
@@ -658,7 +163,7 @@ simulateStream(const LoadScenario &s,
                 set(p + "active", "active nodes of the class at the end",
                     fleet.groupActiveNodes(g));
                 set(p + "routed", "attempts routed to the class",
-                    res.classRouted.empty() ? 0 : res.classRouted[g]);
+                    res.classRouted[g]);
             }
         }
         for (unsigned n = 0; n < fleet.nodeCount(); ++n) {
@@ -681,6 +186,43 @@ simulateStream(const LoadScenario &s,
     }
     return res;
 }
+
+/** The "load" rows of replaySweep(). */
+struct LoadRows
+{
+    using Scenario = LoadScenario;
+    using Result = LoadResult;
+    static constexpr const char *mode = "load";
+
+    static const std::vector<LoadMixEntry> &
+    functions(const LoadScenario &s)
+    {
+        return s.mix;
+    }
+
+    static LoadResult
+    run(ResultCache &cache, const LoadScenario &s)
+    {
+        return LoadRunner(cache).run(s);
+    }
+
+    static Row
+    pack(const LoadResult &res)
+    {
+        Row row = packReplay(res);
+        row["failedInv"] = res.failedInvocations;
+        return row;
+    }
+
+    static LoadResult
+    unpack(const std::string &scenario, const Row &row)
+    {
+        LoadResult res;
+        unpackReplay(scenario, row, res);
+        res.failedInvocations = row.at("failedInv");
+        return res;
+    }
+};
 
 } // namespace
 
@@ -736,28 +278,11 @@ LoadRunner::run(const LoadScenario &scenario)
     validateScenarioName(scenario.name);
     svb_assert(!scenario.mix.empty(), "load scenario with empty mix");
     svb_assert(scenario.invocations > 0, "load scenario with no traffic");
-
-    // One calibration pass per fleet class (class-less scenarios have
-    // exactly one, the legacy cluster): the [group][fn] matrix the
-    // stream engine indexes by the class of the routed node.
-    const std::vector<ClusterConfig> clusters =
-        calibrationClusters(scenario.cluster, scenario.fleet);
-    std::vector<std::vector<LoadCalibration>> cals(clusters.size());
-    for (size_t g = 0; g < clusters.size(); ++g) {
-        cals[g].reserve(scenario.mix.size());
-        for (const LoadMixEntry &entry : scenario.mix) {
-            svb_assert(entry.impl != nullptr, "mix entry without workload");
-            cals[g].push_back(cache.loadCalibration(clusters[g],
-                                                    entry.spec,
-                                                    *entry.impl));
-            if (!cals[g].back().ok) {
-                warn(scenario.name, ": calibration of ", entry.spec.name,
-                     " failed; scenario skipped");
-                LoadResult res;
-                res.scenario = scenario.name;
-                return res;
-            }
-        }
+    CalibrationMatrix cals;
+    if (!calibrate(cache, scenario, scenario.mix, cals)) {
+        LoadResult res;
+        res.scenario = scenario.name;
+        return res;
     }
     return simulateStream(scenario, cals);
 }
@@ -766,92 +291,7 @@ std::vector<LoadResult>
 loadSweep(ResultCache &cache, const std::vector<LoadScenario> &scenarios,
           unsigned jobs_override)
 {
-    for (const LoadScenario &s : scenarios)
-        validateScenarioName(s.name);
-
-    // --- Phase 1: calibrate every distinct (cluster, function) ----------
-    // Concurrent compute, submission-order record: ldcal CSV rows are
-    // identical to a serial sweep's at any worker count. Class-
-    // structured fleets contribute one cluster per class here (the
-    // clusters are synthesised per scenario, so the job stores its
-    // config by value).
-    struct CalJob
-    {
-        ClusterConfig cfg;
-        const FunctionSpec *spec;
-        const WorkloadImpl *impl;
-    };
-    std::vector<CalJob> calJobs;
-    std::map<std::string, char> seenCal;
-    for (const LoadScenario &s : scenarios) {
-        for (const ClusterConfig &cluster :
-             calibrationClusters(s.cluster, s.fleet)) {
-            for (const LoadMixEntry &entry : s.mix) {
-                const std::string key =
-                    cache.loadCalKey(cluster, entry.spec);
-                if (!seenCal.emplace(key, 1).second)
-                    continue;
-                LoadCalibration cached;
-                if (!cache.lookupLoadCal(cluster, entry.spec, cached))
-                    calJobs.push_back({cluster, &entry.spec, entry.impl});
-            }
-        }
-    }
-    if (!calJobs.empty()) {
-        const auto cals = parallelIndexed<LoadCalibration>(
-            calJobs.size(),
-            [&](size_t i) {
-                return cache.computeLoadCal(calJobs[i].cfg,
-                                            *calJobs[i].spec,
-                                            *calJobs[i].impl);
-            },
-            jobs_override);
-        for (size_t i = 0; i < calJobs.size(); ++i)
-            cache.recordLoadCal(calJobs[i].cfg, *calJobs[i].spec,
-                                cals[i]);
-    }
-
-    // --- Phase 2: simulate the scenarios --------------------------------
-    std::vector<LoadResult> results(scenarios.size());
-    std::map<std::string, size_t> primaryForKey;
-    std::vector<size_t> primaries;
-    std::vector<char> isHit(scenarios.size(), 0);
-    for (size_t i = 0; i < scenarios.size(); ++i) {
-        const std::string key =
-            cache.loadKey(scenarios[i].cluster, scenarios[i].name);
-        std::map<std::string, uint64_t> row;
-        if (cache.lookupLoadRow(key, row)) {
-            results[i] = unpackLoadResult(scenarios[i].name, row);
-            isHit[i] = 1;
-            continue;
-        }
-        if (primaryForKey.emplace(key, i).second)
-            primaries.push_back(i);
-    }
-    if (!primaries.empty()) {
-        const auto fresh = parallelIndexed<LoadResult>(
-            primaries.size(),
-            [&](size_t k) {
-                return LoadRunner(cache).run(scenarios[primaries[k]]);
-            },
-            jobs_override);
-        for (size_t k = 0; k < primaries.size(); ++k) {
-            const size_t idx = primaries[k];
-            results[idx] = fresh[k];
-            cache.recordLoadRow(
-                cache.loadKey(scenarios[idx].cluster, scenarios[idx].name),
-                packLoadResult(fresh[k]));
-        }
-    }
-    for (size_t i = 0; i < scenarios.size(); ++i) {
-        if (isHit[i])
-            continue;
-        const size_t primary = primaryForKey.at(
-            cache.loadKey(scenarios[i].cluster, scenarios[i].name));
-        if (primary != i)
-            results[i] = results[primary];
-    }
-    return results;
+    return replaySweep<LoadRows>(cache, scenarios, jobs_override);
 }
 
 } // namespace svb::load

@@ -31,13 +31,14 @@
  * Resilience (fault.hh): a scenario may additionally carry a fault
  * model (failed cold starts, instance crashes, stragglers, corrupt
  * restores), a client retry policy (timeouts, decorrelated-jitter
- * backoff) and a per-function circuit breaker. The stream engine is
- * event-driven — attempt starts and completions interleave on one
- * simulated timeline, failed attempts re-enter it after their
- * backoff, crashed instances go dead in the pool — and splits the
- * latency accounting into goodput vs. error distributions plus an
- * availability figure. With all fault rates zero (the default) the
- * engine replays the exact pre-fault byte stream.
+ * backoff) and a per-function circuit breaker. The replay is
+ * event-driven (attempt_engine.hh, shared with the workflow engine) —
+ * attempt starts and completions interleave on one simulated timeline,
+ * failed attempts re-enter it after their backoff, crashed instances
+ * go dead in the pool — and splits the latency accounting into goodput
+ * vs. error distributions plus an availability figure. With all fault
+ * rates zero (the default) the engine replays the exact pre-fault byte
+ * stream.
  *
  * Fleet (fleet.hh): a scenario may scale out to N nodes, each with
  * its own InstancePool built from the scenario's PoolConfig, behind
@@ -86,17 +87,17 @@ namespace svb::load
  * enum is the single claim table — add new subsystems HERE so two
  * engines can't silently collide on a stream id:
  *
- *   id | claimed by      | drawn for
- *   ---+-----------------+------------------------------------------
- *    0 | arrival.hh      | arrival-process inter-arrival times
- *    1 | load_runner.cc  | traffic-mix function choice per invocation
- *    2 | load_runner.cc / workflow.cc | warm-path service samples
- *    3 | fault.hh        | fault-injection dice (per attempt)
- *    4 | load_runner.cc / workflow.cc | retry-backoff jitter
- *    5 | fleet.hh        | routing draws (random / power-of-two)
- *    6 | workflow.cc     | workflow engine (reserved for randomised
- *      |                 | per-stage placement; the current policies
- *      |                 | draw nothing from it)
+ *   id | claimed by        | drawn for
+ *   ---+-------------------+----------------------------------------
+ *    0 | arrival.hh        | arrival-process inter-arrival times
+ *    1 | load_runner.cc    | traffic-mix function choice per invocation
+ *    2 | attempt_engine.cc | warm-path service samples
+ *    3 | fault.hh          | fault-injection dice (per attempt)
+ *    4 | attempt_engine.cc | retry-backoff jitter
+ *    5 | fleet.hh          | routing draws (random / power-of-two)
+ *    6 | workflow.cc       | workflow engine (reserved for randomised
+ *      |                   | per-stage placement; the current policies
+ *      |                   | draw nothing from it)
  */
 enum StreamId : uint64_t
 {
@@ -125,18 +126,21 @@ struct LoadMixEntry
     double weight = 1.0;
 };
 
-/** A complete load-scenario description. */
-struct LoadScenario
+/**
+ * The knobs of a replay scenario that the attempt engine reads, shared
+ * by LoadScenario (one task per invocation) and WorkflowScenario (one
+ * DAG instance per invocation).
+ */
+struct ReplayScenario
 {
     /** Row-key component; no ',', '|' or '=' characters (enforced by
-     *  LoadRunner::run and loadSweep — a bad name would corrupt the
-     *  backing CSV's rows). The cache keys scenario rows by (cluster,
-     *  name) alone, so the name must encode every knob below that
-     *  varies within a sweep — fault rates, retry/breaker settings
-     *  and fleet/routing/autoscaler knobs included. */
+     *  the runners and sweeps — a bad name would corrupt the backing
+     *  CSV's rows). The cache keys scenario rows by (cluster, name)
+     *  alone, so the name must encode every knob below that varies
+     *  within a sweep — fault rates, retry/breaker settings and
+     *  fleet/routing/autoscaler knobs included. */
     std::string name;
     ClusterConfig cluster;
-    std::vector<LoadMixEntry> mix;
     ArrivalConfig arrival;
     PoolConfig pool;
     /** Fault model; all-zero rates (the default) are byte-identical
@@ -151,8 +155,22 @@ struct LoadScenario
      *  the pre-fleet single-pool engine. `pool` above configures each
      *  node's InstancePool. */
     FleetConfig fleet;
-    uint64_t invocations = 2000;
-    uint64_t seed = 0x10adULL;
+    /** Client submissions: invocations, or workflow instances. */
+    uint64_t invocations;
+    uint64_t seed;
+
+  protected:
+    ReplayScenario(uint64_t invocations_arg, uint64_t seed_arg)
+        : invocations(invocations_arg), seed(seed_arg)
+    {}
+};
+
+/** A complete load-scenario description. */
+struct LoadScenario : ReplayScenario
+{
+    LoadScenario() : ReplayScenario(2000, 0x10adULL) {}
+
+    std::vector<LoadMixEntry> mix;
 };
 
 /**
@@ -181,8 +199,14 @@ double safeRatePerSec(uint64_t events, uint64_t span_ns);
  *  zero; used for the per-node utilisation figures. */
 double safeShare(uint64_t part_ns, uint64_t whole_ns);
 
-/** Scenario outcome: pool stats plus the latency distributions. */
-struct LoadResult
+/**
+ * The outcome fields every replay reports, filled by the attempt
+ * engine and stored once in both the "load" and the "wflow" cache
+ * rows. An invocation is a load request or a workflow instance;
+ * attempt counters (retries, crashes, timeouts, injected faults)
+ * count attempts of tasks.
+ */
+struct ReplayResult
 {
     std::string scenario;
     uint64_t invocations = 0;
@@ -202,13 +226,12 @@ struct LoadResult
     // --- resilience outcomes (all zero when faults are disabled) ---
     /** Invocations that eventually returned a good response. */
     uint64_t succeeded = 0;
-    /** Invocations whose attempts were exhausted without success. */
-    uint64_t failedInvocations = 0;
-    /** Invocations shed to the degraded fast path (breaker open). */
+    /** Invocations shed to a degraded fast path (breaker open, or a
+     *  throttle). */
     uint64_t sheds = 0;
     /** Retry attempts issued (attempts beyond each first one). */
     uint64_t retries = 0;
-    /** Injected mid-request instance crashes. */
+    /** Instance crashes: injected mid-request, or node-level. */
     uint64_t crashes = 0;
     /** Attempts abandoned by the client-side timeout. */
     uint64_t timeouts = 0;
@@ -218,7 +241,7 @@ struct LoadResult
     uint64_t corruptRestores = 0;
     /** Injected straggler slowdowns. */
     uint64_t stragglers = 0;
-    /** Circuit-breaker open transitions across the scenario's mix. */
+    /** Circuit-breaker open transitions across the scenario's functions. */
     uint64_t breakerOpens = 0;
     /** Goodput (successful-response) latency percentiles. */
     uint64_t goodP50Ns = 0;
@@ -250,13 +273,6 @@ struct LoadResult
     uint64_t fleetPowerMw = 1000;
     /** Provisioned fleet cost in milli-$/h (same shape). */
     uint64_t fleetCostMilli = 1000;
-    /** Per-node utilisation shares; empty when the result came from
-     *  the CSV cache (like the histograms below). */
-    std::vector<double> nodeUtilisation;
-    /** Per-class routed-attempt counts and class names, in group
-     *  order; empty when cached or class-less (fresh-only detail). */
-    std::vector<uint64_t> classRouted;
-    std::vector<std::string> classNames;
 
     /** Successful invocations as a share of all, in percent. */
     double availabilityPct() const
@@ -274,6 +290,20 @@ struct LoadResult
     LatencyHistogram goodLatency;
     LatencyHistogram errorLatency;
     bool ok = false;
+};
+
+/** Scenario outcome: pool stats plus the latency distributions. */
+struct LoadResult : ReplayResult
+{
+    /** Invocations whose attempts were exhausted without success. */
+    uint64_t failedInvocations = 0;
+    /** Per-node utilisation shares; empty when the result came from
+     *  the CSV cache (like the histograms). */
+    std::vector<double> nodeUtilisation;
+    /** Per-class routed-attempt counts and class names, in group
+     *  order; empty when cached or class-less (fresh-only detail). */
+    std::vector<uint64_t> classRouted;
+    std::vector<std::string> classNames;
 };
 
 /**

@@ -1,16 +1,9 @@
 #include "workflow.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <map>
-#include <queue>
-#include <sstream>
 
-#include "core/parallel.hh"
-#include "isa/isa_info.hh"
-#include "names.hh"
+#include "attempt_engine.hh"
 #include "obs/stat_export.hh"
-#include "obs/trace.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 
@@ -48,342 +41,111 @@ fnvOver(const std::vector<uint64_t> &values)
     return fp;
 }
 
-std::map<std::string, uint64_t>
-packWorkflowResult(const WorkflowResult &res)
-{
-    std::map<std::string, uint64_t> f = {
-        {"invocations", res.invocations},
-        {"succeeded", res.succeeded},
-        {"failedWf", res.failedWorkflows},
-        {"sheds", res.sheds},
-        {"throttles", res.throttles},
-        {"retries", res.retries},
-        {"crashes", res.crashes},
-        {"timeouts", res.timeouts},
-        {"coldFails", res.coldStartFailures},
-        {"corruptRestores", res.corruptRestores},
-        {"stragglers", res.stragglers},
-        {"breakerOpens", res.breakerOpens},
-        {"nodeFaults", res.nodeFaults},
-        {"coldStarts", res.coldStarts},
-        {"warmHits", res.warmHits},
-        {"evictions", res.evictions},
-        {"stages", res.stages},
-        {"tasks", res.tasksPerWorkflow},
-        {"p50Ns", res.p50Ns},
-        {"p90Ns", res.p90Ns},
-        {"p99Ns", res.p99Ns},
-        {"p999Ns", res.p999Ns},
-        {"maxNs", res.maxNs},
-        {"throughputMrps",
-         uint64_t(std::llround(res.throughputRps * 1000.0))},
-        {"histoFp", res.histoFingerprint},
-        {"goodP50Ns", res.goodP50Ns},
-        {"goodP99Ns", res.goodP99Ns},
-        {"errP99Ns", res.errP99Ns},
-        {"goodFp", res.goodFingerprint},
-        {"critFp", res.critFingerprint},
-        {"xferLocal", res.transfersLocal},
-        {"xferRemote", res.transfersRemote},
-        {"xferLocalBytes", res.bytesLocal},
-        {"xferRemoteBytes", res.bytesRemote},
-        {"xferNs", res.transferNs},
-        {"nodes", res.nodes},
-        {"policy", res.policyId},
-        {"maxActive", res.maxActiveNodes},
-        {"utilPermil",
-         uint64_t(std::llround(res.fleetUtilisation * 1000.0))},
-        {"classes", res.classes},
-        {"powerMw", res.fleetPowerMw},
-        {"costMilli", res.fleetCostMilli},
-        {"prefHits", res.preferredHits},
-        {"prefMisses", res.preferredMisses},
-        {"ok", res.ok ? 1u : 0u},
-    };
-    for (size_t k = 0; k < kMaxCritSlots; ++k)
-        f["crit" + std::to_string(k)] =
-            k < res.critPermil.size() ? res.critPermil[k] : 0;
-    return f;
-}
-
-WorkflowResult
-unpackWorkflowResult(const std::string &scenario,
-                     const std::map<std::string, uint64_t> &f)
-{
-    WorkflowResult res;
-    res.scenario = scenario;
-    res.invocations = f.at("invocations");
-    res.succeeded = f.at("succeeded");
-    res.failedWorkflows = f.at("failedWf");
-    res.sheds = f.at("sheds");
-    res.throttles = f.at("throttles");
-    res.retries = f.at("retries");
-    res.crashes = f.at("crashes");
-    res.timeouts = f.at("timeouts");
-    res.coldStartFailures = f.at("coldFails");
-    res.corruptRestores = f.at("corruptRestores");
-    res.stragglers = f.at("stragglers");
-    res.breakerOpens = f.at("breakerOpens");
-    res.nodeFaults = f.at("nodeFaults");
-    res.coldStarts = f.at("coldStarts");
-    res.warmHits = f.at("warmHits");
-    res.evictions = f.at("evictions");
-    res.stages = f.at("stages");
-    res.tasksPerWorkflow = f.at("tasks");
-    res.p50Ns = f.at("p50Ns");
-    res.p90Ns = f.at("p90Ns");
-    res.p99Ns = f.at("p99Ns");
-    res.p999Ns = f.at("p999Ns");
-    res.maxNs = f.at("maxNs");
-    res.throughputRps = double(f.at("throughputMrps")) / 1000.0;
-    res.histoFingerprint = f.at("histoFp");
-    res.goodP50Ns = f.at("goodP50Ns");
-    res.goodP99Ns = f.at("goodP99Ns");
-    res.errP99Ns = f.at("errP99Ns");
-    res.goodFingerprint = f.at("goodFp");
-    res.critFingerprint = f.at("critFp");
-    res.transfersLocal = f.at("xferLocal");
-    res.transfersRemote = f.at("xferRemote");
-    res.bytesLocal = f.at("xferLocalBytes");
-    res.bytesRemote = f.at("xferRemoteBytes");
-    res.transferNs = f.at("xferNs");
-    res.nodes = f.at("nodes");
-    res.policyId = f.at("policy");
-    res.maxActiveNodes = f.at("maxActive");
-    res.fleetUtilisation = double(f.at("utilPermil")) / 1000.0;
-    res.classes = f.at("classes");
-    res.fleetPowerMw = f.at("powerMw");
-    res.fleetCostMilli = f.at("costMilli");
-    res.preferredHits = f.at("prefHits");
-    res.preferredMisses = f.at("prefMisses");
-    res.ok = f.at("ok") != 0;
-    // Attribution shares survive the round-trip for the first
-    // kMaxCritSlots stages; anything beyond reads as 0 from a cached
-    // row (fresh runs carry the full vector).
-    res.critPermil.assign(res.stages, 0);
-    for (size_t k = 0; k < std::min<size_t>(res.stages, kMaxCritSlots);
-         ++k)
-        res.critPermil[k] = f.at("crit" + std::to_string(k));
-    return res;
-}
-
-/** Server-visible outcome of one task attempt (the load engine's
- *  attempt taxonomy, applied per stage task). */
-enum class TaskOutcome
-{
-    Success,
-    ColdFail,
-    Crash,
-    Timeout,
-};
-
-enum class EvKind : uint8_t
-{
-    TaskStart,
-    TaskEnd,
-    NodeFault,
-};
-
 /**
- * One timeline event. Events are processed in (time, seq) order with
- * seq assigned at push, so ties resolve deterministically at any
- * SVBENCH_JOBS. NodeFault events reuse `wf` as the index into the
- * scenario's nodeFaults list.
- */
-struct WfEvent
-{
-    uint64_t timeNs = 0;
-    uint64_t seq = 0;
-    uint32_t wf = 0;   ///< workflow instance
-    uint32_t task = 0; ///< flat task index within the instance
-    unsigned attempt = 0;
-    EvKind kind = EvKind::TaskStart;
-    TaskOutcome outcome = TaskOutcome::Success;
-    unsigned node = 0;
-    /** A TaskEnd synthesised by a node crash, replacing the cancelled
-     *  original end of the same attempt. */
-    bool synthetic = false;
-};
-
-struct WfEventLater
-{
-    bool operator()(const WfEvent &a, const WfEvent &b) const
-    {
-        if (a.timeNs != b.timeNs)
-            return a.timeNs > b.timeNs;
-        return a.seq > b.seq;
-    }
-};
-
-/**
- * The DAG simulation: schedule every stage task of every workflow
- * instance onto the fleet, on one event-driven timeline, mirroring
- * simulateStream() (load_runner.cc) attempt-for-attempt.
+ * What a workflow adds to the attempt engine: the static task layout,
+ * the predecessor countdown that fires consumer tasks, the
+ * payload-affinity placement hint, the input transfer charged before a
+ * task's acquire, and the critical-path walk of each completed
+ * instance.
  *
- * Byte-identity contract with the load engine: the substream ids,
- * event push order (instance-major source tasks first, node faults
- * after) and per-attempt operation sequence (breaker.admit ->
- * fleet.route -> pool.acquire -> fault draw -> warm-sample draw) are
- * exactly simulateStream's, so a single-stage one-task workflow
- * reproduces the single-function load numbers bit-for-bit (the mix
- * substream goes unused; split substreams are independent, so
- * skipping it perturbs nothing).
- *
- * Critical path: when a task's predecessor countdown reaches zero,
- * the finishing predecessor is recorded as its *determining*
- * predecessor (events resolve in time order, so that is the
- * last-finishing one) and the task's ready time is that instant.
- * Each task's critical contribution is finish - ready, which
- * telescopes along the determining chain to exactly the end-to-end
- * latency; summing per stage over all succeeded instances yields the
- * attribution the bench reports.
+ * Critical path: when a task's predecessor countdown reaches zero, the
+ * finishing predecessor is recorded as its *determining* predecessor
+ * (events resolve in time order, so that is the last-finishing one)
+ * and the task's ready time is that instant. Each task's critical
+ * contribution is finish - ready, which telescopes along the
+ * determining chain to exactly the end-to-end latency; summing per
+ * stage over all succeeded instances yields the attribution the bench
+ * reports.
  */
-WorkflowResult
-simulateWorkflow(const WorkflowScenario &s,
-                 const std::vector<std::vector<LoadCalibration>> &cals)
+class DagPolicy
 {
-    WorkflowResult res;
-    res.scenario = s.name;
-    res.invocations = s.invocations;
-    res.policyId = uint64_t(s.fleet.routing);
-    res.stages = s.dag.stages.size();
-    res.tasksPerWorkflow = s.dag.totalTasks();
-
-    // --- static task layout ---------------------------------------------
-    const size_t numStages = s.dag.stages.size();
-    const unsigned T = unsigned(s.dag.totalTasks());
-    std::vector<unsigned> stageOffset(numStages, 0);
-    std::vector<uint32_t> taskStage(T, 0);
+  public:
+    DagPolicy(const WorkflowScenario &scenario, WorkflowResult &res_arg)
+        : s(scenario), res(res_arg), critNs(s.dag.stages.size(), 0),
+          critXferNs(s.dag.stages.size(), 0)
     {
-        unsigned off = 0;
-        for (size_t st = 0; st < numStages; ++st) {
-            stageOffset[st] = off;
-            for (unsigned k = 0; k < s.dag.stages[st].parallelism; ++k)
-                taskStage[off + k] = uint32_t(st);
-            off += s.dag.stages[st].parallelism;
+        // Tasks are numbered stage-major.
+        for (size_t st = 0; st < s.dag.stages.size(); ++st) {
+            stageOffset.push_back(uint32_t(taskStage.size()));
+            taskStage.insert(taskStage.end(), s.dag.stages[st].parallelism,
+                             uint32_t(st));
         }
+        // All-to-all task dataflow across stage edges: every task of
+        // every predecessor stage feeds every task of the consumer.
+        const uint32_t T = tasks();
+        const auto preds = stagePredecessors(s.dag);
+        predTasks.resize(T);
+        succTasks.resize(T);
+        for (uint32_t t = 0; t < T; ++t) {
+            for (const unsigned ps : preds[taskStage[t]]) {
+                for (unsigned k = 0; k < s.dag.stages[ps].parallelism; ++k) {
+                    const uint32_t p = stageOffset[ps] + k;
+                    predTasks[t].push_back(p);
+                    succTasks[p].push_back(t);
+                }
+            }
+            if (predTasks[t].empty())
+                sourceTasks.push_back(t);
+        }
+        state.resize(size_t(s.invocations) * T);
+        for (size_t i = 0; i < state.size(); ++i)
+            state[i].waiting = unsigned(predTasks[i % T].size());
+        completed.assign(s.invocations, 0);
     }
-    // All-to-all task dataflow across stage edges: every task of every
-    // predecessor stage feeds every task of the consumer stage.
-    const auto preds = stagePredecessors(s.dag);
-    std::vector<std::vector<uint32_t>> predTasks(T);
-    std::vector<std::vector<uint32_t>> succTasks(T);
-    for (uint32_t t = 0; t < T; ++t) {
-        for (const unsigned ps : preds[taskStage[t]]) {
-            for (unsigned k = 0; k < s.dag.stages[ps].parallelism; ++k) {
-                const uint32_t p = stageOffset[ps] + k;
-                predTasks[t].push_back(p);
-                succTasks[p].push_back(t);
+
+    uint32_t tasks() const { return uint32_t(taskStage.size()); }
+    const std::vector<uint32_t> &sources() const { return sourceTasks; }
+
+    uint32_t fn(uint32_t, uint32_t task) const { return stageOf(task).fn; }
+
+    /** PayloadAffinity: the node of the largest-payload predecessor
+     *  task (ties break on the lowest predecessor index). */
+    unsigned
+    preferredNode(uint32_t wf, uint32_t task) const
+    {
+        if (stageOf(task).placement != StagePlacement::PayloadAffinity)
+            return Fleet::badNode;
+        unsigned preferred = Fleet::badNode;
+        uint64_t bestBytes = 0;
+        for (const uint32_t p : predTasks[task]) {
+            const uint64_t b = stageOf(p).payloadBytes;
+            if (preferred == Fleet::badNode || b > bestBytes) {
+                bestBytes = b;
+                preferred = at(wf, p).node;
             }
         }
+        return preferred;
     }
 
-    // --- per-instance state ---------------------------------------------
-    // Substream ids come from the StreamId claim table (load_runner.hh);
-    // the mix stream (1) is unused here and the workflow stream (6) is
-    // reserved — the current placement policies draw nothing.
-    const Rng master(s.seed);
-    ArrivalProcess arrivals(s.arrival, master.split(kStreamArrival));
-    Rng warmRng = master.split(kStreamWarm);
-    FaultInjector faults(s.fault, master.split(kStreamFault));
-    Rng retryRng = master.split(kStreamRetry);
-    Rng routeRng = master.split(kStreamRoute);
-    Fleet fleet(s.fleet, s.pool, unsigned(s.functions.size()));
-    const bool fleetOn = s.fleet.engaged();
-    svb_assert(cals.size() == fleet.groupCount(),
-               "calibration matrix does not match the fleet's classes");
-    res.nodes = fleet.nodeCount();
-    res.classes = fleet.groupCount();
-    res.fleetPowerMw = fleet.fleetPowerMw();
-    res.fleetCostMilli = fleet.fleetCostMilli();
-    std::vector<CircuitBreaker> breakers(s.functions.size(),
-                                         CircuitBreaker(s.breaker));
-
-    obs::Tracer &tracer = obs::Tracer::global();
-    obs::TrackId track = obs::badTrack;
-    if (tracer.enabled()) {
-        std::ostringstream os;
-        os << isaName(s.cluster.system.isa) << "/"
-           << db::dbKindName(s.cluster.dbKind)
-           << (s.cluster.startDb ? 1 : 0)
-           << (s.cluster.startMemcached ? 1 : 0) << "/" << s.name
-           << "/wflow";
-        track = tracer.track(os.str());
-    }
-
-    svb_assert(s.retry.maxAttempts >= 1, "retry policy needs >= 1 attempt");
-
-    struct Task
+    /** The consumer pulls every predecessor task's payload: local
+     *  hand-offs at DRAM cost, cross-node hops at network cost. A
+     *  retried task re-pulls its inputs (it may land elsewhere). */
+    uint64_t
+    transferNs(uint32_t wf, uint32_t task, unsigned node)
     {
-        bool done = false;
-        uint64_t readyNs = 0;
-        uint64_t finishNs = 0;
-        unsigned node = 0;
-        /** Predecessor tasks still outstanding before this task can
-         *  start. */
-        unsigned waiting = 0;
-        /** The predecessor whose completion zeroed `waiting` (the
-         *  last-finishing one); ~0u for source tasks. */
-        uint32_t critPred = ~0u;
-        /** Transfer ns charged on the (latest) attempt; read for the
-         *  critical-path transfer attribution. */
         uint64_t xferNs = 0;
-        BackoffSchedule backoff;
-    };
-    struct Instance
-    {
-        uint64_t arrivalNs = 0;
-        /** Tasks completed; the instance succeeds at == T. */
-        unsigned completed = 0;
-        /** A shed / throttle / retry exhaustion already finished this
-         *  instance (terminally); siblings still in flight complete
-         *  server-side but cannot resurrect it. */
-        bool finished = false;
-        std::vector<Task> tasks;
-    };
-    std::vector<Instance> insts(s.invocations);
-    for (Instance &in : insts) {
-        in.arrivalNs = arrivals.nextArrivalNs();
-        in.tasks.assign(T, Task{false, in.arrivalNs, 0, 0, 0, ~0u, 0,
-                                BackoffSchedule(s.retry)});
-        for (uint32_t t = 0; t < T; ++t)
-            in.tasks[t].waiting = unsigned(predTasks[t].size());
-    }
-
-    std::priority_queue<WfEvent, std::vector<WfEvent>, WfEventLater>
-        events;
-    uint64_t seq = 0;
-    // Source tasks enter the timeline instance-major (instance i's
-    // sources get seq before instance i+1's) — for a single-task DAG
-    // this is exactly the load engine's one-event-per-invocation push.
-    for (uint32_t i = 0; i < s.invocations; ++i) {
-        for (uint32_t t = 0; t < T; ++t) {
-            if (predTasks[t].empty())
-                events.push({insts[i].arrivalNs, seq++, i, t, 0,
-                             EvKind::TaskStart, TaskOutcome::Success, 0,
-                             false});
+        for (const uint32_t p : predTasks[task]) {
+            const uint64_t bytes = stageOf(p).payloadBytes;
+            if (bytes == 0)
+                continue;
+            const bool local = at(wf, p).node == node;
+            xferNs += s.transfer.costNs(bytes, local);
+            if (local) {
+                ++res.transfersLocal;
+                res.bytesLocal += bytes;
+            } else {
+                ++res.transfersRemote;
+                res.bytesRemote += bytes;
+            }
         }
+        res.transferNs += xferNs;
+        at(wf, task).xferNs = xferNs;
+        return xferNs;
     }
-    for (size_t f = 0; f < s.fleet.nodeFaults.size(); ++f)
-        events.push({s.fleet.nodeFaults[f].atNs, seq++, uint32_t(f), 0, 0,
-                     EvKind::NodeFault, TaskOutcome::Success,
-                     s.fleet.nodeFaults[f].node, false});
 
-    std::vector<uint8_t> cancelled(
-        size_t(s.invocations) * T * s.retry.maxAttempts, 0);
-    auto cancelKey = [&](uint32_t wf, uint32_t task, unsigned attempt) {
-        return (size_t(wf) * T + task) * s.retry.maxAttempts + attempt;
-    };
-    struct Pending
+    std::string
+    tag(uint32_t wf, uint32_t task, uint32_t attempt) const
     {
-        uint32_t wf;
-        uint32_t task;
-        unsigned attempt;
-        uint64_t serverEndNs;
-    };
-    std::vector<std::vector<Pending>> pending(fleet.nodeCount());
-
-    auto tag = [&](uint32_t wf, uint32_t task, unsigned attempt) {
         const uint32_t st = taskStage[task];
         std::string t = "w" + std::to_string(wf) + "/" +
                         s.dag.stages[st].name + "." +
@@ -391,396 +153,155 @@ simulateWorkflow(const WorkflowScenario &s,
         if (attempt > 0)
             t += "~" + std::to_string(attempt);
         return t;
-    };
-
-    std::vector<uint64_t> critNs(numStages, 0);
-    std::vector<uint64_t> critXferNs(numStages, 0);
-
-    uint64_t lastEndNs = 0;
-    auto finish = [&](uint64_t end_ns, uint64_t arrival_ns, bool good) {
-        res.latency.record(end_ns - arrival_ns);
-        (good ? res.goodLatency : res.errorLatency)
-            .record(end_ns - arrival_ns);
-        if (end_ns > lastEndNs)
-            lastEndNs = end_ns;
-    };
-
-    while (!events.empty()) {
-        const WfEvent ev = events.top();
-        events.pop();
-
-        if (ev.kind == EvKind::NodeFault) {
-            // ---- node-level fault at ev.timeNs -----------------------
-            const NodeFaultEvent &nf = s.fleet.nodeFaults[ev.wf];
-            ++res.nodeFaults;
-            fleet.applyNodeFault(nf);
-            if (track != obs::badTrack)
-                tracer.record(track,
-                              std::string("node-") +
-                                  nodeFaultKindName(nf.kind) + "#" +
-                                  std::to_string(ev.wf) + "@n" +
-                                  std::to_string(nf.node),
-                              "node", ev.timeNs, nf.durationNs);
-            if (nf.kind == NodeFaultEvent::Kind::Crash) {
-                for (const Pending &p : pending[nf.node]) {
-                    cancelled[cancelKey(p.wf, p.task, p.attempt)] = 1;
-                    if (p.serverEndNs > ev.timeNs)
-                        fleet.truncateBusy(nf.node,
-                                           p.serverEndNs - ev.timeNs);
-                    fleet.onAttemptEnd(
-                        nf.node, s.dag.stages[taskStage[p.task]].fn);
-                    ++res.crashes;
-                    events.push({ev.timeNs, seq++, p.wf, p.task,
-                                 p.attempt, EvKind::TaskEnd,
-                                 TaskOutcome::Crash, nf.node, true});
-                }
-                pending[nf.node].clear();
-            }
-            continue;
-        }
-
-        Instance &in = insts[ev.wf];
-        const StageSpec &stage = s.dag.stages[taskStage[ev.task]];
-        Task &task = in.tasks[ev.task];
-        CircuitBreaker &breaker = breakers[stage.fn];
-
-        if (ev.kind == EvKind::TaskStart) {
-            // ---- task attempt start at ev.timeNs ---------------------
-            if (in.finished)
-                continue; // the workflow already failed terminally
-
-            if (!breaker.admit(ev.timeNs)) {
-                // Shed: terminal for the whole workflow instance.
-                ++res.sheds;
-                in.finished = true;
-                const uint64_t end = ev.timeNs + s.breaker.degradedNs;
-                if (track != obs::badTrack)
-                    tracer.record(track,
-                                  "shed#" + tag(ev.wf, ev.task,
-                                                ev.attempt),
-                                  "breaker", ev.timeNs,
-                                  s.breaker.degradedNs);
-                finish(end, in.arrivalNs, false);
-                continue;
-            }
-
-            // Payload-affinity placement: prefer the node of the
-            // largest-payload predecessor task (ties break on the
-            // lowest pred task index — strict-greater replacement).
-            unsigned preferred = Fleet::badNode;
-            if (stage.placement == StagePlacement::PayloadAffinity) {
-                uint64_t bestBytes = 0;
-                bool have = false;
-                for (const uint32_t p : predTasks[ev.task]) {
-                    const uint64_t b =
-                        s.dag.stages[taskStage[p]].payloadBytes;
-                    if (!have || b > bestBytes) {
-                        have = true;
-                        bestBytes = b;
-                        preferred = in.tasks[p].node;
-                    }
-                }
-            }
-
-            const Fleet::Route rt =
-                fleet.route(stage.fn, ev.timeNs, routeRng, preferred);
-            if (rt.throttled) {
-                // Concurrency limit: fast 429, terminal for the
-                // instance (counted in both sheds and throttles).
-                ++res.throttles;
-                ++res.sheds;
-                in.finished = true;
-                const uint64_t end = ev.timeNs + s.fleet.throttleNs;
-                if (track != obs::badTrack)
-                    tracer.record(track,
-                                  "throttle#" + tag(ev.wf, ev.task,
-                                                    ev.attempt),
-                                  "throttle", ev.timeNs,
-                                  s.fleet.throttleNs);
-                finish(end, in.arrivalNs, false);
-                continue;
-            }
-            if (rt.node == Fleet::badNode) {
-                svb_assert(rt.retryAtNs >= ev.timeNs,
-                           "unroutable task scheduled into the past");
-                if (track != obs::badTrack)
-                    tracer.record(track,
-                                  "scale-wait#" + tag(ev.wf, ev.task,
-                                                      ev.attempt),
-                                  "scale", ev.timeNs,
-                                  rt.retryAtNs - ev.timeNs);
-                events.push({rt.retryAtNs, seq++, ev.wf, ev.task,
-                             ev.attempt, EvKind::TaskStart,
-                             TaskOutcome::Success, 0, false});
-                continue;
-            }
-
-            // Inter-stage transfer: the consumer pulls every
-            // predecessor task's payload, local hand-offs at DRAM
-            // cost, cross-node hops at network cost. A retried task
-            // re-pulls its inputs (the new attempt may land on a
-            // different node).
-            uint64_t xferNs = 0;
-            for (const uint32_t p : predTasks[ev.task]) {
-                const uint64_t bytes =
-                    s.dag.stages[taskStage[p]].payloadBytes;
-                if (bytes == 0)
-                    continue;
-                const bool local = in.tasks[p].node == rt.node;
-                xferNs += s.transfer.costNs(bytes, local);
-                if (local) {
-                    ++res.transfersLocal;
-                    res.bytesLocal += bytes;
-                } else {
-                    ++res.transfersRemote;
-                    res.bytesRemote += bytes;
-                }
-            }
-            res.transferNs += xferNs;
-            task.xferNs = xferNs;
-            const uint64_t execStart = ev.timeNs + xferNs;
-
-            InstancePool &pool = fleet.pool(rt.node);
-            const InstancePool::Placement pl =
-                pool.acquire(stage.fn, execStart);
-            // The landed node's CLASS picks the calibrated service
-            // model (mixed-ISA fleets replay per-class measurements).
-            const LoadCalibration &cal =
-                cals[fleet.groupOf(rt.node)][stage.fn];
-            const FaultInjector::Draw dice = faults.draw(pl.cold);
-
-            uint64_t service =
-                pl.cold ? cal.coldNs
-                        : cal.warmNs[warmRng.nextBounded(loadWarmSamples)];
-            if (pl.cold && dice.restoreCorrupt) {
-                service = uint64_t(double(service) *
-                                   s.fault.restoreBootFactor);
-                ++res.corruptRestores;
-            }
-            if (dice.straggler) {
-                service =
-                    uint64_t(double(service) * s.fault.stragglerFactor);
-                ++res.stragglers;
-            }
-            const double speed = fleet.speedFactor(rt.node);
-            if (speed != 1.0)
-                service = uint64_t(double(service) * speed);
-            service = std::max<uint64_t>(1, service);
-            const uint64_t end = pl.startNs + service;
-
-            if (track != obs::badTrack) {
-                const std::string t = tag(ev.wf, ev.task, ev.attempt);
-                // Class-structured fleets tag route spans with the
-                // node's class (legacy traces stay byte-identical).
-                if (fleetOn && fleet.classed())
-                    tracer.record(
-                        track,
-                        "route#" + t + "@n" + std::to_string(rt.node),
-                        "route", ev.timeNs, 0,
-                        {{"class",
-                          fleet.nodeClass(fleet.groupOf(rt.node)).name}});
-                else if (fleetOn)
-                    tracer.record(track,
-                                  "route#" + t + "@n" +
-                                      std::to_string(rt.node),
-                                  "route", ev.timeNs, 0);
-                if (xferNs > 0)
-                    tracer.record(track, "xfer#" + t, "xfer", ev.timeNs,
-                                  xferNs,
-                                  {{"stage", stage.name},
-                                   {"bytes",
-                                    std::to_string(stage.payloadBytes)}});
-                if (pl.startNs > execStart)
-                    tracer.record(track, "queue#" + t, "queue", execStart,
-                                  pl.startNs - execStart);
-                tracer.record(track, (pl.cold ? "cold#" : "warm#") + t,
-                              pl.cold ? "cold" : "warm", pl.startNs,
-                              end - pl.startNs,
-                              {{"stage", stage.name}});
-            }
-
-            TaskOutcome outcome = TaskOutcome::Success;
-            uint64_t clientEnd = end;
-            uint64_t serverEnd = end;
-            if (pl.cold && dice.coldFail) {
-                outcome = TaskOutcome::ColdFail;
-                pool.kill(pl.slot, end);
-                ++res.coldStartFailures;
-            } else if (dice.crash) {
-                const uint64_t crashAt =
-                    pl.startNs +
-                    std::max<uint64_t>(
-                        1, uint64_t(double(service) * dice.crashFrac));
-                outcome = TaskOutcome::Crash;
-                clientEnd = crashAt;
-                serverEnd = crashAt;
-                pool.kill(pl.slot, crashAt);
-                ++res.crashes;
-            } else {
-                pool.release(pl.slot, end);
-            }
-            if (s.retry.timeoutNs > 0 &&
-                clientEnd > ev.timeNs + s.retry.timeoutNs) {
-                outcome = TaskOutcome::Timeout;
-                clientEnd = ev.timeNs + s.retry.timeoutNs;
-                ++res.timeouts;
-                if (track != obs::badTrack)
-                    tracer.record(track,
-                                  "timeout#" + tag(ev.wf, ev.task,
-                                                   ev.attempt),
-                                  "timeout", ev.timeNs, s.retry.timeoutNs);
-            }
-            fleet.onAttemptStart(rt.node, stage.fn, pl.startNs, serverEnd);
-            pending[rt.node].push_back(
-                {ev.wf, ev.task, ev.attempt, serverEnd});
-            events.push({clientEnd, seq++, ev.wf, ev.task, ev.attempt,
-                         EvKind::TaskEnd, outcome, rt.node, false});
-        } else {
-            // ---- task attempt end at ev.timeNs -----------------------
-            if (!ev.synthetic) {
-                if (cancelled[cancelKey(ev.wf, ev.task, ev.attempt)])
-                    continue; // superseded by a node-crash end
-                std::vector<Pending> &inflight = pending[ev.node];
-                for (auto it = inflight.begin(); it != inflight.end();
-                     ++it) {
-                    if (it->wf == ev.wf && it->task == ev.task &&
-                        it->attempt == ev.attempt) {
-                        inflight.erase(it);
-                        break;
-                    }
-                }
-                fleet.onAttemptEnd(ev.node, stage.fn);
-            }
-            if (ev.outcome == TaskOutcome::Success) {
-                breaker.onSuccess(ev.timeNs);
-                task.done = true;
-                task.finishNs = ev.timeNs;
-                task.node = ev.node;
-                if (in.finished)
-                    continue; // a sibling already failed the instance
-                ++in.completed;
-                // Fire consumers whose predecessor countdown reaches
-                // zero: this completion is their determining (last)
-                // predecessor and their ready instant.
-                for (const uint32_t u : succTasks[ev.task]) {
-                    Task &next = in.tasks[u];
-                    svb_assert(next.waiting > 0,
-                               "task fired with no outstanding preds");
-                    if (--next.waiting == 0) {
-                        next.critPred = ev.task;
-                        next.readyNs = ev.timeNs;
-                        events.push({ev.timeNs, seq++, ev.wf, u, 0,
-                                     EvKind::TaskStart,
-                                     TaskOutcome::Success, 0, false});
-                    }
-                }
-                if (in.completed == T) {
-                    // Workflow complete: this task finished last. Walk
-                    // the determining-predecessor chain; per-task
-                    // contributions (finish - ready) telescope to
-                    // exactly the end-to-end latency.
-                    ++res.succeeded;
-                    finish(ev.timeNs, in.arrivalNs, true);
-                    uint32_t cur = ev.task;
-                    while (cur != ~0u) {
-                        const Task &ct = in.tasks[cur];
-                        const uint32_t cst = taskStage[cur];
-                        svb_assert(ct.finishNs >= ct.readyNs,
-                                   "critical task finishes before ready");
-                        critNs[cst] += ct.finishNs - ct.readyNs;
-                        critXferNs[cst] += ct.xferNs;
-                        if (track != obs::badTrack)
-                            tracer.record(
-                                track, "crit#" + tag(ev.wf, cur, 0),
-                                "crit", ct.readyNs,
-                                ct.finishNs - ct.readyNs,
-                                {{"stage", s.dag.stages[cst].name},
-                                 {"xferNs",
-                                  std::to_string(ct.xferNs)}});
-                        cur = ct.critPred;
-                    }
-                }
-                continue;
-            }
-            const uint64_t opensBefore = breaker.timesOpened();
-            breaker.onFailure(ev.timeNs);
-            if (track != obs::badTrack &&
-                breaker.timesOpened() > opensBefore)
-                tracer.record(track,
-                              "breaker-open#" +
-                                  std::to_string(breaker.timesOpened()),
-                              "breaker", ev.timeNs,
-                              s.breaker.openCooldownNs);
-            if (in.finished)
-                continue; // instance already failed; no further retries
-            if (ev.attempt + 1 < s.retry.maxAttempts) {
-                // Retry the failed task alone — its completed
-                // predecessors are NOT re-run (their outputs are
-                // re-pulled at the new attempt's transfer step).
-                const uint64_t delay = task.backoff.nextDelayNs(retryRng);
-                ++res.retries;
-                if (track != obs::badTrack)
-                    tracer.record(track,
-                                  "retry#" + tag(ev.wf, ev.task,
-                                                 ev.attempt + 1),
-                                  "retry", ev.timeNs, delay);
-                events.push({ev.timeNs + delay, seq++, ev.wf, ev.task,
-                             ev.attempt + 1, EvKind::TaskStart,
-                             TaskOutcome::Success, 0, false});
-            } else {
-                ++res.failedWorkflows;
-                in.finished = true;
-                finish(ev.timeNs, in.arrivalNs, false);
-            }
-        }
     }
 
-    // --- aggregation (the load engine's, plus the attribution) ----------
-    uint64_t fleetBusyNs = 0;
-    for (unsigned n = 0; n < fleet.nodeCount(); ++n) {
-        const PoolStats &ps = fleet.pool(n).stats();
-        res.coldStarts += ps.coldStarts;
-        res.warmHits += ps.warmHits;
-        res.evictions += ps.evictions;
-        fleetBusyNs += fleet.nodeStats(n).busyNs;
+    SpanArgs
+    transferArgs(uint32_t task) const
+    {
+        const StageSpec &stage = stageOf(task);
+        return {{"stage", stage.name},
+                {"bytes", std::to_string(stage.payloadBytes)}};
     }
-    for (const CircuitBreaker &breaker : breakers)
-        res.breakerOpens += breaker.timesOpened();
-    res.p50Ns = res.latency.percentile(50.0);
-    res.p90Ns = res.latency.percentile(90.0);
-    res.p99Ns = res.latency.percentile(99.0);
-    res.p999Ns = res.latency.percentile(99.9);
-    res.maxNs = res.latency.maxValue();
-    res.goodP50Ns = res.goodLatency.percentile(50.0);
-    res.goodP99Ns = res.goodLatency.percentile(99.0);
-    res.errP99Ns = res.errorLatency.percentile(99.0);
-    res.throughputRps = safeRatePerSec(s.invocations, lastEndNs);
-    res.histoFingerprint = res.latency.fingerprint();
-    res.goodFingerprint = res.goodLatency.fingerprint();
-    res.maxActiveNodes = fleet.maxActiveNodes();
-    res.preferredHits = fleet.preferredHits();
-    res.preferredMisses = fleet.preferredMisses();
-    const uint64_t nodeCapacityNs = lastEndNs * s.pool.maxInstances;
-    res.fleetUtilisation =
-        safeShare(fleetBusyNs, nodeCapacityNs * fleet.nodeCount());
 
-    // Per-stage attribution: integer permil of the total critical
-    // time (floor division — shares sum to <= 1000 deterministically).
-    uint64_t critTotal = 0;
-    for (const uint64_t v : critNs)
-        critTotal += v;
-    res.critPermil.assign(numStages, 0);
-    for (size_t st = 0; st < numStages; ++st)
-        res.critPermil[st] =
-            critTotal ? critNs[st] * 1000 / critTotal : 0;
-    res.critNsByStage = critNs;
-    res.critXferNsByStage = critXferNs;
-    res.critFingerprint = fnvOver(critNs);
-    res.ok = true;
+    SpanArgs serviceArgs(uint32_t task) const
+    {
+        return {{"stage", stageOf(task).name}};
+    }
+
+    /** Fire the consumers whose countdown this completion zeroes;
+     *  @return true when it was the instance's last task. */
+    bool
+    taskSucceeded(AttemptEngine &engine, const AttemptEvent &ev)
+    {
+        TaskState &done = at(ev.unit, ev.task);
+        done.finishNs = ev.timeNs;
+        done.node = ev.node;
+        if (engine.finished(ev.unit))
+            return false; // a sibling already failed the instance
+        for (const uint32_t u : succTasks[ev.task]) {
+            TaskState &next = at(ev.unit, u);
+            svb_assert(next.waiting > 0,
+                       "task fired with no outstanding preds");
+            if (--next.waiting == 0) {
+                next.critPred = ev.task;
+                next.readyNs = ev.timeNs;
+                engine.pushStart(ev.timeNs, ev.unit, u);
+            }
+        }
+        if (++completed[ev.unit] < tasks())
+            return false;
+        // This task finished last: walk the determining-predecessor
+        // chain back to a source, which was ready at the arrival.
+        for (uint32_t cur = ev.task; cur != kNoPred;) {
+            const TaskState &ct = at(ev.unit, cur);
+            const uint64_t ready =
+                ct.critPred == kNoPred ? engine.arrivalNs(ev.unit) : ct.readyNs;
+            const uint32_t cst = taskStage[cur];
+            svb_assert(ct.finishNs >= ready,
+                       "critical task finishes before ready");
+            critNs[cst] += ct.finishNs - ready;
+            critXferNs[cst] += ct.xferNs;
+            if (engine.tracing())
+                engine.trace("crit#" + tag(ev.unit, cur, 0), "crit", ready,
+                             ct.finishNs - ready,
+                             {{"stage", s.dag.stages[cst].name},
+                              {"xferNs", std::to_string(ct.xferNs)}});
+            cur = ct.critPred;
+        }
+        return true;
+    }
+
+    /** Per-stage attribution: integer permil of the total critical
+     *  time (floor division, so shares sum to <= 1000). */
+    void
+    attribute() const
+    {
+        uint64_t critTotal = 0;
+        for (const uint64_t v : critNs)
+            critTotal += v;
+        res.critPermil.assign(critNs.size(), 0);
+        for (size_t st = 0; st < critNs.size(); ++st)
+            res.critPermil[st] =
+                critTotal ? critNs[st] * 1000 / critTotal : 0;
+        res.critNsByStage = critNs;
+        res.critXferNsByStage = critXferNs;
+        res.critFingerprint = fnvOver(critNs);
+    }
+
+  private:
+    static constexpr uint32_t kNoPred = ~0u;
+
+    /** One task of one instance. */
+    struct TaskState
+    {
+        /** When the last predecessor finished (non-source tasks). */
+        uint64_t readyNs = 0;
+        uint64_t finishNs = 0;
+        /** Transfer ns charged on the latest attempt. */
+        uint64_t xferNs = 0;
+        /** Node of the successful attempt. */
+        unsigned node = 0;
+        /** Predecessor tasks still outstanding. */
+        unsigned waiting = 0;
+        /** The predecessor whose completion zeroed `waiting`. */
+        uint32_t critPred = kNoPred;
+    };
+
+    const StageSpec &stageOf(uint32_t task) const
+    {
+        return s.dag.stages[taskStage[task]];
+    }
+    TaskState &at(uint32_t wf, uint32_t task)
+    {
+        return state[size_t(wf) * tasks() + task];
+    }
+    const TaskState &at(uint32_t wf, uint32_t task) const
+    {
+        return state[size_t(wf) * tasks() + task];
+    }
+
+    const WorkflowScenario &s;
+    WorkflowResult &res;
+    std::vector<uint32_t> stageOffset;
+    std::vector<uint32_t> taskStage;
+    std::vector<std::vector<uint32_t>> predTasks;
+    std::vector<std::vector<uint32_t>> succTasks;
+    std::vector<uint32_t> sourceTasks;
+    /** [instance * tasks() + task]. */
+    std::vector<TaskState> state;
+    /** Tasks completed per instance; it succeeds at tasks(). */
+    std::vector<uint32_t> completed;
+    std::vector<uint64_t> critNs;
+    std::vector<uint64_t> critXferNs;
+};
+
+/**
+ * The DAG simulation: schedule every stage task of every workflow
+ * instance onto the fleet. Source tasks enter the timeline
+ * instance-major, so a single-stage one-task workflow drives the
+ * engine exactly as a one-function load stream does (the mix substream
+ * goes unused; split substreams are independent, so skipping it
+ * perturbs nothing).
+ */
+WorkflowResult
+simulateWorkflow(const WorkflowScenario &s, const CalibrationMatrix &cals)
+{
+    WorkflowResult res;
+    res.stages = s.dag.stages.size();
+    res.tasksPerWorkflow = s.dag.totalTasks();
+    DagPolicy dag(s, res);
+    AttemptEngine engine(s, s.functions.size(), dag.tasks(), dag.sources(),
+                         cals, res, "wflow");
+    engine.run(dag);
+    res.failedWorkflows = engine.failures();
+    res.preferredHits = engine.fleetState().preferredHits();
+    res.preferredMisses = engine.fleetState().preferredMisses();
+    dag.attribute();
 
     // wflow.* StatGroup counters through the observability layer,
     // dumped wherever SVBENCH_STATDUMP points.
     if (!obs::statDumpDir().empty()) {
+        const Fleet &fleet = engine.fleetState();
         StatGroup wstats("wflow");
         auto set = [&wstats](const std::string &name,
                              const std::string &desc, uint64_t v) {
@@ -816,14 +337,82 @@ simulateWorkflow(const WorkflowScenario &s,
                     "task attempts routed to the class", routed);
             }
         }
-        for (size_t st = 0; st < numStages; ++st)
+        for (size_t st = 0; st < s.dag.stages.size(); ++st)
             set("crit." + s.dag.stages[st].name,
-                "critical-path ns attributed to the stage", critNs[st]);
+                "critical-path ns attributed to the stage",
+                res.critNsByStage[st]);
         obs::dumpRequestStats("wflow_" + s.name + "_engine",
                               obs::snapshot(wstats));
     }
     return res;
 }
+
+/** The "wflow" rows of replaySweep(). */
+struct WorkflowRows
+{
+    using Scenario = WorkflowScenario;
+    using Result = WorkflowResult;
+    static constexpr const char *mode = "wflow";
+
+    static const std::vector<LoadMixEntry> &
+    functions(const WorkflowScenario &s)
+    {
+        return s.functions;
+    }
+
+    static WorkflowResult
+    run(ResultCache &cache, const WorkflowScenario &s)
+    {
+        return WorkflowRunner(cache).run(s);
+    }
+
+    static Row
+    pack(const WorkflowResult &res)
+    {
+        Row f = packReplay(res);
+        f["failedWf"] = res.failedWorkflows;
+        f["stages"] = res.stages;
+        f["tasks"] = res.tasksPerWorkflow;
+        f["critFp"] = res.critFingerprint;
+        f["xferLocal"] = res.transfersLocal;
+        f["xferRemote"] = res.transfersRemote;
+        f["xferLocalBytes"] = res.bytesLocal;
+        f["xferRemoteBytes"] = res.bytesRemote;
+        f["xferNs"] = res.transferNs;
+        f["prefHits"] = res.preferredHits;
+        f["prefMisses"] = res.preferredMisses;
+        for (size_t k = 0; k < kMaxCritSlots; ++k)
+            f["crit" + std::to_string(k)] =
+                k < res.critPermil.size() ? res.critPermil[k] : 0;
+        return f;
+    }
+
+    static WorkflowResult
+    unpack(const std::string &scenario, const Row &f)
+    {
+        WorkflowResult res;
+        unpackReplay(scenario, f, res);
+        res.failedWorkflows = f.at("failedWf");
+        res.stages = f.at("stages");
+        res.tasksPerWorkflow = f.at("tasks");
+        res.critFingerprint = f.at("critFp");
+        res.transfersLocal = f.at("xferLocal");
+        res.transfersRemote = f.at("xferRemote");
+        res.bytesLocal = f.at("xferLocalBytes");
+        res.bytesRemote = f.at("xferRemoteBytes");
+        res.transferNs = f.at("xferNs");
+        res.preferredHits = f.at("prefHits");
+        res.preferredMisses = f.at("prefMisses");
+        // Attribution shares survive the round-trip for the first
+        // kMaxCritSlots stages; anything beyond reads as 0 from a
+        // cached row (fresh runs carry the full vector).
+        res.critPermil.assign(res.stages, 0);
+        for (size_t k = 0; k < std::min<size_t>(res.stages, kMaxCritSlots);
+             ++k)
+            res.critPermil[k] = f.at("crit" + std::to_string(k));
+        return res;
+    }
+};
 
 } // namespace
 
@@ -836,29 +425,11 @@ WorkflowRunner::run(const WorkflowScenario &scenario)
     svb_assert(scenario.invocations > 0,
                "workflow scenario with no traffic");
     scenario.dag.validate(scenario.functions.size());
-
-    // One calibration pass per fleet class (see load_runner.hh): the
-    // [group][fn] matrix the DAG engine indexes by the class of the
-    // node each task actually lands on.
-    const std::vector<ClusterConfig> clusters =
-        calibrationClusters(scenario.cluster, scenario.fleet);
-    std::vector<std::vector<LoadCalibration>> cals(clusters.size());
-    for (size_t g = 0; g < clusters.size(); ++g) {
-        cals[g].reserve(scenario.functions.size());
-        for (const LoadMixEntry &entry : scenario.functions) {
-            svb_assert(entry.impl != nullptr,
-                       "workflow function without workload");
-            cals[g].push_back(cache.loadCalibration(clusters[g],
-                                                    entry.spec,
-                                                    *entry.impl));
-            if (!cals[g].back().ok) {
-                warn(scenario.name, ": calibration of ", entry.spec.name,
-                     " failed; scenario skipped");
-                WorkflowResult res;
-                res.scenario = scenario.name;
-                return res;
-            }
-        }
+    CalibrationMatrix cals;
+    if (!calibrate(cache, scenario, scenario.functions, cals)) {
+        WorkflowResult res;
+        res.scenario = scenario.name;
+        return res;
     }
     return simulateWorkflow(scenario, cals);
 }
@@ -868,92 +439,9 @@ workflowSweep(ResultCache &cache,
               const std::vector<WorkflowScenario> &scenarios,
               unsigned jobs_override)
 {
-    for (const WorkflowScenario &s : scenarios) {
-        validateScenarioName(s.name);
+    for (const WorkflowScenario &s : scenarios)
         s.dag.validate(s.functions.size());
-    }
-
-    // --- Phase 1: calibrate every distinct (cluster, function) ----------
-    // Class-structured fleets contribute one cluster per class (the
-    // clusters are synthesised per scenario, so jobs store the config
-    // by value).
-    struct CalJob
-    {
-        ClusterConfig cfg;
-        const FunctionSpec *spec;
-        const WorkloadImpl *impl;
-    };
-    std::vector<CalJob> calJobs;
-    std::map<std::string, char> seenCal;
-    for (const WorkflowScenario &s : scenarios) {
-        for (const ClusterConfig &cluster :
-             calibrationClusters(s.cluster, s.fleet)) {
-            for (const LoadMixEntry &entry : s.functions) {
-                const std::string key =
-                    cache.loadCalKey(cluster, entry.spec);
-                if (!seenCal.emplace(key, 1).second)
-                    continue;
-                LoadCalibration cached;
-                if (!cache.lookupLoadCal(cluster, entry.spec, cached))
-                    calJobs.push_back({cluster, &entry.spec, entry.impl});
-            }
-        }
-    }
-    if (!calJobs.empty()) {
-        const auto cals = parallelIndexed<LoadCalibration>(
-            calJobs.size(),
-            [&](size_t i) {
-                return cache.computeLoadCal(calJobs[i].cfg,
-                                            *calJobs[i].spec,
-                                            *calJobs[i].impl);
-            },
-            jobs_override);
-        for (size_t i = 0; i < calJobs.size(); ++i)
-            cache.recordLoadCal(calJobs[i].cfg, *calJobs[i].spec,
-                                cals[i]);
-    }
-
-    // --- Phase 2: simulate the scenarios --------------------------------
-    std::vector<WorkflowResult> results(scenarios.size());
-    std::map<std::string, size_t> primaryForKey;
-    std::vector<size_t> primaries;
-    std::vector<char> isHit(scenarios.size(), 0);
-    for (size_t i = 0; i < scenarios.size(); ++i) {
-        const std::string key =
-            cache.workflowKey(scenarios[i].cluster, scenarios[i].name);
-        std::map<std::string, uint64_t> row;
-        if (cache.lookupRow(key, row)) {
-            results[i] = unpackWorkflowResult(scenarios[i].name, row);
-            isHit[i] = 1;
-            continue;
-        }
-        if (primaryForKey.emplace(key, i).second)
-            primaries.push_back(i);
-    }
-    if (!primaries.empty()) {
-        const auto fresh = parallelIndexed<WorkflowResult>(
-            primaries.size(),
-            [&](size_t k) {
-                return WorkflowRunner(cache).run(scenarios[primaries[k]]);
-            },
-            jobs_override);
-        for (size_t k = 0; k < primaries.size(); ++k) {
-            const size_t idx = primaries[k];
-            results[idx] = fresh[k];
-            cache.recordRow(cache.workflowKey(scenarios[idx].cluster,
-                                              scenarios[idx].name),
-                            packWorkflowResult(fresh[k]));
-        }
-    }
-    for (size_t i = 0; i < scenarios.size(); ++i) {
-        if (isHit[i])
-            continue;
-        const size_t primary = primaryForKey.at(
-            cache.workflowKey(scenarios[i].cluster, scenarios[i].name));
-        if (primary != i)
-            results[i] = results[primary];
-    }
-    return results;
+    return replaySweep<WorkflowRows>(cache, scenarios, jobs_override);
 }
 
 } // namespace svb::load

@@ -28,14 +28,17 @@
  *    last-finishing task's determining-predecessor chain — the
  *    per-stage attribution sums exactly to the end-to-end latency.
  *
+ * Every stage-task attempt runs on the AttemptEngine
+ * (attempt_engine.hh) that also replays plain load streams; this file
+ * adds only the DAG policy (task layout, predecessor countdown,
+ * placement hint, transfer charge, critical-path walk).
+ *
  * Determinism contract: all randomness comes from the StreamId
  * substreams of the scenario seed (load_runner.hh) and events resolve
  * in (time, push-seq) order, so results are byte-identical at any
- * SVBENCH_JOBS. A single-stage workflow performs the identical
- * arrival / warm-sample / fault / routing draw sequence and pool
- * operations as the plain load engine, so it reproduces the
- * single-function load-path numbers exactly (tests/test_workflow.cc
- * pins this).
+ * SVBENCH_JOBS. A single-stage workflow drives the engine exactly as
+ * a one-function load stream does, so it reproduces the load-path
+ * numbers bit-for-bit (tests/test_workflow.cc pins this).
  *
  * Results are memoised in the ResultCache as mode-"wflow" rows
  * (RowSchema-registered); workflowSweep() fans scenarios across
@@ -77,29 +80,21 @@ struct TransferModel
     uint64_t costNs(uint64_t bytes, bool local) const;
 };
 
-/** A complete workflow-scenario description. */
-struct WorkflowScenario
+/**
+ * A complete workflow-scenario description. The inherited arrival
+ * process emits workflow instances (not stage tasks), and
+ * `invocations` counts instances; fault, retry and breaker settings
+ * apply per stage task.
+ */
+struct WorkflowScenario : ReplayScenario
 {
-    /** Row-key component; same contract as LoadScenario::name (no
-     *  ',', '|' or '='; must encode every knob that varies within a
-     *  sweep — the cache keys rows by (cluster, name) alone). */
-    std::string name;
-    ClusterConfig cluster;
+    WorkflowScenario() : ReplayScenario(500, 0xdafULL) {}
+
     /** Calibrated functions the DAG's stages index into. */
     std::vector<LoadMixEntry> functions;
     /** The DAG (validated against functions.size() on run). */
     WorkflowSpec dag;
-    /** Arrival process of workflow instances (not of stage tasks). */
-    ArrivalConfig arrival;
-    PoolConfig pool;
-    FaultConfig fault;
-    RetryPolicy retry;
-    BreakerConfig breaker;
-    FleetConfig fleet;
     TransferModel transfer;
-    /** Workflow instances to run. */
-    uint64_t invocations = 500;
-    uint64_t seed = 0xdafULL;
 };
 
 /** Per-stage slots the "wflow" cache row reserves for critical-path
@@ -107,49 +102,20 @@ struct WorkflowScenario
  *  attribution shares are not memoised. */
 constexpr size_t kMaxCritSlots = 12;
 
-/** Scenario outcome: end-to-end distributions plus the critical-path
- *  attribution and transfer accounting. */
-struct WorkflowResult
+/**
+ * Scenario outcome: end-to-end distributions plus the critical-path
+ * attribution and transfer accounting. The inherited fields count
+ * workflow instances (a success completed every task; a shed or
+ * throttle ended the instance), and their latencies run from arrival
+ * to the last task's completion.
+ */
+struct WorkflowResult : ReplayResult
 {
-    std::string scenario;
-    /** Workflow instances (NOT stage tasks). */
-    uint64_t invocations = 0;
-    /** Instances whose every task completed successfully. */
-    uint64_t succeeded = 0;
     /** Instances that exhausted a task's retries. */
     uint64_t failedWorkflows = 0;
-    /** Instances terminated by a breaker shed or a throttle. */
-    uint64_t sheds = 0;
-    uint64_t throttles = 0;
-    uint64_t retries = 0;
-    uint64_t crashes = 0;
-    uint64_t timeouts = 0;
-    uint64_t coldStartFailures = 0;
-    uint64_t corruptRestores = 0;
-    uint64_t stragglers = 0;
-    uint64_t breakerOpens = 0;
-    uint64_t nodeFaults = 0;
-    uint64_t coldStarts = 0;
-    uint64_t warmHits = 0;
-    uint64_t evictions = 0;
     /** DAG shape echoed for cached rows. */
     uint64_t stages = 0;
     uint64_t tasksPerWorkflow = 0;
-
-    /** End-to-end (arrival -> last task completion) percentiles over
-     *  all instances, successes and failures alike. */
-    uint64_t p50Ns = 0;
-    uint64_t p90Ns = 0;
-    uint64_t p99Ns = 0;
-    uint64_t p999Ns = 0;
-    uint64_t maxNs = 0;
-    uint64_t goodP50Ns = 0;
-    uint64_t goodP99Ns = 0;
-    uint64_t errP99Ns = 0;
-    /** Completed workflow instances per second of simulated time. */
-    double throughputRps = 0.0;
-    uint64_t histoFingerprint = 0;
-    uint64_t goodFingerprint = 0;
     /** FNV over the per-stage critical-path totals: the determinism
      *  probe for the attribution itself. */
     uint64_t critFingerprint = 0;
@@ -163,16 +129,6 @@ struct WorkflowResult
     /** Total modelled transfer time charged. */
     uint64_t transferNs = 0;
 
-    // --- fleet echo (as in LoadResult) ----------------------------------
-    uint64_t nodes = 1;
-    uint64_t policyId = 0;
-    uint64_t maxActiveNodes = 1;
-    double fleetUtilisation = 0.0;
-    /** Node-class groups of the fleet (1 for a class-less fleet). */
-    uint64_t classes = 1;
-    /** Provisioned fleet power (milliwatts) / cost (milli-$/h). */
-    uint64_t fleetPowerMw = 1000;
-    uint64_t fleetCostMilli = 1000;
     /** Placement hints honoured vs fallen back to the routing policy
      *  (PayloadAffinity stages asking for an unroutable producer
      *  node): the observable cost of affinity misses. */
@@ -191,20 +147,6 @@ struct WorkflowResult
     std::vector<uint64_t> critNsByStage;
     /** Per-stage transfer ns charged on critical tasks (fresh only). */
     std::vector<uint64_t> critXferNsByStage;
-
-    /** Successful instances as a share of all, in percent. */
-    double availabilityPct() const
-    {
-        return invocations
-                   ? 100.0 * double(succeeded) / double(invocations)
-                   : 0.0;
-    }
-
-    /** Full distributions; empty when served from the CSV cache. */
-    LatencyHistogram latency;
-    LatencyHistogram goodLatency;
-    LatencyHistogram errorLatency;
-    bool ok = false;
 };
 
 /**

@@ -253,6 +253,74 @@ TEST(CircuitBreaker, WalksClosedOpenHalfOpenDeterministically)
     EXPECT_STREQ(breakerStateName(br.state()), "open");
 }
 
+TEST(CircuitBreaker, AnUnservedProbeHandsItsSlotBack)
+{
+    BreakerConfig cfg;
+    cfg.enabled = true;
+    cfg.failureThreshold = 1;
+    cfg.openCooldownNs = 1'000;
+    cfg.halfOpenSuccesses = 1;
+    CircuitBreaker br(cfg);
+
+    // Closed: releasing an admitted request changes nothing.
+    EXPECT_TRUE(br.admit(0));
+    br.releaseProbe();
+    EXPECT_EQ(br.state(), CircuitBreaker::State::Closed);
+    br.onFailure(10);
+    ASSERT_EQ(br.state(), CircuitBreaker::State::Open);
+
+    // The probe is admitted but never reaches a server (throttled, or
+    // deferred for capacity): handing the slot back lets the next
+    // request probe instead of shedding behind a probe that will
+    // never report.
+    EXPECT_TRUE(br.admit(1'010));
+    EXPECT_FALSE(br.admit(1'020));
+    br.releaseProbe();
+    EXPECT_EQ(br.state(), CircuitBreaker::State::HalfOpen);
+    EXPECT_TRUE(br.admit(1'030));
+    br.onSuccess(1'100);
+    EXPECT_EQ(br.state(), CircuitBreaker::State::Closed);
+    EXPECT_EQ(br.timesOpened(), 1u);
+}
+
+TEST(CircuitBreaker, ProbeDeferredOnAScaledToZeroFleetDoesNotWedge)
+{
+    // The breaker opens on a scale-to-zero fleet; by the time the
+    // cooldown ends every node has retired, so the half-open probe is
+    // admitted and then deferred for capacity. A probe that kept its
+    // slot across the deferral would shed itself on re-entry, and
+    // with nothing in flight nothing would ever clear it: the breaker
+    // would shed every later request.
+    TempCheckpointDir ckpts("ckpt_fault_probe");
+    TempCacheFile file("test_fault_probe.csv");
+
+    LoadScenario s = faultyScenario("t-probe-wedge", 0.0);
+    // About one request a second: idle gaps outlast the autoscaler's
+    // 1 s scale-down window, so the fleet keeps retiring to zero.
+    s.arrival.ratePerSec = 1.0;
+    s.pool = PoolConfig{};
+    s.fault = FaultConfig{};
+    s.fault.crashProb = 0.5;
+    s.retry = RetryPolicy{};
+    s.breaker = BreakerConfig{};
+    s.breaker.enabled = true;
+    s.breaker.failureThreshold = 3;
+    s.fleet.nodes = 2;
+    s.fleet.autoscaler.enabled = true;
+    s.fleet.autoscaler.minNodes = 0;
+    s.invocations = 4000;
+    s.seed = 1;
+
+    ResultCache cache(file.path);
+    const LoadResult r = LoadRunner(cache).run(s);
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(r.succeeded + r.failedInvocations + r.sheds, r.invocations);
+    // The breaker keeps probing, closing and re-opening instead of
+    // staying open for the rest of the run.
+    EXPECT_GT(r.breakerOpens, 1u);
+    EXPECT_GT(r.succeeded, r.invocations / 10);
+}
+
 TEST(CircuitBreaker, DisabledAdmitsEverythingForever)
 {
     CircuitBreaker br(BreakerConfig{});

@@ -632,7 +632,7 @@ TEST(ResultCacheSchema, UnknownModeRowsAreSkippedNotMisparsed)
     // The unknown-mode row must not satisfy any lookup.
     std::map<std::string, uint64_t> row;
     EXPECT_FALSE(
-        cache.lookupLoadRow("riscv64,cassandra,00,fib,futuremode", row));
+        cache.lookupRow("riscv64,cassandra,00,fib,futuremode", row));
 }
 
 TEST(ResultCacheSchema, StaleVersionRowsAreSkipped)

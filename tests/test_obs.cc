@@ -18,6 +18,8 @@
 
 #include "core/parallel.hh"
 #include "core/result_cache.hh"
+#include "load/load_runner.hh"
+#include "load/workflow.hh"
 #include "obs/stat_export.hh"
 #include "obs/trace.hh"
 #include "workloads/workloads.hh"
@@ -405,6 +407,136 @@ TEST(ObsDeterminism, TraceAndStatDumpsIdenticalAcrossJobs)
         EXPECT_NE(serial.find(needle), std::string::npos)
             << "trace is missing " << needle;
     }
+}
+
+// ---------------------------------------------------------------------------
+// Load and workflow engine tracks: pinned bytes
+// ---------------------------------------------------------------------------
+
+namespace
+{
+
+uint64_t
+fnv1a(const std::string &bytes)
+{
+    uint64_t h = 1469598103934665603ull;
+    for (const unsigned char c : bytes) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/**
+ * Record a fixed calibration for @p spec on @p cfg, so the engines
+ * replay these service times instead of measuring the simulator: the
+ * pinned traces below then depend on the replay engines alone.
+ */
+void
+seedCalibration(ResultCache &cache, const ClusterConfig &cfg,
+                const FunctionSpec &spec)
+{
+    LoadCalibration cal;
+    cal.name = spec.name;
+    cal.coldNs = 4'000'000;
+    for (unsigned k = 0; k < loadWarmSamples; ++k)
+        cal.warmNs[k] = 300'000 + 50'000 * k;
+    cal.ok = true;
+    cache.recordLoadCal(cfg, spec, cal);
+}
+
+/** Run @p body with a fresh tracer and @return the rendered trace. */
+template <class Body>
+std::string
+tracedRun(Body body)
+{
+    obs::Tracer &tracer = obs::Tracer::global();
+    tracer.reset();
+    tracer.enable("test_obs_engine_trace.json");
+    body();
+    std::ostringstream os;
+    tracer.render(os);
+    tracer.reset();
+    return os.str();
+}
+
+} // namespace
+
+TEST(EngineTraces, FaultedFleetLoadTrackIsPinned)
+{
+    TempCacheFile file("test_obs_load_trace.csv");
+    ResultCache cache(file.path);
+    const FunctionSpec spec = specFor("fibonacci-go");
+
+    load::LoadScenario s;
+    s.name = "t-obs-load";
+    s.cluster = bareConfig(IsaId::Riscv);
+    s.mix = {{spec, &workloads::workloadImpl(spec.workload), 1.0}};
+    s.arrival.ratePerSec = 2000.0;
+    s.pool.maxInstances = 2;
+    s.pool.keepAliveNs = 5'000'000;
+    s.fault.coldStartFailProb = 0.2;
+    s.fault.crashProb = 0.1;
+    s.fault.stragglerProb = 0.1;
+    s.retry.maxAttempts = 3;
+    s.retry.timeoutNs = 6'000'000;
+    s.retry.backoffBaseNs = 200'000;
+    s.retry.backoffCapNs = 2'000'000;
+    s.breaker.enabled = true;
+    s.breaker.failureThreshold = 2;
+    s.breaker.openCooldownNs = 2'000'000;
+    s.fleet.nodes = 2;
+    s.fleet.nodeFaults.push_back(
+        {load::NodeFaultEvent::Kind::Crash, 0, 20'000'000, 5'000'000});
+    s.invocations = 120;
+    s.seed = 5;
+    seedCalibration(cache, s.cluster, spec);
+
+    load::LoadResult res;
+    const std::string trace =
+        tracedRun([&] { res = load::LoadRunner(cache).run(s); });
+    ASSERT_TRUE(res.ok);
+    for (const char *needle :
+         {"riscv64/cassandra00/t-obs-load/load", "\"route#", "\"queue#",
+          "\"cold#", "\"warm#", "\"retry#", "\"timeout#", "\"shed#",
+          "\"breaker-open#", "\"node-crash#"})
+        EXPECT_NE(trace.find(needle), std::string::npos)
+            << "trace is missing " << needle;
+    EXPECT_EQ(trace.size(), 28812u);
+    EXPECT_EQ(fnv1a(trace), 2751963170382750152ull);
+}
+
+TEST(EngineTraces, FanOutWorkflowTrackIsPinned)
+{
+    TempCacheFile file("test_obs_wflow_trace.csv");
+    ResultCache cache(file.path);
+    const FunctionSpec spec = specFor("fibonacci-go");
+
+    load::WorkflowScenario s;
+    s.name = "t-obs-wflow";
+    s.cluster = bareConfig(IsaId::Riscv);
+    s.functions = {{spec, &workloads::workloadImpl(spec.workload), 1.0}};
+    s.dag = load::fanOutSpec("fan", 4, {0}, 16 * 1024);
+    s.dag.stages.back().placement = load::StagePlacement::PayloadAffinity;
+    s.arrival.ratePerSec = 500.0;
+    s.pool.maxInstances = 2;
+    s.fleet.nodes = 2;
+    s.invocations = 12;
+    s.seed = 6;
+    seedCalibration(cache, s.cluster, spec);
+
+    load::WorkflowResult res;
+    const std::string trace =
+        tracedRun([&] { res = load::WorkflowRunner(cache).run(s); });
+    ASSERT_TRUE(res.ok);
+    for (const char *needle :
+         {"riscv64/cassandra00/t-obs-wflow/wflow", "\"route#w0/split.0@n",
+          "\"xfer#", "\"crit#", "\"args\":", "\"stage\":\"join\"",
+          "\"bytes\":\"16384\"", "\"xferNs\":"})
+        EXPECT_NE(trace.find(needle), std::string::npos)
+            << "trace is missing " << needle;
+    EXPECT_EQ(trace.size(), 29637u);
+    EXPECT_EQ(fnv1a(trace), 16761769848013636828ull);
 }
 
 // ---------------------------------------------------------------------------

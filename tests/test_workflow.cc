@@ -303,43 +303,78 @@ TEST(WorkflowEngine, SingleStageWorkflowMatchesTheLoadEngine)
     TempCheckpointDir ckpts("ckpt_wf_ident");
     TempCacheFile file("test_wf_ident.csv");
 
-    WorkflowScenario ws =
+    // Two inputs: the fault-free single-node path, and the shape of a
+    // faulty fleet (4 power-of-two nodes, the fault preset, retries
+    // with a timeout and backoff, the breaker and one node crash).
+    WorkflowScenario plain =
         workflowScenario("t-wf-ident", chainSpec("c1", 1, {0}, 0));
-    ws.invocations = 400;
-
-    LoadScenario ls;
-    ls.name = "t-wf-ident-load";
-    ls.cluster = ws.cluster;
-    ls.mix = ws.functions;
-    ls.arrival = ws.arrival;
-    ls.pool = ws.pool;
-    ls.fleet = ws.fleet;
-    ls.invocations = ws.invocations;
-    ls.seed = ws.seed;
+    plain.invocations = 400;
+    WorkflowScenario faulty =
+        workflowScenario("t-wf-ident-faults", chainSpec("c1", 1, {0}, 0), 4,
+                         RoutingPolicy::PowerOfTwo);
+    faulty.invocations = 1500;
+    faulty.arrival.ratePerSec = 4000.0;
+    faulty.fault = defaultFaultPreset();
+    faulty.retry.maxAttempts = 3;
+    faulty.retry.timeoutNs = 1'000'000;
+    faulty.retry.backoffBaseNs = 500'000;
+    faulty.retry.backoffCapNs = 10'000'000;
+    faulty.breaker.enabled = true;
+    faulty.fleet.nodeFaults.push_back(
+        {NodeFaultEvent::Kind::Crash, 1, 100'000'000, 50'000'000});
 
     ResultCache cache(file.path);
-    const WorkflowResult wr = WorkflowRunner(cache).run(ws);
-    const LoadResult lr = LoadRunner(cache).run(ls);
-    ASSERT_TRUE(wr.ok);
-    ASSERT_TRUE(lr.ok);
+    for (const WorkflowScenario &ws : {plain, faulty}) {
+        SCOPED_TRACE(ws.name);
+        LoadScenario ls;
+        ls.name = ws.name + "-load";
+        ls.cluster = ws.cluster;
+        ls.mix = ws.functions;
+        ls.arrival = ws.arrival;
+        ls.pool = ws.pool;
+        ls.fault = ws.fault;
+        ls.retry = ws.retry;
+        ls.breaker = ws.breaker;
+        ls.fleet = ws.fleet;
+        ls.invocations = ws.invocations;
+        ls.seed = ws.seed;
 
-    // Identical draw sequences and pool operations: the distributions
-    // and every shared counter agree bit-for-bit.
-    EXPECT_TRUE(wr.latency == lr.latency);
-    EXPECT_EQ(wr.histoFingerprint, lr.histoFingerprint);
-    EXPECT_EQ(wr.goodFingerprint, lr.goodFingerprint);
-    EXPECT_EQ(wr.p50Ns, lr.p50Ns);
-    EXPECT_EQ(wr.p99Ns, lr.p99Ns);
-    EXPECT_EQ(wr.maxNs, lr.maxNs);
-    EXPECT_EQ(wr.coldStarts, lr.coldStarts);
-    EXPECT_EQ(wr.warmHits, lr.warmHits);
-    EXPECT_EQ(wr.evictions, lr.evictions);
-    EXPECT_EQ(wr.succeeded, lr.succeeded);
-    EXPECT_EQ(wr.throughputRps, lr.throughputRps);
-    EXPECT_EQ(wr.fleetUtilisation, lr.fleetUtilisation);
-    // And no transfer was charged: a single stage moves no payload.
-    EXPECT_EQ(wr.transferNs, 0u);
-    EXPECT_EQ(wr.transfersLocal + wr.transfersRemote, 0u);
+        const WorkflowResult wr = WorkflowRunner(cache).run(ws);
+        const LoadResult lr = LoadRunner(cache).run(ls);
+        ASSERT_TRUE(wr.ok);
+        ASSERT_TRUE(lr.ok);
+
+        // Identical draw sequences and pool operations: the
+        // distributions and every shared counter agree bit-for-bit.
+        EXPECT_TRUE(wr.latency == lr.latency);
+        EXPECT_EQ(wr.histoFingerprint, lr.histoFingerprint);
+        EXPECT_EQ(wr.goodFingerprint, lr.goodFingerprint);
+        EXPECT_EQ(wr.p50Ns, lr.p50Ns);
+        EXPECT_EQ(wr.p99Ns, lr.p99Ns);
+        EXPECT_EQ(wr.maxNs, lr.maxNs);
+        EXPECT_EQ(wr.coldStarts, lr.coldStarts);
+        EXPECT_EQ(wr.warmHits, lr.warmHits);
+        EXPECT_EQ(wr.evictions, lr.evictions);
+        EXPECT_EQ(wr.succeeded, lr.succeeded);
+        EXPECT_EQ(wr.failedWorkflows, lr.failedInvocations);
+        EXPECT_EQ(wr.retries, lr.retries);
+        EXPECT_EQ(wr.timeouts, lr.timeouts);
+        EXPECT_EQ(wr.crashes, lr.crashes);
+        EXPECT_EQ(wr.sheds, lr.sheds);
+        EXPECT_EQ(wr.breakerOpens, lr.breakerOpens);
+        EXPECT_EQ(wr.nodeFaults, lr.nodeFaults);
+        EXPECT_EQ(wr.throughputRps, lr.throughputRps);
+        EXPECT_EQ(wr.fleetUtilisation, lr.fleetUtilisation);
+        // And no transfer was charged: a single stage moves no payload.
+        EXPECT_EQ(wr.transferNs, 0u);
+        EXPECT_EQ(wr.transfersLocal + wr.transfersRemote, 0u);
+    }
+    // The faulty input must actually exercise what it claims to.
+    const WorkflowResult fr = WorkflowRunner(cache).run(faulty);
+    EXPECT_GT(fr.retries, 0u);
+    EXPECT_GT(fr.timeouts, 0u);
+    EXPECT_GT(fr.crashes, 0u);
+    EXPECT_EQ(fr.nodeFaults, 1u);
 }
 
 // --------------------------------------------------------------------------
