@@ -97,16 +97,24 @@ System::flushMicroarchState()
     }
 }
 
-void
+bool
 System::tickCore(unsigned c)
 {
     // Atomic-model cores step through the superblock engine when the
     // fast tier is enabled and no trace sink needs per-retirement
     // callbacks; tickFast() is cycle-for-cycle identical to tick().
-    if (fastWarm && models[c] == CpuModel::Atomic && !atomics[c]->tracing())
-        atomics[c]->tickFast();
+    // Both models are final, so these are direct calls.
+    if (models[c] == CpuModel::O3) {
+        O3Cpu &o3 = *o3s[c];
+        o3.tick();
+        return !o3.halted();
+    }
+    AtomicCpu &atomic = *atomics[c];
+    if (fastWarm && !atomic.tracing())
+        atomic.tickFast();
     else
-        cpu(c).tick();
+        atomic.tick();
+    return !atomic.halted();
 }
 
 uint64_t
@@ -216,10 +224,8 @@ System::run(uint64_t max_cycles)
         ++globalCycle;
         ++ran;
         bool any_active = false;
-        for (unsigned c = 0; c < cfg.numCores; ++c) {
-            tickCore(c);
-            any_active |= !cpu(c).halted();
-        }
+        for (unsigned c = 0; c < cfg.numCores; ++c)
+            any_active |= tickCore(c);
         eventq.serviceUpTo(globalCycle);
         if (!any_active && eventq.pending() == 0)
             break;
@@ -238,10 +244,8 @@ System::runUntil(const std::function<bool()> &cond, uint64_t max_cycles)
         ++globalCycle;
         ++ran;
         bool any_active = false;
-        for (unsigned c = 0; c < cfg.numCores; ++c) {
-            tickCore(c);
-            any_active |= !cpu(c).halted();
-        }
+        for (unsigned c = 0; c < cfg.numCores; ++c)
+            any_active |= tickCore(c);
         eventq.serviceUpTo(globalCycle);
         if (!any_active && eventq.pending() == 0)
             break;

@@ -132,8 +132,9 @@ class System : public M5Listener
                            std::shared_ptr<const PageImage> image = nullptr);
 
   private:
-    /** One cycle for core @p c through the appropriate engine. */
-    void tickCore(unsigned c);
+    /** One cycle for core @p c through its concrete CPU model.
+     *  @return true while the core is still running */
+    bool tickCore(unsigned c);
 
     SystemConfig cfg;
     StatGroup rootStats{"system"};

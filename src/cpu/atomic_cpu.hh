@@ -34,7 +34,7 @@ struct Superblock;
 /**
  * The AtomicSimpleCPU-equivalent model.
  */
-class AtomicCpu : public BaseCpu
+class AtomicCpu final : public BaseCpu
 {
   public:
     AtomicCpu(int core_id, IsaId isa, PhysMemory &phys, CoreMemSystem &mem,

@@ -1,6 +1,7 @@
 #include "o3_cpu.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "sim/logging.hh"
 
@@ -68,11 +69,21 @@ O3Cpu::setContext(const HwContext &new_ctx)
 {
     BaseCpu::setContext(new_ctx);
 
-    rob.clear();
-    iq.clear();
-    loadQueue.clear();
-    storeQueue.clear();
-    fetchQueue.clear();
+    // Storage is allocated by the first call; later calls only reset.
+    rob.reset(p.robEntries);
+    loadQueue.reset(p.lqEntries);
+    storeQueue.reset(p.sqEntries);
+    fetchQueue.reset(p.fetchBufferEntries);
+    iqCount = 0;
+
+    const size_t words = rob.storage() / 64;
+    readyBits.assign(words, 0);
+    parkedBits.assign(words, 0);
+    waitHead.assign(p.numPhysIntRegs, -1);
+    waitNext.assign(2 * size_t(rob.storage()), -1);
+    wakeups.clear();
+    wakeups.reserve(rob.storage());
+    sqUnready = 0;
 
     const unsigned nArch = maxArchRegs;
     renameMap.assign(nArch, 0);
@@ -231,7 +242,7 @@ O3Cpu::fetchStage()
             BranchPrediction pred = bp.predict(fetchPc, inst, fall_through);
             fe.hasPred = true;
             fe.predNext = pred.nextPc;
-            fetchQueue.push_back(fe);
+            fetchQueue.pushBack() = fe;
             fetchPc = pred.nextPc;
             if (pred.taken) {
                 lastFetchLine = ~Addr(0);
@@ -240,7 +251,7 @@ O3Cpu::fetchStage()
             continue;
         }
 
-        fetchQueue.push_back(fe);
+        fetchQueue.pushBack() = fe;
         fetchPc = fall_through;
 
         if (inst.isSyscall || inst.isHalt) {
@@ -285,7 +296,7 @@ O3Cpu::renameStage()
             if (u.isStore())
                 ++need_sq;
         }
-        if (iq.size() + need_iq > p.iqEntries) {
+        if (iqCount + need_iq > p.iqEntries) {
             ++statIqFullStalls;
             renameStall = RenameStall::Iq;
             return;
@@ -303,9 +314,10 @@ O3Cpu::renameStage()
 
         for (unsigned i = 0; i < inst.numUops; ++i) {
             const MicroOp &u = inst.uops[i];
-            rob.emplace_back();
-            DynInst &d = rob.back();
-            d.seq = nextSeq++;
+            const uint64_t pos = rob.end();
+            DynInst &d = rob.pushBack();
+            d = DynInst{};
+            d.pos = pos;
             d.uop = u;
             d.sinst = &inst;
             d.pc = fe.pc;
@@ -333,15 +345,14 @@ O3Cpu::renameStage()
                 d.executed = (u.op == UopOp::Nop);
                 d.completeAt = cycle;
             } else {
-                d.inIq = true;
-                iq.push_back(&d);
+                enterIq(d);
             }
             if (u.isLoad())
-                loadQueue.push_back(&d);
+                loadQueue.pushBack() = pos;
             if (u.isStore())
-                storeQueue.push_back(&d);
+                storeQueue.pushBack() = pos;
         }
-        fetchQueue.pop_front();
+        fetchQueue.popFront();
     }
 }
 
@@ -352,32 +363,44 @@ O3Cpu::renameStage()
 void
 O3Cpu::issueStage()
 {
+    while (!wakeups.empty() && wakeups.front().at <= cycle) {
+        setBit(readyBits, wakeups.front().pos);
+        std::pop_heap(wakeups.begin(), wakeups.end(), std::greater<>());
+        wakeups.pop_back();
+    }
+
     unsigned issued = 0, alu_used = 0, mult_used = 0, mem_used = 0;
-    uint64_t squash_seq = 0;
+    uint64_t squash_pos = 0;
     Addr redirect_to = 0;
     bool mispredict = false;
 
-    for (auto it = iq.begin(); it != iq.end() && issued < p.issueWidth;) {
-        DynInst &d = **it;
-        if (!srcReady(d.psrc1) || !srcReady(d.psrc2)) {
-            ++it;
+    // Only ready uops are visited, oldest first: skipping the rest is
+    // exact because a uop with an unready source, or a load parked
+    // behind a store without an address, would be rejected here
+    // without any side effect.
+    for (uint64_t pos = nextSet(readyBits, rob.begin());
+         pos != rob.end() && issued < p.issueWidth;
+         pos = nextSet(readyBits, pos + 1)) {
+        DynInst &d = rob.at(pos);
+        const Issue outcome = tryIssue(d, alu_used, mult_used, mem_used);
+        if (outcome == Issue::Retry)
             continue;
-        }
-        if (!tryIssue(d, alu_used, mult_used, mem_used)) {
-            ++it;
+        clearBit(readyBits, pos);
+        if (outcome == Issue::Park) {
+            setBit(parkedBits, pos);
             continue;
         }
 
         ++issued;
         d.inIq = false;
-        it = iq.erase(it);
+        --iqCount;
 
         if (d.uop.isControl() && d.executed) {
             const Addr expected =
                 d.hasPred ? d.predNext : (d.pc + d.instLen);
             if (d.actualNext != expected) {
                 mispredict = true;
-                squash_seq = d.seq;
+                squash_pos = d.pos;
                 redirect_to = d.actualNext;
                 ++statMispredicts;
                 break;
@@ -386,12 +409,12 @@ O3Cpu::issueStage()
     }
 
     if (mispredict) {
-        squashAfter(squash_seq);
+        squashAfter(squash_pos);
         redirectFetch(redirect_to, p.frontendDelay);
     }
 }
 
-bool
+O3Cpu::Issue
 O3Cpu::tryIssue(DynInst &d, unsigned &alu_used, unsigned &mult_used,
                 unsigned &mem_used)
 {
@@ -401,33 +424,33 @@ O3Cpu::tryIssue(DynInst &d, unsigned &alu_used, unsigned &mult_used,
       case OpClass::IntAlu:
       case OpClass::Branch:
         if (alu_used >= p.intAluUnits)
-            return false;
+            return Issue::Retry;
         ++alu_used;
         executeUop(d, p.intAluLat);
-        return true;
+        return Issue::Done;
       case OpClass::IntMult:
         if (mult_used >= p.intMultUnits)
-            return false;
+            return Issue::Retry;
         ++mult_used;
         executeUop(d, p.intMultLat);
-        return true;
+        return Issue::Done;
       case OpClass::IntDiv:
         if (cycle < divBusyUntil)
-            return false;
+            return Issue::Retry;
         divBusyUntil = cycle + p.intDivLat; // unpipelined
         executeUop(d, p.intDivLat);
-        return true;
+        return Issue::Done;
       case OpClass::MemRead: {
         if (mem_used >= p.memPorts)
-            return false;
-        if (!issueLoad(d))
-            return false;
-        ++mem_used;
-        return true;
+            return Issue::Retry;
+        const Issue outcome = issueLoad(d);
+        if (outcome == Issue::Done)
+            ++mem_used;
+        return outcome;
       }
       case OpClass::MemWrite: {
         if (mem_used >= p.memPorts)
-            return false;
+            return Issue::Retry;
         ++mem_used;
         // Address generation + data capture; the write happens at commit.
         const Addr vaddr = memEffAddr(u, readPhys(d.psrc1));
@@ -437,23 +460,22 @@ O3Cpu::tryIssue(DynInst &d, unsigned &alu_used, unsigned &mult_used,
             // Wrong-path store with a garbage address: park it as
             // executed-but-faulted; commit panics if it survives.
             d.faulted = true;
-            d.addrReady = true;
-            d.executed = true;
             d.completeAt = cycle + 1;
-            return true;
+        } else {
+            d.effPaddr = tr.paddr;
+            d.storeData = d.psrc2 >= 0 ? readPhys(d.psrc2) : 0;
+            d.completeAt = cycle + 1 + tr.latency;
         }
-        d.effPaddr = tr.paddr;
-        d.storeData = d.psrc2 >= 0 ? readPhys(d.psrc2) : 0;
         d.addrReady = true;
         d.executed = true;
-        d.completeAt = cycle + 1 + tr.latency;
-        return true;
+        storeAddressKnown();
+        return Issue::Done;
       }
       default:
         // Should not reach the IQ.
         d.executed = true;
         d.completeAt = cycle;
-        return true;
+        return Issue::Done;
     }
 }
 
@@ -469,37 +491,28 @@ O3Cpu::executeUop(DynInst &d, Cycles lat)
         BranchEval ev = branchEval(u, a, b, d.pc);
         d.actualTaken = ev.taken;
         d.actualNext = ev.taken ? ev.target : next_pc;
-        if (d.pdst >= 0) {
-            physRegs[size_t(d.pdst)] = next_pc; // link value
-            regReadyAt[size_t(d.pdst)] = cycle + lat;
-        }
+        if (d.pdst >= 0)
+            writeReg(d.pdst, next_pc, cycle + lat); // link value
     } else {
         const uint64_t value = aluCompute(u, a, b, d.pc);
-        if (d.pdst >= 0) {
-            physRegs[size_t(d.pdst)] = value;
-            regReadyAt[size_t(d.pdst)] = cycle + lat;
-        }
+        if (d.pdst >= 0)
+            writeReg(d.pdst, value, cycle + lat);
     }
     d.executed = true;
     d.completeAt = cycle + lat;
 }
 
-bool
+O3Cpu::Issue
 O3Cpu::issueLoad(DynInst &d)
 {
     const MicroOp &u = d.uop;
-    const Addr vaddr = memEffAddr(u, readPhys(d.psrc1));
 
     // Conservative memory ordering: wait until every older store knows
     // its address; forward when fully covered; stall on partial overlap.
-    const DynInst *fwd = nullptr;
-    for (const DynInst *st : storeQueue) {
-        if (st->seq >= d.seq)
-            break;
-        if (!st->addrReady)
-            return false;
-    }
+    if (sqUnready != storeQueue.end() && storeQueue.at(sqUnready) < d.pos)
+        return Issue::Park;
 
+    const Addr vaddr = memEffAddr(u, readPhys(d.psrc1));
     TranslateResult tr =
         dtlbUnit.translate(vaddr, ctx.ptRoot, phys, &mem, cycle);
     if (tr.fault) {
@@ -507,27 +520,30 @@ O3Cpu::issueLoad(DynInst &d)
         d.faulted = true;
         d.executed = true;
         d.completeAt = cycle + 1;
-        if (d.pdst >= 0) {
-            physRegs[size_t(d.pdst)] = 0;
-            regReadyAt[size_t(d.pdst)] = cycle + 1;
-        }
-        return true;
+        if (d.pdst >= 0)
+            writeReg(d.pdst, 0, cycle + 1);
+        return Issue::Done;
     }
     d.effPaddr = tr.paddr;
 
+    const DynInst *fwd = nullptr;
     const Addr lo = tr.paddr;
     const Addr hi = tr.paddr + u.memSize;
-    for (const DynInst *st : storeQueue) {
-        if (st->seq >= d.seq)
+    for (uint64_t i = storeQueue.begin(); i != storeQueue.end(); ++i) {
+        const uint64_t st_pos = storeQueue.at(i);
+        if (st_pos >= d.pos)
             break;
-        const Addr slo = st->effPaddr;
-        const Addr shi = st->effPaddr + st->uop.memSize;
+        const DynInst &st = rob.at(st_pos);
+        const Addr slo = st.effPaddr;
+        const Addr shi = st.effPaddr + st.uop.memSize;
         if (hi <= slo || lo >= shi)
             continue; // disjoint
         if (slo <= lo && hi <= shi) {
-            fwd = st; // fully covered; youngest older wins (keep scanning)
+            fwd = &st; // fully covered; youngest older wins (keep scanning)
         } else {
-            return false; // partial overlap: wait for the store to retire
+            // Partial overlap: wait for the store to retire. The
+            // translation above re-runs on every retry.
+            return Issue::Retry;
         }
     }
 
@@ -545,14 +561,124 @@ O3Cpu::issueLoad(DynInst &d)
               tr.latency;
     }
 
-    if (d.pdst >= 0) {
-        physRegs[size_t(d.pdst)] =
-            loadExtend(raw, u.memSize, u.memSigned);
-        regReadyAt[size_t(d.pdst)] = cycle + lat;
-    }
+    if (d.pdst >= 0)
+        writeReg(d.pdst, loadExtend(raw, u.memSize, u.memSigned),
+                 cycle + lat);
     d.executed = true;
     d.completeAt = cycle + lat;
-    return true;
+    return Issue::Done;
+}
+
+// --------------------------------------------------------------------------
+// Issue scheduling: waiter lists, the wakeup heap, parked loads
+// --------------------------------------------------------------------------
+
+void
+O3Cpu::enterIq(DynInst &d)
+{
+    d.inIq = true;
+    ++iqCount;
+    const unsigned slot = rob.slotOf(d.pos);
+    const int srcs[2] = {d.psrc1, d.psrc2 == d.psrc1 ? -1 : d.psrc2};
+    for (unsigned k = 0; k < 2; ++k) {
+        const int preg = srcs[k];
+        if (preg < 0 || regReadyAt[size_t(preg)] != maxTick)
+            continue;
+        const int node = int(2 * slot + k);
+        waitNext[size_t(node)] = waitHead[size_t(preg)];
+        waitHead[size_t(preg)] = node;
+        d.waiting |= uint8_t(1u << k);
+    }
+    if (d.waiting == 0)
+        scheduleReady(d);
+}
+
+void
+O3Cpu::scheduleReady(const DynInst &d)
+{
+    Cycles at = 0;
+    if (d.psrc1 >= 0)
+        at = regReadyAt[size_t(d.psrc1)];
+    if (d.psrc2 >= 0)
+        at = std::max(at, regReadyAt[size_t(d.psrc2)]);
+    if (at <= cycle) {
+        // Visible to an issue scan still in progress (it only ever
+        // wakes younger uops) or to the next one.
+        setBit(readyBits, d.pos);
+    } else {
+        wakeups.push_back(Wakeup{at, d.pos});
+        std::push_heap(wakeups.begin(), wakeups.end(), std::greater<>());
+    }
+}
+
+void
+O3Cpu::writeReg(int preg, uint64_t value, Cycles ready_at)
+{
+    physRegs[size_t(preg)] = value;
+    regReadyAt[size_t(preg)] = ready_at;
+    int node = waitHead[size_t(preg)];
+    waitHead[size_t(preg)] = -1;
+    while (node >= 0) {
+        // A slot index is a position modulo the ring's storage.
+        DynInst &w = rob.at(unsigned(node) / 2);
+        w.waiting &= uint8_t(~(1u << (unsigned(node) % 2)));
+        if (w.waiting == 0)
+            scheduleReady(w);
+        node = waitNext[size_t(node)];
+    }
+}
+
+void
+O3Cpu::storeAddressKnown()
+{
+    const uint64_t before = sqUnready;
+    while (sqUnready != storeQueue.end() &&
+           rob.at(storeQueue.at(sqUnready)).addrReady)
+        ++sqUnready;
+    if (sqUnready == before)
+        return;
+    // Release every parked load older than the new mark. They are all
+    // younger than the store that just issued, so a scan in progress
+    // still reaches them this cycle.
+    const uint64_t limit = sqUnready == storeQueue.end()
+                               ? rob.end()
+                               : storeQueue.at(sqUnready);
+    for (uint64_t pos = nextSet(parkedBits, rob.begin()); pos < limit;
+         pos = nextSet(parkedBits, pos + 1)) {
+        clearBit(parkedBits, pos);
+        setBit(readyBits, pos);
+    }
+}
+
+uint64_t
+O3Cpu::nextSet(const std::vector<uint64_t> &bits, uint64_t pos) const
+{
+    // Slots from slotOf(pos) upwards hold positions pos, pos + 1, ...
+    // up to the ROB end; past it they hold dead or older entries, so
+    // a hit mapped beyond the end means there is none left.
+    const uint64_t end = rob.end();
+    while (pos < end) {
+        const unsigned slot = rob.slotOf(pos);
+        const uint64_t word = bits[slot / 64] >> (slot % 64);
+        if (word != 0)
+            return std::min(end, pos + unsigned(__builtin_ctzll(word)));
+        pos += 64 - slot % 64;
+    }
+    return end;
+}
+
+void
+O3Cpu::setBit(std::vector<uint64_t> &bits, uint64_t pos)
+{
+    const unsigned slot = rob.slotOf(pos);
+    bits[slot / 64] |= uint64_t(1) << (slot % 64);
+}
+
+void
+O3Cpu::clearBit(std::vector<uint64_t> &bits, uint64_t pos)
+{
+    const unsigned slot = rob.slotOf(pos);
+    bits[slot / 64] &= ~(uint64_t(1) << (slot % 64));
 }
 
 // --------------------------------------------------------------------------
@@ -591,20 +717,20 @@ O3Cpu::commitStage()
         }
         svb_assert(!d.faulted, "faulted memory access reached commit, pc=",
                    d.pc, " core=", coreId, " isLoad=", d.uop.isLoad(),
-                   " base reg r", int(d.uop.rs1), " seq=", d.seq);
+                   " base reg r", int(d.uop.rs1), " pos=", d.pos);
 
         if (d.uop.isStore()) {
             svb_assert(!storeQueue.empty() &&
-                       storeQueue.front() == &d, "SQ out of order");
+                       storeQueue.front() == d.pos, "SQ out of order");
             phys.write(d.effPaddr, d.storeData, d.uop.memSize);
             mem.dataAccess(d.effPaddr, d.uop.memSize, true, cycle);
-            storeQueue.pop_front();
+            storeQueue.popFront();
             ++statStores;
         }
         if (d.uop.isLoad()) {
-            svb_assert(!loadQueue.empty() && loadQueue.front() == &d,
+            svb_assert(!loadQueue.empty() && loadQueue.front() == d.pos,
                        "LQ out of order");
-            loadQueue.pop_front();
+            loadQueue.popFront();
             ++statLoads;
         }
 
@@ -629,7 +755,7 @@ O3Cpu::commitStage()
                 bp.update(d.pc, *d.sinst, d.actualTaken, d.actualNext);
             }
         }
-        rob.pop_front();
+        rob.popFront();
     }
 }
 
@@ -638,7 +764,7 @@ O3Cpu::deliverTrap(DynInst &d)
 {
     // The trap must be the oldest instruction; squash everything younger
     // and hand the committed architectural state to the kernel.
-    squashAfter(d.seq);
+    squashAfter(d.pos);
 
     HwContext trap_ctx = ctx;
     trap_ctx.pc = d.pc + d.instLen;
@@ -654,7 +780,7 @@ O3Cpu::deliverTrap(DynInst &d)
     ++statInsts;
     ++commitsThisCycle;
     svb_assert(!rob.empty() && &rob.front() == &d, "trap not at ROB head");
-    rob.pop_front();
+    rob.popFront();
 
     // Apply the (possibly switched) context back onto the committed
     // register state.
@@ -681,9 +807,9 @@ O3Cpu::deliverTrap(DynInst &d)
 // --------------------------------------------------------------------------
 
 void
-O3Cpu::squashAfter(uint64_t seq)
+O3Cpu::squashAfter(uint64_t pos)
 {
-    while (!rob.empty() && rob.back().seq > seq) {
+    while (!rob.empty() && rob.back().pos > pos) {
         DynInst &d = rob.back();
         ++statSquashedUops;
         if (d.archDst >= 0) {
@@ -691,21 +817,44 @@ O3Cpu::squashAfter(uint64_t seq)
             freeList.push_back(d.pdst);
         }
         if (d.uop.isLoad()) {
-            svb_assert(!loadQueue.empty() && loadQueue.back() == &d,
+            svb_assert(!loadQueue.empty() && loadQueue.back() == d.pos,
                        "LQ squash mismatch");
-            loadQueue.pop_back();
+            loadQueue.popBack();
         }
         if (d.uop.isStore()) {
-            svb_assert(!storeQueue.empty() && storeQueue.back() == &d,
+            svb_assert(!storeQueue.empty() && storeQueue.back() == d.pos,
                        "SQ squash mismatch");
-            storeQueue.pop_back();
+            storeQueue.popBack();
         }
-        rob.pop_back();
+        if (d.inIq) {
+            // Youngest first, so each waiter node still registered is
+            // the head of its register's list.
+            const unsigned slot = rob.slotOf(d.pos);
+            const int srcs[2] = {d.psrc1, d.psrc2};
+            for (unsigned k = 0; k < 2; ++k) {
+                if (!(d.waiting & (1u << k)))
+                    continue;
+                const int node = int(2 * slot + k);
+                svb_assert(waitHead[size_t(srcs[k])] == node,
+                           "waiter list out of order");
+                waitHead[size_t(srcs[k])] = waitNext[size_t(node)];
+            }
+            clearBit(readyBits, d.pos);
+            clearBit(parkedBits, d.pos);
+            --iqCount;
+        }
+        rob.popBack();
     }
-    // Filter the issue queue down to surviving entries.
-    iq.erase(std::remove_if(iq.begin(), iq.end(),
-                            [seq](DynInst *d) { return d->seq > seq; }),
-             iq.end());
+    sqUnready = std::min(sqUnready, storeQueue.end());
+    // Drop the squashed uops' pending wakeups.
+    const uint64_t end = rob.end();
+    const auto dead = std::remove_if(
+        wakeups.begin(), wakeups.end(),
+        [end](const Wakeup &w) { return w.pos >= end; });
+    if (dead != wakeups.end()) {
+        wakeups.erase(dead, wakeups.end());
+        std::make_heap(wakeups.begin(), wakeups.end(), std::greater<>());
+    }
     fetchQueue.clear();
 }
 

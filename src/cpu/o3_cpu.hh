@@ -4,9 +4,10 @@
  *
  * Pipeline: fetch (with branch prediction and timed I-cache/ITLB) ->
  * decode/rename (explicit register renaming onto a physical register
- * file with a free list) -> issue (issue queue, FU pool, LSQ with
- * store-to-load forwarding) -> commit (in-order, trains the branch
- * predictor, retires stores to memory, delivers traps).
+ * file with a free list) -> issue (event-driven issue queue woken by
+ * register writes, FU pool, LSQ with store-to-load forwarding) ->
+ * commit (in-order, trains the branch predictor, retires stores to
+ * memory, delivers traps). All windows are fixed-capacity rings.
  *
  * Configuration defaults mirror Table 4.1 of the paper: 192-entry
  * ROB, 32+32 LSQ, 256 physical integer registers.
@@ -15,7 +16,7 @@
 #ifndef SVB_CPU_O3_CPU_HH
 #define SVB_CPU_O3_CPU_HH
 
-#include <deque>
+#include <cstdint>
 #include <vector>
 
 #include "base_cpu.hh"
@@ -41,7 +42,6 @@ struct O3Params
     Cycles frontendDelay = 4;   ///< fetch-to-rename depth
     unsigned intAluUnits = 3;
     unsigned intMultUnits = 1;
-    unsigned intDivUnits = 1;
     unsigned memPorts = 2;
     Cycles intAluLat = 1;
     Cycles intMultLat = 3;
@@ -51,9 +51,58 @@ struct O3Params
 };
 
 /**
+ * A fixed-capacity FIFO window addressed by absolute position.
+ * Positions only grow (a squash rewinds the tail), and the slot
+ * storage is a power of two allocated once, so a position maps to
+ * its slot with a mask and nothing is allocated per entry.
+ */
+template <typename T>
+class Ring
+{
+  public:
+    /** Empty the ring. Storage holds at least @p capacity slots, and
+     *  at least 64 so that per-slot bitmaps are whole words; it is
+     *  only allocated the first time. */
+    void
+    reset(unsigned capacity)
+    {
+        size_t n = 64;
+        while (n < capacity)
+            n <<= 1;
+        if (slots.size() != n)
+            slots.assign(n, T{});
+        mask = n - 1;
+        head = tail = 0;
+    }
+
+    uint64_t begin() const { return head; }
+    uint64_t end() const { return tail; }
+    unsigned size() const { return unsigned(tail - head); }
+    bool empty() const { return head == tail; }
+    unsigned storage() const { return unsigned(slots.size()); }
+    unsigned slotOf(uint64_t pos) const { return unsigned(pos & mask); }
+    T &at(uint64_t pos) { return slots[pos & mask]; }
+    const T &at(uint64_t pos) const { return slots[pos & mask]; }
+    T &front() { return at(head); }
+    const T &front() const { return at(head); }
+    T &back() { return at(tail - 1); }
+    /** Append; the returned slot still holds its previous occupant. */
+    T &pushBack() { return at(tail++); }
+    void popFront() { ++head; }
+    void popBack() { --tail; }
+    void clear() { head = tail; }
+
+  private:
+    std::vector<T> slots;
+    uint64_t mask = 0;
+    uint64_t head = 0;
+    uint64_t tail = 0;
+};
+
+/**
  * The out-of-order core.
  */
-class O3Cpu : public BaseCpu
+class O3Cpu final : public BaseCpu
 {
   public:
     O3Cpu(const O3Params &params, int core_id, IsaId isa, PhysMemory &phys,
@@ -70,10 +119,11 @@ class O3Cpu : public BaseCpu
     BranchPredictor &branchPredictor() { return bp; }
 
   private:
-    /** One in-flight micro-op. */
+    /** One in-flight micro-op, living in its ROB slot. */
     struct DynInst
     {
-        uint64_t seq = 0;
+        /** ROB position: program order among in-flight uops. */
+        uint64_t pos = 0;
         MicroOp uop;
         const StaticInst *sinst = nullptr;
         Addr pc = 0;
@@ -90,6 +140,8 @@ class O3Cpu : public BaseCpu
         // Status.
         bool executed = false;
         bool inIq = false;
+        /** Bit k set: still on the waiter list of source k. */
+        uint8_t waiting = 0;
         Cycles completeAt = 0;
 
         // Memory.
@@ -114,6 +166,18 @@ class O3Cpu : public BaseCpu
         Cycles readyAt = 0;
     };
 
+    /** An IQ entry whose operands are ready from cycle @ref at on. */
+    struct Wakeup
+    {
+        Cycles at = 0;
+        uint64_t pos = 0; ///< ROB position
+
+        bool operator>(const Wakeup &o) const { return at > o.at; }
+    };
+
+    /** How an issue attempt ended. */
+    enum class Issue { Done, Retry, Park };
+
     // --- pipeline stages (called youngest-last each tick) ---------------
     void commitStage();
     void issueStage();
@@ -124,19 +188,32 @@ class O3Cpu : public BaseCpu
     void accountCycle();
 
     // --- helpers ---------------------------------------------------------
-    bool tryIssue(DynInst &d, unsigned &alu_used, unsigned &mult_used,
-                  unsigned &mem_used);
+    Issue tryIssue(DynInst &d, unsigned &alu_used, unsigned &mult_used,
+                   unsigned &mem_used);
     void executeUop(DynInst &d, Cycles lat);
-    bool issueLoad(DynInst &d);
-    void squashAfter(uint64_t seq);
+    Issue issueLoad(DynInst &d);
+    /** Squash every uop younger than ROB position @p pos. */
+    void squashAfter(uint64_t pos);
     void redirectFetch(Addr new_pc, Cycles delay);
     void deliverTrap(DynInst &d);
     uint64_t readPhys(int preg) const { return physRegs[size_t(preg)]; }
-    bool
-    srcReady(int preg) const
-    {
-        return preg < 0 || regReadyAt[size_t(preg)] <= cycle;
-    }
+
+    // --- event-driven issue (see DESIGN.md "O3 issue scheduling") --------
+    /** Put a renamed uop on the waiter lists of its unwritten sources,
+     *  or straight into the schedule when it has none. */
+    void enterIq(DynInst &d);
+    /** Schedule a uop whose sources are all written. */
+    void scheduleReady(const DynInst &d);
+    /** Write a physical register and wake everything waiting on it. */
+    void writeReg(int preg, uint64_t value, Cycles ready_at);
+    /** A store learnt its address: advance the oldest-unready-store
+     *  mark and release the parked loads it no longer blocks. */
+    void storeAddressKnown();
+    /** First ROB position >= @p pos whose bit is set in @p bits, or
+     *  the ROB end. */
+    uint64_t nextSet(const std::vector<uint64_t> &bits, uint64_t pos) const;
+    void setBit(std::vector<uint64_t> &bits, uint64_t pos);
+    void clearBit(std::vector<uint64_t> &bits, uint64_t pos);
 
     O3Params p;
     BranchPredictor bp;
@@ -148,12 +225,23 @@ class O3Cpu : public BaseCpu
     std::vector<uint64_t> physRegs;
     std::vector<Cycles> regReadyAt;
 
-    // Windows.
-    std::deque<DynInst> rob;
-    std::vector<DynInst *> iq;
-    std::deque<DynInst *> loadQueue;
-    std::deque<DynInst *> storeQueue;
-    std::deque<FetchEntry> fetchQueue;
+    // Windows: fixed-capacity rings; the LQ and SQ hold ROB positions.
+    Ring<DynInst> rob;
+    Ring<uint64_t> loadQueue;
+    Ring<uint64_t> storeQueue;
+    Ring<FetchEntry> fetchQueue;
+    unsigned iqCount = 0;
+
+    // Issue scheduling. Waiter lists are intrusive, youngest first:
+    // node 2*slot+k is source k of the uop in ROB slot `slot`.
+    std::vector<int> waitHead;   ///< per physical register, -1 = none
+    std::vector<int> waitNext;   ///< per node: next older waiter
+    std::vector<Wakeup> wakeups; ///< min-heap on Wakeup::at
+    std::vector<uint64_t> readyBits;  ///< per ROB slot: may issue now
+    std::vector<uint64_t> parkedBits; ///< per ROB slot: load parked
+    /** SQ position of the oldest store without an address (SQ end if
+     *  none): a load younger than it must wait. */
+    uint64_t sqUnready = 0;
 
     // Fetch state.
     Addr fetchPc = 0;
@@ -162,7 +250,6 @@ class O3Cpu : public BaseCpu
     Addr lastFetchLine = ~Addr(0);
 
     Cycles cycle = 0;
-    uint64_t nextSeq = 1;
     Cycles divBusyUntil = 0;
     Cycles commitStallUntil = 0;
 

@@ -14,10 +14,15 @@
  * just at the end. A checkpoint taken mid-run must likewise restore
  * and resume through the fast tier byte-identically to the
  * uninterrupted machine.
+ *
+ * Architectural agreement does not catch a timing drift, so O3 timing
+ * is pinned too: the whole stats tree after random programs run on
+ * O3 must hash to recorded digests.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -244,6 +249,34 @@ expectSameContext(const HwContext &a, const HwContext &b,
     EXPECT_EQ(a.halted, b.halted) << label;
 }
 
+/** Run @p prog to halt on the O3 core and return the stats tree. */
+std::map<std::string, double>
+o3Snapshot(const gen::Program &prog, IsaId isa, Addr result)
+{
+    LiveRun r = startRun(prog, isa, true, result);
+    r.sys->switchCpu(0, CpuModel::O3);
+    const uint64_t ran = r.sys->run(80'000'000);
+    EXPECT_LT(ran, 80'000'000u) << "program hung";
+    EXPECT_TRUE(r.sys->cpu(0).halted());
+    return r.sys->stats().snapshotAll();
+}
+
+/** FNV-1a over one "name=value" line per stat (values printed exactly). */
+uint64_t
+snapshotDigest(const std::map<std::string, double> &snap)
+{
+    uint64_t h = 1469598103934665603ull;
+    char buf[64];
+    for (const auto &[key, value] : snap) {
+        std::snprintf(buf, sizeof(buf), "=%.17g\n", value);
+        for (const unsigned char c : key + buf) {
+            h ^= c;
+            h *= 1099511628211ull;
+        }
+    }
+    return h;
+}
+
 /** Compare two stats snapshots key by key, naming every divergence. */
 void
 expectSameSnapshots(const std::map<std::string, double> &a,
@@ -332,6 +365,41 @@ TEST_P(DifferentialTest, AtomicAndO3AgreeOnBothIsas)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,
                          ::testing::Range(uint64_t(1), uint64_t(25)));
+
+// O3 timing, pinned end to end: random programs run to halt on the
+// detailed core on both ISAs, and the whole guest-visible stats tree
+// (cycles, stall partition, caches, TLBs, predictor, kernel) must hash
+// to the recorded digest. The seeds squash wrong-path work and forward
+// stores to loads, so the issue queue, LSQ and recovery all count.
+TEST(O3TimingTest, StatsTreeDigestsArePinned)
+{
+    struct Pin
+    {
+        uint64_t seed;
+        IsaId isa;
+        uint64_t digest;
+    };
+    const Pin pins[] = {
+        {1, IsaId::Riscv, 3330511224438849401ull},
+        {1, IsaId::Cx86, 11113261621705102815ull},
+        {2, IsaId::Riscv, 12250328085917319838ull},
+        {2, IsaId::Cx86, 15634802697101829075ull},
+        {4, IsaId::Riscv, 15715858555118438000ull},
+        {4, IsaId::Cx86, 6140916075711365851ull},
+        {6, IsaId::Riscv, 14783699737384812835ull},
+        {6, IsaId::Cx86, 10079599590448269623ull},
+    };
+    for (const Pin &pin : pins) {
+        Addr result = 0;
+        const gen::Program prog = randomProgram(pin.seed, result);
+        const auto snap = o3Snapshot(prog, pin.isa, result);
+        const std::string label = "seed " + std::to_string(pin.seed) +
+                                  " " + isaInfo(pin.isa).name;
+        EXPECT_GT(snap.at("system.cpu0.o3.squashedUops"), 0.0) << label;
+        EXPECT_GT(snap.at("system.cpu0.o3.forwardedLoads"), 0.0) << label;
+        EXPECT_EQ(snapshotDigest(snap), pin.digest) << label;
+    }
+}
 
 class FastSlowLockstepTest : public ::testing::TestWithParam<uint64_t>
 {

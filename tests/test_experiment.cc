@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/experiment.hh"
 #include "workloads/workloads.hh"
 
@@ -35,7 +37,74 @@ specFor(const std::string &name)
     return {};
 }
 
+/**
+ * Exact O3 request statistics, pinned so that any timing drift in the
+ * detailed CPU fails here instead of only in the perf benchmark's
+ * digests. The stall array is in cpu/stall_cause.hh order.
+ */
+struct PinnedStats
+{
+    uint64_t cycles, insts, uops;
+    uint64_t l1iMisses, l1dMisses, l2Misses;
+    uint64_t itlbMisses, dtlbMisses;
+    uint64_t branches, branchMispredicts;
+    uint64_t stalls[numStallCauses];
+};
+
+void
+expectPinned(const RequestStats &got, const PinnedStats &want,
+             const char *what)
+{
+    EXPECT_EQ(got.cycles, want.cycles) << what;
+    EXPECT_EQ(got.insts, want.insts) << what;
+    EXPECT_EQ(got.uops, want.uops) << what;
+    EXPECT_EQ(got.l1iMisses, want.l1iMisses) << what;
+    EXPECT_EQ(got.l1dMisses, want.l1dMisses) << what;
+    EXPECT_EQ(got.l2Misses, want.l2Misses) << what;
+    EXPECT_EQ(got.itlbMisses, want.itlbMisses) << what;
+    EXPECT_EQ(got.dtlbMisses, want.dtlbMisses) << what;
+    EXPECT_EQ(got.branches, want.branches) << what;
+    EXPECT_EQ(got.branchMispredicts, want.branchMispredicts) << what;
+    for (unsigned c = 0; c < numStallCauses; ++c) {
+        EXPECT_EQ(got.stalls[c], want.stalls[c])
+            << what << " stall." << stallCauseName(c);
+    }
+    if (::testing::Test::HasFailure()) {
+        // Print the observed values as a ready-to-paste initializer.
+        std::string row = "{" + std::to_string(got.cycles) + ", " +
+                          std::to_string(got.insts) + ", " +
+                          std::to_string(got.uops) + ", " +
+                          std::to_string(got.l1iMisses) + ", " +
+                          std::to_string(got.l1dMisses) + ", " +
+                          std::to_string(got.l2Misses) + ", " +
+                          std::to_string(got.itlbMisses) + ", " +
+                          std::to_string(got.dtlbMisses) + ", " +
+                          std::to_string(got.branches) + ", " +
+                          std::to_string(got.branchMispredicts) + ", {";
+        for (unsigned c = 0; c < numStallCauses; ++c)
+            row += (c ? ", " : "") + std::to_string(got.stalls[c]);
+        ADD_FAILURE() << what << " observed: " << row << "}}";
+    }
+}
+
 } // namespace
+
+// fibonacci-go cold and warm requests on the paper configuration:
+// cycles, insts, uops, L1I/L1D/L2 misses, ITLB/DTLB misses, branches,
+// mispredicts, then the ten stall causes.
+const PinnedStats kRiscvCold = {
+    1511103, 270695, 270695, 10181, 9319, 19493, 177, 157, 31730, 862,
+    {104420, 1658, 799835, 38011, 55104, 170014, 126686, 0, 172006, 43369}};
+const PinnedStats kRiscvWarm = {
+    742501, 158039, 158039, 7633, 3138, 8630, 132, 54, 11134, 226,
+    {61902, 220, 473573, 27506, 8386, 42410, 1, 0, 96242, 32261}};
+const PinnedStats kCx86Cold = {
+    3160763, 410200, 419482, 15542, 24627, 40158, 267, 441, 76026, 621,
+    {290109, 1424, 1110451, 57243, 378549, 661459, 27223, 0, 517108,
+     117197}};
+const PinnedStats kCx86Warm = {
+    1636500, 208773, 216122, 12269, 8167, 20431, 217, 172, 24702, 492,
+    {167815, 239, 832187, 45239, 49, 156367, 0, 0, 342017, 92587}};
 
 TEST(Experiment, FibonacciGoRiscvColdWarm)
 {
@@ -50,6 +119,8 @@ TEST(Experiment, FibonacciGoRiscvColdWarm)
     // Cold runs the lazy init and misses everywhere: strictly slower.
     EXPECT_GT(res.cold.cycles, res.warm.cycles);
     EXPECT_GT(res.cold.l1iMisses, res.warm.l1iMisses);
+    expectPinned(res.cold, kRiscvCold, "riscv cold");
+    expectPinned(res.warm, kRiscvWarm, "riscv warm");
 }
 
 TEST(Experiment, FibonacciGoCx86ColdWarm)
@@ -60,6 +131,8 @@ TEST(Experiment, FibonacciGoCx86ColdWarm)
         runner.runFunction(spec, workloads::workloadImpl(spec.workload));
     ASSERT_TRUE(res.ok);
     EXPECT_GT(res.cold.cycles, res.warm.cycles);
+    expectPinned(res.cold, kCx86Cold, "cx86 cold");
+    expectPinned(res.warm, kCx86Warm, "cx86 warm");
 }
 
 TEST(Experiment, PythonInterpreterRuns)
