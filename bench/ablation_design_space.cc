@@ -28,12 +28,12 @@ pick(const std::string &name)
     return {};
 }
 
-/** One ablation point: the section it belongs to plus its job. */
+/** One ablation point: the section it belongs to plus its run. */
 struct Point
 {
     std::string section; ///< figure header this point prints under
     std::string label;
-    SweepJob job;
+    RunSpec run;
 };
 
 void
@@ -52,11 +52,11 @@ int
 main()
 {
     const FunctionSpec spec = pick("fibonacci-go");
-    const WorkloadImpl &impl = workloads::workloadImpl(spec.workload);
     std::vector<Point> points;
     auto add = [&](const char *section, std::string label,
                    ClusterConfig cfg) {
-        points.push_back({section, std::move(label), {cfg, spec, &impl}});
+        points.push_back(
+            {section, std::move(label), benchutil::detailedRun(cfg, spec)});
     };
 
     for (IsaId isa : {IsaId::Riscv, IsaId::Cx86}) {
@@ -119,11 +119,12 @@ main()
         }
     }
 
-    std::vector<SweepJob> jobs;
-    jobs.reserve(points.size());
+    std::vector<RunSpec> runs;
+    runs.reserve(points.size());
     for (const Point &point : points)
-        jobs.push_back(point.job);
-    const std::vector<FunctionResult> results = parallelRun(jobs);
+        runs.push_back(point.run);
+    const std::vector<FunctionResult> results =
+        benchutil::resultsOf<FunctionResult>(parallelRun(runs));
 
     const std::map<std::string, std::string> captions = {
         {"Ablation A", "L2 capacity sweep (fibonacci-go)"},

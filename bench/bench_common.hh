@@ -34,16 +34,52 @@ chapter4Config(IsaId isa, bool with_stores,
     return cfg;
 }
 
-/** Build the parallel-scheduler job list for one configuration. */
-inline std::vector<SweepJob>
-sweepJobs(const ClusterConfig &cfg, const std::vector<FunctionSpec> &specs)
+/** Unwrap the results of a one-mode sweep into @p Result values. */
+template <class Result>
+std::vector<Result>
+resultsOf(const std::vector<RunResult> &results)
 {
-    std::vector<SweepJob> jobs;
-    jobs.reserve(specs.size());
-    for (const FunctionSpec &spec : specs)
-        jobs.push_back({cfg, spec,
-                        &workloads::workloadImpl(spec.workload)});
-    return jobs;
+    std::vector<Result> out;
+    out.reserve(results.size());
+    for (const RunResult &r : results)
+        out.push_back(std::get<Result>(r));
+    return out;
+}
+
+/** The detailed (Figure 4.1) experiment of @p spec on @p cfg. */
+inline RunSpec
+detailedRun(const ClusterConfig &cfg, const FunctionSpec &spec)
+{
+    return {.mode = RunMode::Detailed,
+            .spec = spec,
+            .impl = &workloads::workloadImpl(spec.workload),
+            .platform = cfg};
+}
+
+/**
+ * Run (or fetch) the same function set on several configurations as
+ * ONE parallel batch, so the scheduler overlaps simulations across
+ * configurations too (e.g. both ISAs of Figs 4.15-4.18 at once).
+ * @return one result vector per configuration, in @p cfgs order.
+ */
+inline std::vector<std::vector<FunctionResult>>
+sweepConfigs(ResultCache &cache, const std::vector<ClusterConfig> &cfgs,
+             const std::vector<FunctionSpec> &specs)
+{
+    std::vector<RunSpec> runs;
+    runs.reserve(cfgs.size() * specs.size());
+    for (const ClusterConfig &cfg : cfgs) {
+        for (const FunctionSpec &spec : specs)
+            runs.push_back(detailedRun(cfg, spec));
+    }
+    const std::vector<FunctionResult> flat =
+        resultsOf<FunctionResult>(parallelSweep(cache, runs));
+    std::vector<std::vector<FunctionResult>> out(cfgs.size());
+    for (size_t c = 0; c < cfgs.size(); ++c) {
+        out[c].assign(flat.begin() + c * specs.size(),
+                      flat.begin() + (c + 1) * specs.size());
+    }
+    return out;
 }
 
 /**
@@ -57,33 +93,8 @@ inline std::vector<FunctionResult>
 sweep(ResultCache &cache, IsaId isa,
       const std::vector<FunctionSpec> &specs, bool with_stores)
 {
-    const ClusterConfig cfg = chapter4Config(isa, with_stores);
-    return parallelSweep(cache, sweepJobs(cfg, specs));
-}
-
-/**
- * Run (or fetch) the same function set on several configurations as
- * ONE parallel batch, so the scheduler overlaps simulations across
- * configurations too (e.g. both ISAs of Figs 4.15-4.18 at once).
- * @return one result vector per configuration, in @p cfgs order.
- */
-inline std::vector<std::vector<FunctionResult>>
-sweepConfigs(ResultCache &cache, const std::vector<ClusterConfig> &cfgs,
-             const std::vector<FunctionSpec> &specs)
-{
-    std::vector<SweepJob> jobs;
-    jobs.reserve(cfgs.size() * specs.size());
-    for (const ClusterConfig &cfg : cfgs) {
-        for (const SweepJob &job : sweepJobs(cfg, specs))
-            jobs.push_back(job);
-    }
-    const std::vector<FunctionResult> flat = parallelSweep(cache, jobs);
-    std::vector<std::vector<FunctionResult>> out(cfgs.size());
-    for (size_t c = 0; c < cfgs.size(); ++c) {
-        out[c].assign(flat.begin() + c * specs.size(),
-                      flat.begin() + (c + 1) * specs.size());
-    }
-    return out;
+    return sweepConfigs(cache, {chapter4Config(isa, with_stores)}, specs)
+        .front();
 }
 
 /** The standalone+shop set in the paper's Fig 4.4/4.12/4.15 order. */

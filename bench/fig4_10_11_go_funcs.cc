@@ -16,14 +16,13 @@ main()
     ResultCache cache;
     // The Go set mixes store-free and store-backed functions, so each
     // job carries its own cluster configuration.
-    std::vector<SweepJob> jobs;
+    std::vector<RunSpec> runs;
     for (const FunctionSpec &spec : workloads::goFunctions()) {
-        jobs.push_back({benchutil::chapter4Config(IsaId::Riscv,
-                                                  spec.usesDb),
-                        spec, &workloads::workloadImpl(spec.workload)});
+        runs.push_back(benchutil::detailedRun(
+            benchutil::chapter4Config(IsaId::Riscv, spec.usesDb), spec));
     }
     const std::vector<FunctionResult> results =
-        parallelSweep(cache, jobs);
+        benchutil::resultsOf<FunctionResult>(parallelSweep(cache, runs));
 
     report::figureHeader("Figure 4.10",
                          "cycles, all Go functions, RISC-V (cold/warm)",

@@ -198,7 +198,7 @@ std::shared_ptr<const PageImage>
 CheckpointStore::imageFor(const std::string &fp, const Checkpoint &cp)
 {
     if (!PhysMemory::hasPageTable("mem.", cp))
-        return nullptr; // pre-page-table snapshot: full restore only
+        return nullptr; // no memory image: full restore only
     {
         std::lock_guard<std::mutex> lk(mtx);
         if (auto img = images[fp].lock())

@@ -160,7 +160,7 @@ struct RunSpec
     /** The cluster to run on; used by cache-level entry points that
      *  own runner construction (a runner's own config wins). */
     ClusterConfig platform;
-    RunOptions options;
+    RunOptions options = {};
 };
 
 /** The per-mode outcome, tagged by the RunSpec's mode. */
@@ -211,20 +211,20 @@ class ExperimentRunner
                              const WorkloadImpl &impl,
                              unsigned warm_request = 10);
 
+    ServerlessCluster &cluster() { return *clusterPtr; }
+
+  private:
     /**
-     * Calibrate @p spec for the load subsystem: prepare the instance
-     * (restoring the prepared-state checkpoint when the store has
-     * one — a cold start under load restores the post-boot snapshot
-     * rather than re-booting), then measure request 1 (the cold path)
-     * and requests 2..1+loadWarmSamples (the warm path) on the Atomic
-     * CPU at the configured clock.
+     * RunMode::LoadCal: calibrate @p spec for the load subsystem.
+     * Prepare the instance (restoring the prepared-state checkpoint
+     * when the store has one — a cold start under load restores the
+     * post-boot snapshot rather than re-booting), then measure request
+     * 1 (the cold path) and requests 2..1+loadWarmSamples (the warm
+     * path) on the Atomic CPU at the configured clock.
      */
     LoadCalibration runLoadCalibration(const FunctionSpec &spec,
                                        const WorkloadImpl &impl);
 
-    ServerlessCluster &cluster() { return *clusterPtr; }
-
-  private:
     /**
      * Prepare a deployment: restore the prepared-state checkpoint for
      * this (function, config) tuple when the CheckpointStore has one,

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <map>
+#include <numeric>
 #include <type_traits>
 
 #include "checkpoint_store.hh"
@@ -12,7 +13,7 @@ namespace svb
 
 // Results are merged across threads by copying into a pre-sized
 // vector slot per submission index.
-static_assert(std::is_copy_assignable_v<FunctionResult>,
+static_assert(std::is_copy_assignable_v<RunResult>,
               "parallel merge requires copyable results");
 
 // The shared-state audit for this scheduler rests on stat trees being
@@ -97,103 +98,102 @@ ThreadPool::workerLoop()
     }
 }
 
-std::vector<FunctionResult>
-parallelSweep(ResultCache &cache, const std::vector<SweepJob> &jobs,
-              unsigned jobs_override)
+void
+runGrouped(const std::vector<size_t> &indices,
+           const std::function<std::string(size_t)> &groupOf,
+           const std::function<void(size_t)> &compute,
+           unsigned jobs_override)
 {
-    std::vector<FunctionResult> results(jobs.size());
-
-    // Partition into cache hits (answered inline), primary misses
-    // (one per distinct cache key; these run on the pool) and
-    // duplicate misses (same key as an earlier job; resolved from the
-    // primary's result, exactly as a serial sweep would hit the row
-    // the primary just recorded).
-    std::map<std::string, size_t> primaryForKey;
-    std::vector<size_t> primaries;
-    std::vector<char> isHit(jobs.size(), 0);
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        if (cache.lookupDetailed(jobs[i].cfg, jobs[i].spec, results[i])) {
-            isHit[i] = 1;
+    if (indices.empty())
+        return;
+    std::vector<std::vector<size_t>> groups;
+    std::map<std::string, size_t> groupFor;
+    for (size_t i : indices) {
+        const std::string key = groupOf(i);
+        if (key.empty()) {
+            groups.push_back({i});
             continue;
         }
-        const std::string key = cache.detailedKey(jobs[i].cfg, jobs[i].spec);
-        if (primaryForKey.emplace(key, i).second)
-            primaries.push_back(i);
-    }
-
-    if (!primaries.empty()) {
-        // One task per prepared-state checkpoint key, not per job:
-        // jobs sharing a key run sequentially on one worker, so the
-        // tuple's expensive setup happens exactly once and groupmates
-        // restore from the snapshot it just published, instead of
-        // blocking in the store's claim/wait on other threads.
-        std::map<std::string, std::vector<size_t>> groups;
-        std::vector<const std::vector<size_t> *> groupOrder;
-        for (size_t idx : primaries) {
-            const std::string ck =
-                cache.checkpointKeyOf(jobs[idx].cfg, jobs[idx].spec);
-            auto [it, inserted] = groups.try_emplace(ck);
-            if (inserted)
-                groupOrder.push_back(&it->second);
-            it->second.push_back(idx);
-        }
-        ThreadPool pool(jobs_override);
-        for (const std::vector<size_t> *members : groupOrder) {
-            pool.submit([&cache, &jobs, &results, members] {
-                for (size_t idx : *members)
-                    results[idx] = cache.computeDetailed(
-                        jobs[idx].cfg, jobs[idx].spec, *jobs[idx].impl);
-            });
-        }
-        pool.wait();
-        // Single-writer CSV append, in submission order: the cache
-        // file is byte-identical to what a serial sweep writes.
-        for (size_t idx : primaries)
-            cache.recordDetailed(jobs[idx].cfg, jobs[idx].spec,
-                                 results[idx]);
-    }
-
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        if (isHit[i])
-            continue;
-        const std::string key = cache.detailedKey(jobs[i].cfg, jobs[i].spec);
-        const size_t primary = primaryForKey.at(key);
-        if (primary != i)
-            results[i] = results[primary];
-    }
-    return results;
-}
-
-std::vector<FunctionResult>
-parallelRun(const std::vector<SweepJob> &jobs, unsigned jobs_override)
-{
-    std::vector<FunctionResult> results(jobs.size());
-    // Ablation points usually differ only in backend parameters
-    // (latencies, O3 geometry, predictors), which the prepared-state
-    // fingerprint deliberately ignores — so whole ablation series
-    // share one checkpoint. Group by that key: the first job of a
-    // group prepares and publishes, its groupmates restore in-memory.
-    std::map<std::string, std::vector<size_t>> groups;
-    std::vector<const std::vector<size_t> *> groupOrder;
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        const std::string ck =
-            CheckpointStore::fingerprint(jobs[i].cfg, jobs[i].spec);
-        auto [it, inserted] = groups.try_emplace(ck);
-        if (inserted)
-            groupOrder.push_back(&it->second);
-        it->second.push_back(i);
+        auto [it, fresh] = groupFor.emplace(key, groups.size());
+        if (fresh)
+            groups.emplace_back();
+        groups[it->second].push_back(i);
     }
     ThreadPool pool(jobs_override);
-    for (const std::vector<size_t> *members : groupOrder) {
-        pool.submit([&jobs, &results, members] {
-            for (size_t i : *members) {
-                ExperimentRunner runner(jobs[i].cfg);
-                results[i] =
-                    runner.runFunction(jobs[i].spec, *jobs[i].impl);
-            }
+    for (const std::vector<size_t> &members : groups) {
+        pool.submit([&compute, &members] {
+            for (size_t i : members)
+                compute(i);
         });
     }
     pool.wait();
+}
+
+namespace
+{
+
+/**
+ * The runGrouped() key of an experiment: its checkpoint fingerprint.
+ * Ablation points usually differ only in backend parameters
+ * (latencies, O3 geometry, predictors), which the fingerprint
+ * deliberately ignores, so whole series share one checkpoint.
+ */
+std::string
+runGroup(const RunSpec &rs)
+{
+    return CheckpointStore::fingerprint(rs.platform, rs.spec);
+}
+
+/** memoisedSweep() rows of the experiments a RunSpec names. */
+struct RunRows
+{
+    ResultCache &cache;
+
+    std::string
+    key(const RunSpec &rs) const
+    {
+        return cache.rowKey(rs.platform, rs.spec, rs.mode);
+    }
+    std::string group(const RunSpec &rs) const { return runGroup(rs); }
+    RunResult compute(const RunSpec &rs) const { return cache.measure(rs); }
+    ResultCache::Row
+    pack(const RunResult &res) const
+    {
+        return packRunResult(res);
+    }
+    RunResult
+    unpack(const RunSpec &rs, const ResultCache::Row &row) const
+    {
+        return unpackRunResult(rs.mode, rs.spec.name, row);
+    }
+};
+
+} // namespace
+
+std::vector<RunResult>
+parallelSweep(ResultCache &cache, const std::vector<RunSpec> &specs,
+              unsigned jobs_override)
+{
+    for (const RunSpec &rs : specs) {
+        svb_assert(rs.mode != RunMode::Lukewarm,
+                   "lukewarm runs are not cacheable");
+        svb_assert(rs.impl != nullptr, "RunSpec without a workload impl");
+    }
+    return memoisedSweep(cache, specs, RunRows{cache}, jobs_override);
+}
+
+std::vector<RunResult>
+parallelRun(const std::vector<RunSpec> &specs, unsigned jobs_override)
+{
+    std::vector<RunResult> results(specs.size());
+    std::vector<size_t> all(specs.size());
+    std::iota(all.begin(), all.end(), size_t(0));
+    runGrouped(
+        all, [&](size_t i) { return runGroup(specs[i]); },
+        [&](size_t i) {
+            results[i] = ExperimentRunner(specs[i].platform).run(specs[i]);
+        },
+        jobs_override);
     return results;
 }
 

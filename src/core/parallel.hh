@@ -9,7 +9,9 @@
  * those simulations out across host cores with a fixed-size thread
  * pool and merges the results back in submission order, so figure
  * tables and the CSV result cache are byte-identical to a serial run
- * regardless of completion order.
+ * regardless of completion order. One memoised sweep serves every
+ * cached row: the experiments of parallelSweep() here, and the load
+ * calibrations and scenario rows of load/attempt_engine.hh.
  *
  * Worker count comes from the SVBENCH_JOBS environment variable
  * (default: hardware_concurrency). SVBENCH_JOBS=1 degrades to the
@@ -22,7 +24,9 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <map>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -80,61 +84,96 @@ class ThreadPool
     bool stopping = false;
 };
 
-/** One independent experiment: a cluster configuration, the function
- *  to run on it, and the function's workload implementation. */
-struct SweepJob
-{
-    ClusterConfig cfg;
-    FunctionSpec spec;
-    const WorkloadImpl *impl = nullptr;
-};
+/**
+ * Run @p compute(i) for every index of @p indices across the pool,
+ * one task per group: indices that share a non-empty @p groupOf(i)
+ * run in list order on one worker, every other index is a task of its
+ * own, and tasks are submitted in order of their first index. No pool
+ * is constructed when @p indices is empty.
+ *
+ * Experiments group by their prepared-state checkpoint fingerprint: a
+ * group's first job prepares the tuple and publishes the snapshot, its
+ * groupmates restore from it, instead of blocking in the store's
+ * claim/wait on other threads.
+ */
+void runGrouped(const std::vector<size_t> &indices,
+                const std::function<std::string(size_t)> &groupOf,
+                const std::function<void(size_t)> &compute,
+                unsigned jobs_override = 0);
 
 /**
- * Run every job through the ResultCache across the pool.
+ * The memoised sweep every cached row goes through. Each job's row is
+ * looked up first and a hit is answered inline. The misses are
+ * deduplicated by row key, the distinct ones computed across the pool
+ * (runGrouped()), recorded from the calling thread in submission
+ * order, and copied to the later jobs that share their key, just as a
+ * serial sweep hits the row its first job recorded. The backing CSV is
+ * therefore byte-identical to a serial sweep's at any worker count.
  *
- * Cache hits are answered inline. Misses are deduplicated by cache
- * key, computed concurrently on worker threads (each worker builds
- * its own ExperimentRunner / ServerlessCluster via the cache's
- * per-thread runner table), and then *recorded in submission order*
- * from the calling thread — the CSV backing file ends up
- * byte-identical to a serial sweep of the same job list.
+ * @p rows describes a Job and its Result:
+ *   std::string key(const Job &)               the row key
+ *   std::string group(const Job &)             runGrouped() key
+ *   Result compute(const Job &)                measure (on a worker)
+ *   ResultCache::Row pack(const Result &)      the row to record
+ *   Result unpack(const Job &, const ResultCache::Row &)
+ * @return one Result per job, in submission order
+ */
+template <class Job, class Rows>
+auto
+memoisedSweep(ResultCache &cache, const std::vector<Job> &jobs,
+              const Rows &rows, unsigned jobs_override = 0)
+    -> std::vector<decltype(rows.compute(jobs.front()))>
+{
+    std::vector<decltype(rows.compute(jobs.front()))> results(jobs.size());
+    std::vector<std::string> keys(jobs.size());
+    std::vector<size_t> source(jobs.size()); // whose result job i takes
+    std::map<std::string, size_t> firstMiss;
+    std::vector<size_t> misses;
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        keys[i] = rows.key(jobs[i]);
+        source[i] = i;
+        ResultCache::Row row;
+        if (cache.lookupRow(keys[i], row)) {
+            results[i] = rows.unpack(jobs[i], row);
+        } else if (auto [it, first] = firstMiss.emplace(keys[i], i);
+                   first) {
+            misses.push_back(i);
+        } else {
+            source[i] = it->second;
+        }
+    }
+    runGrouped(
+        misses, [&](size_t i) { return rows.group(jobs[i]); },
+        [&](size_t i) { results[i] = rows.compute(jobs[i]); },
+        jobs_override);
+    for (size_t i : misses)
+        cache.recordRow(keys[i], rows.pack(results[i]));
+    for (size_t i = 0; i < jobs.size(); ++i)
+        if (source[i] != i)
+            results[i] = results[source[i]];
+    return results;
+}
+
+/**
+ * Run (or fetch) every experiment of @p specs through @p cache: the
+ * memoised sweep over RunSpecs of any cacheable mode (Detailed, Emu,
+ * LoadCal), measured on the cache's per-thread runners.
  *
  * @param jobs_override worker count; 0 selects ThreadPool::defaultJobs()
- * @return one FunctionResult per job, in submission order
+ * @return one RunResult per spec, in submission order
  */
-std::vector<FunctionResult>
-parallelSweep(ResultCache &cache, const std::vector<SweepJob> &jobs,
+std::vector<RunResult>
+parallelSweep(ResultCache &cache, const std::vector<RunSpec> &specs,
               unsigned jobs_override = 0);
 
 /**
  * Cache-free variant for design-space ablations, whose configurations
- * differ in fields the cache key does not cover. Each job gets a
- * fresh ExperimentRunner on a worker thread; results are merged in
- * submission order.
+ * differ in fields the cache key does not cover. Each spec gets a
+ * fresh ExperimentRunner on a worker thread, submitted through
+ * runGrouped(); results are merged in submission order.
  */
-std::vector<FunctionResult>
-parallelRun(const std::vector<SweepJob> &jobs, unsigned jobs_override = 0);
-
-/**
- * The submission-order merge that parallelSweep applies to
- * experiments, generalised to any indexed computation: run
- * @p compute(i) for every i in [0, n) across the pool and return the
- * results in index order, regardless of completion order. The load
- * subsystem's scenario sweep is the main client. @p compute must be
- * safe to call concurrently from multiple workers; determinism of
- * each result is the callee's responsibility.
- */
-template <typename Result, typename Fn>
-std::vector<Result>
-parallelIndexed(size_t n, Fn &&compute, unsigned jobs_override = 0)
-{
-    std::vector<Result> results(n);
-    ThreadPool pool(jobs_override);
-    for (size_t i = 0; i < n; ++i)
-        pool.submit([&results, &compute, i] { results[i] = compute(i); });
-    pool.wait();
-    return results;
-}
+std::vector<RunResult>
+parallelRun(const std::vector<RunSpec> &specs, unsigned jobs_override = 0);
 
 } // namespace svb
 

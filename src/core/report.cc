@@ -96,26 +96,6 @@ stackedPercentFigure(const std::vector<SeriesSpec> &series,
 }
 
 void
-barFigure(const std::vector<std::string> &series, const std::string &unit,
-          const std::vector<Row> &rows)
-{
-    std::vector<SeriesSpec> specs;
-    for (const std::string &s : series)
-        specs.push_back({s, unit, 1.0});
-    barFigure(specs, rows);
-}
-
-void
-stackedPercentFigure(const std::vector<std::string> &series,
-                     const std::vector<Row> &rows)
-{
-    std::vector<SeriesSpec> specs;
-    for (const std::string &s : series)
-        specs.push_back({s, "", 1.0});
-    stackedPercentFigure(specs, rows);
-}
-
-void
 stallPanel(const std::vector<Row> &rows)
 {
     std::vector<SeriesSpec> series;

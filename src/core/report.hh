@@ -53,13 +53,6 @@ void barFigure(const std::vector<SeriesSpec> &series,
 void stackedPercentFigure(const std::vector<SeriesSpec> &series,
                           const std::vector<Row> &rows);
 
-// Legacy parallel-vector spellings; thin wrappers over the
-// SeriesSpec forms (every series shares @p unit, scale 1).
-void barFigure(const std::vector<std::string> &series,
-               const std::string &unit, const std::vector<Row> &rows);
-void stackedPercentFigure(const std::vector<std::string> &series,
-                          const std::vector<Row> &rows);
-
 /**
  * Print the O3 stall-cause breakdown panel: one row per measured
  * request, one column per cause from the stall taxonomy

@@ -1,13 +1,13 @@
 #include "result_cache.hh"
 
-#include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
-#include "checkpoint_store.hh"
 #include "db/store_gen.hh"
 #include "sim/logging.hh"
 
@@ -161,18 +161,12 @@ RowSchema::complete(const std::map<std::string, uint64_t> &row) const
 namespace
 {
 
-/** Current schema version of @p mode (0 when unknown). */
-uint64_t
-modeSchemaVersion(const std::string &mode)
-{
-    const RowSchema *schema = RowSchema::find(mode);
-    return schema != nullptr ? schema->version : 0;
-}
+using Row = ResultCache::Row;
 
-std::map<std::string, uint64_t>
+Row
 packStats(const RequestStats &rs, const std::string &prefix)
 {
-    std::map<std::string, uint64_t> fields = {
+    Row fields = {
         {prefix + "cycles", rs.cycles},
         {prefix + "insts", rs.insts},
         {prefix + "uops", rs.uops},
@@ -190,8 +184,7 @@ packStats(const RequestStats &rs, const std::string &prefix)
 }
 
 RequestStats
-unpackStats(const std::map<std::string, uint64_t> &fields,
-            const std::string &prefix)
+unpackStats(const Row &fields, const std::string &prefix)
 {
     auto get = [&](const std::string &name) {
         auto it = fields.find(prefix + name);
@@ -214,32 +207,29 @@ unpackStats(const std::map<std::string, uint64_t> &fields,
     return rs;
 }
 
-std::map<std::string, uint64_t>
+Row
 packResult(const FunctionResult &res)
 {
-    std::map<std::string, uint64_t> fields = packStats(res.cold, "cold.");
+    Row fields = packStats(res.cold, "cold.");
     for (const auto &[k, v] : packStats(res.warm, "warm."))
         fields[k] = v;
     fields["ok"] = res.ok ? 1 : 0;
-    fields["v"] = modeSchemaVersion("o3");
     return fields;
 }
 
-std::map<std::string, uint64_t>
+Row
 packLoadCal(const LoadCalibration &cal)
 {
-    std::map<std::string, uint64_t> fields;
+    Row fields;
     fields["coldNs"] = cal.coldNs;
     for (unsigned k = 0; k < loadWarmSamples; ++k)
         fields["warm" + std::to_string(k) + "Ns"] = cal.warmNs[k];
     fields["ok"] = cal.ok ? 1 : 0;
-    fields["v"] = modeSchemaVersion("ldcal");
     return fields;
 }
 
 LoadCalibration
-unpackLoadCal(const std::string &name,
-              const std::map<std::string, uint64_t> &fields)
+unpackLoadCal(const std::string &name, const Row &fields)
 {
     LoadCalibration cal;
     cal.name = name;
@@ -251,8 +241,7 @@ unpackLoadCal(const std::string &name,
 }
 
 FunctionResult
-unpackResult(const std::string &name,
-             const std::map<std::string, uint64_t> &fields)
+unpackResult(const std::string &name, const Row &fields)
 {
     FunctionResult res;
     res.name = name;
@@ -262,18 +251,16 @@ unpackResult(const std::string &name,
     return res;
 }
 
-std::map<std::string, uint64_t>
+Row
 packEmu(const EmuResult &res)
 {
     return {{"coldNs", res.coldNs},
             {"warmNs", res.warmNs},
-            {"ok", res.ok ? 1u : 0u},
-            {"v", modeSchemaVersion("emu")}};
+            {"ok", res.ok ? 1u : 0u}};
 }
 
 EmuResult
-unpackEmu(const std::string &name,
-          const std::map<std::string, uint64_t> &fields)
+unpackEmu(const std::string &name, const Row &fields)
 {
     EmuResult res;
     res.name = name;
@@ -283,8 +270,9 @@ unpackEmu(const std::string &name,
     return res;
 }
 
-/** Serialise whichever result the variant holds under its schema. */
-std::map<std::string, uint64_t>
+} // namespace
+
+Row
 packRunResult(const RunResult &res)
 {
     if (const auto *fr = std::get_if<FunctionResult>(&res))
@@ -297,8 +285,7 @@ packRunResult(const RunResult &res)
 }
 
 RunResult
-unpackRunResult(RunMode mode, const std::string &name,
-                const std::map<std::string, uint64_t> &fields)
+unpackRunResult(RunMode mode, const std::string &name, const Row &fields)
 {
     switch (mode) {
       case RunMode::Detailed:
@@ -313,15 +300,20 @@ unpackRunResult(RunMode mode, const std::string &name,
     svb_fatal("unpackRunResult: lukewarm rows do not exist");
 }
 
-bool
-allDigits(const std::string &s)
+namespace
 {
-    if (s.empty())
-        return false;
-    for (char c : s)
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            return false;
-    return true;
+
+/**
+ * Parse a whole field value: @return false when @p s is empty, holds
+ * anything but decimal digits, or exceeds 2^64 - 1 (strtoull would
+ * clamp such a value to UINT64_MAX and serve it).
+ */
+bool
+parseValue(std::string_view s, uint64_t &out)
+{
+    const char *end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, out);
+    return ec == std::errc() && ptr == end;
 }
 
 /** Validation outcome of a loaded CSV row. */
@@ -338,8 +330,7 @@ enum class RowCheck { Ok, Malformed, UnknownMode, VersionMismatch };
  * newer tool generation from being misparsed field-by-field.
  */
 RowCheck
-rowComplete(const std::string &key,
-            const std::map<std::string, uint64_t> &row)
+rowComplete(const std::string &key, const Row &row)
 {
     const RowSchema *schema = RowSchema::find(modeOfKey(key));
     if (schema == nullptr)
@@ -349,11 +340,6 @@ rowComplete(const std::string &key,
         return RowCheck::VersionMismatch;
     return schema->complete(row) ? RowCheck::Ok : RowCheck::Malformed;
 }
-
-} // namespace
-
-namespace
-{
 
 /**
  * Default backing path: SVBENCH_RESULTS when set, otherwise
@@ -397,6 +383,14 @@ ResultCache::load()
     size_t skipped = 0;
     while (std::getline(is, line)) {
         ++lineno;
+        if (is.eof()) {
+            // No newline: an append cut short, whose last value may
+            // have lost digits. The next append starts a fresh line.
+            warn(path, ":", lineno, ": skipping unterminated final line");
+            tornTail = true;
+            ++skipped;
+            continue;
+        }
         // Format: key|field=value|field=value|...
         std::istringstream ls(line);
         std::string key;
@@ -404,18 +398,18 @@ ResultCache::load()
             ++skipped;
             continue;
         }
-        std::map<std::string, uint64_t> row;
+        Row row;
         bool malformed = false;
         std::string kv;
         while (std::getline(ls, kv, '|')) {
             const size_t eq = kv.find('=');
+            uint64_t value = 0;
             if (eq == std::string::npos || eq == 0 ||
-                !allDigits(kv.substr(eq + 1))) {
+                !parseValue(std::string_view(kv).substr(eq + 1), value)) {
                 malformed = true;
                 break;
             }
-            row[kv.substr(0, eq)] =
-                std::strtoull(kv.c_str() + eq + 1, nullptr, 10);
+            row[kv.substr(0, eq)] = value;
         }
         const RowCheck check =
             malformed ? RowCheck::Malformed : rowComplete(key, row);
@@ -443,15 +437,22 @@ ResultCache::load()
 }
 
 void
-ResultCache::appendLocked(const std::string &key,
-                          const std::map<std::string, uint64_t> &fields)
+ResultCache::recordLocked(const std::string &key, const Row &fields)
 {
-    rows[key] = fields;
+    const RowSchema *schema = RowSchema::find(modeOfKey(key));
+    svb_assert(schema != nullptr, "row key '", key, "' has no known mode");
+    Row row = fields;
+    row["v"] = schema->version;
+    svb_assert(schema->complete(row), "row does not match its mode's schema");
     std::ofstream os(path, std::ios::app);
+    if (tornTail)
+        os << "\n";
+    tornTail = false;
     os << key;
-    for (const auto &[name, value] : fields)
+    for (const auto &[name, value] : row)
         os << "|" << name << "=" << value;
     os << "\n";
+    rows[key] = std::move(row);
 }
 
 std::string
@@ -463,20 +464,6 @@ ResultCache::keyOf(const ClusterConfig &cfg, const std::string &name,
        << (cfg.startDb ? 1 : 0) << (cfg.startMemcached ? 1 : 0) << ","
        << name << "," << mode;
     return os.str();
-}
-
-std::string
-ResultCache::detailedKey(const ClusterConfig &cfg,
-                         const FunctionSpec &spec) const
-{
-    return keyOf(cfg, spec.name, "o3");
-}
-
-std::string
-ResultCache::checkpointKeyOf(const ClusterConfig &cfg,
-                             const FunctionSpec &spec) const
-{
-    return CheckpointStore::fingerprint(cfg, spec);
 }
 
 ExperimentRunner &
@@ -508,39 +495,6 @@ ResultCache::runnerFor(const ClusterConfig &cfg)
     return *slot;
 }
 
-bool
-ResultCache::lookupDetailed(const ClusterConfig &cfg,
-                            const FunctionSpec &spec, FunctionResult &out)
-{
-    const std::string key = detailedKey(cfg, spec);
-    std::lock_guard<std::mutex> lk(mtx);
-    auto it = rows.find(key);
-    if (it == rows.end() || !it->second.count("ok"))
-        return false;
-    out = unpackResult(spec.name, it->second);
-    return true;
-}
-
-FunctionResult
-ResultCache::computeDetailed(const ClusterConfig &cfg,
-                             const FunctionSpec &spec,
-                             const WorkloadImpl &impl)
-{
-    inform("measuring ", spec.name, " on ", isaName(cfg.system.isa),
-           " (detailed O3, cold+warm)...");
-    return runnerFor(cfg).runFunction(spec, impl);
-}
-
-void
-ResultCache::recordDetailed(const ClusterConfig &cfg,
-                            const FunctionSpec &spec,
-                            const FunctionResult &res)
-{
-    const std::string key = detailedKey(cfg, spec);
-    std::lock_guard<std::mutex> lk(mtx);
-    appendLocked(key, packResult(res));
-}
-
 std::string
 ResultCache::rowKey(const ClusterConfig &cfg, const FunctionSpec &spec,
                     RunMode mode) const
@@ -549,30 +503,9 @@ ResultCache::rowKey(const ClusterConfig &cfg, const FunctionSpec &spec,
 }
 
 RunResult
-ResultCache::run(const RunSpec &rs)
+ResultCache::measure(const RunSpec &rs)
 {
     svb_assert(rs.impl != nullptr, "RunSpec without a workload impl");
-    // Lukewarm results are keyed by an interferer the row key cannot
-    // carry; they always execute.
-    if (rs.mode == RunMode::Lukewarm)
-        return runnerFor(rs.platform).run(rs);
-
-    const std::string key = rowKey(rs.platform, rs.spec, rs.mode);
-    {
-        std::unique_lock<std::mutex> lk(mtx);
-        for (;;) {
-            auto it = rows.find(key);
-            if (it != rows.end() && it->second.count("ok"))
-                return unpackRunResult(rs.mode, rs.spec.name, it->second);
-            if (!pending.count(key))
-                break;
-            // Another thread is simulating this key; wait for its row
-            // rather than duplicating the run.
-            pendingCv.wait(lk);
-        }
-        pending.insert(key);
-    }
-
     switch (rs.mode) {
       case RunMode::Detailed:
         inform("measuring ", rs.spec.name, " on ",
@@ -591,11 +524,38 @@ ResultCache::run(const RunSpec &rs)
       case RunMode::Lukewarm:
         break;
     }
-    const RunResult res = runnerFor(rs.platform).run(rs);
+    return runnerFor(rs.platform).run(rs);
+}
 
+RunResult
+ResultCache::run(const RunSpec &rs)
+{
+    // Lukewarm results are keyed by an interferer the row key cannot
+    // carry; they always execute.
+    if (rs.mode == RunMode::Lukewarm)
+        return measure(rs);
+
+    svb_assert(rs.impl != nullptr, "RunSpec without a workload impl");
+    const std::string key = rowKey(rs.platform, rs.spec, rs.mode);
+    {
+        std::unique_lock<std::mutex> lk(mtx);
+        for (;;) {
+            auto it = rows.find(key);
+            if (it != rows.end())
+                return unpackRunResult(rs.mode, rs.spec.name, it->second);
+            if (!pending.count(key))
+                break;
+            // Another thread is simulating this key; wait for its row
+            // rather than duplicating the run.
+            pendingCv.wait(lk);
+        }
+        pending.insert(key);
+    }
+
+    const RunResult res = measure(rs);
     {
         std::lock_guard<std::mutex> lk(mtx);
-        appendLocked(key, packRunResult(res));
+        recordLocked(key, packRunResult(res));
         pending.erase(key);
     }
     pendingCv.notify_all();
@@ -606,64 +566,18 @@ FunctionResult
 ResultCache::detailed(const ClusterConfig &cfg, const FunctionSpec &spec,
                       const WorkloadImpl &impl)
 {
-    RunSpec rs;
-    rs.mode = RunMode::Detailed;
-    rs.spec = spec;
-    rs.impl = &impl;
-    rs.platform = cfg;
-    return std::get<FunctionResult>(run(rs));
+    return std::get<FunctionResult>(run(
+        {.mode = RunMode::Detailed, .spec = spec, .impl = &impl,
+         .platform = cfg}));
 }
 
 EmuResult
 ResultCache::emulated(const ClusterConfig &cfg, const FunctionSpec &spec,
                       const WorkloadImpl &impl)
 {
-    RunSpec rs;
-    rs.mode = RunMode::Emu;
-    rs.spec = spec;
-    rs.impl = &impl;
-    rs.platform = cfg;
-    return std::get<EmuResult>(run(rs));
-}
-
-std::string
-ResultCache::loadCalKey(const ClusterConfig &cfg,
-                        const FunctionSpec &spec) const
-{
-    return keyOf(cfg, spec.name, "ldcal");
-}
-
-bool
-ResultCache::lookupLoadCal(const ClusterConfig &cfg,
-                           const FunctionSpec &spec, LoadCalibration &out)
-{
-    const std::string key = keyOf(cfg, spec.name, "ldcal");
-    std::lock_guard<std::mutex> lk(mtx);
-    auto it = rows.find(key);
-    if (it == rows.end() || !it->second.count("ok"))
-        return false;
-    out = unpackLoadCal(spec.name, it->second);
-    return true;
-}
-
-LoadCalibration
-ResultCache::computeLoadCal(const ClusterConfig &cfg,
-                            const FunctionSpec &spec,
-                            const WorkloadImpl &impl)
-{
-    inform("calibrating ", spec.name, " on ", isaName(cfg.system.isa),
-           " for load (cold + ", loadWarmSamples, " warm samples)...");
-    return runnerFor(cfg).runLoadCalibration(spec, impl);
-}
-
-void
-ResultCache::recordLoadCal(const ClusterConfig &cfg,
-                           const FunctionSpec &spec,
-                           const LoadCalibration &cal)
-{
-    const std::string key = keyOf(cfg, spec.name, "ldcal");
-    std::lock_guard<std::mutex> lk(mtx);
-    appendLocked(key, packLoadCal(cal));
+    return std::get<EmuResult>(run(
+        {.mode = RunMode::Emu, .spec = spec, .impl = &impl,
+         .platform = cfg}));
 }
 
 LoadCalibration
@@ -671,12 +585,9 @@ ResultCache::loadCalibration(const ClusterConfig &cfg,
                              const FunctionSpec &spec,
                              const WorkloadImpl &impl)
 {
-    RunSpec rs;
-    rs.mode = RunMode::LoadCal;
-    rs.spec = spec;
-    rs.impl = &impl;
-    rs.platform = cfg;
-    return std::get<LoadCalibration>(run(rs));
+    return std::get<LoadCalibration>(run(
+        {.mode = RunMode::LoadCal, .spec = spec, .impl = &impl,
+         .platform = cfg}));
 }
 
 std::string
@@ -690,35 +601,21 @@ ResultCache::scenarioKey(const ClusterConfig &cfg,
 }
 
 bool
-ResultCache::lookupRow(const std::string &key,
-                       std::map<std::string, uint64_t> &out)
+ResultCache::lookupRow(const std::string &key, Row &out)
 {
     std::lock_guard<std::mutex> lk(mtx);
     auto it = rows.find(key);
-    if (it == rows.end() || !it->second.count("ok"))
+    if (it == rows.end())
         return false;
     out = it->second;
     return true;
 }
 
 void
-ResultCache::recordRow(const std::string &key,
-                       const std::map<std::string, uint64_t> &fields)
-{
-    std::map<std::string, uint64_t> row = fields;
-    row["v"] = modeSchemaVersion(modeOfKey(key));
-    svb_assert(rowComplete(key, row) == RowCheck::Ok,
-               "row does not match its mode's schema");
-    std::lock_guard<std::mutex> lk(mtx);
-    appendLocked(key, row);
-}
-
-void
-ResultCache::clear()
+ResultCache::recordRow(const std::string &key, const Row &fields)
 {
     std::lock_guard<std::mutex> lk(mtx);
-    rows.clear();
-    std::remove(path.c_str());
+    recordLocked(key, fields);
 }
 
 } // namespace svb

@@ -18,7 +18,10 @@
  * for the "v" version stamp and for completeness validation. Loading
  * a row whose mode is unknown or whose version does not match warns
  * and skips it (the row is re-measured) instead of silently
- * misparsing fields written by a different tool generation.
+ * misparsing fields written by a different tool generation. So do
+ * rows with a missing or extra field, a value that is not a decimal
+ * below 2^64, and a final line without its newline (an append cut
+ * short).
  *
  * Thread-safety: every public member may be called concurrently. The
  * row map and CSV append are guarded by one mutex; a "pending" set
@@ -68,11 +71,14 @@ struct RowSchema
 };
 
 /**
- * Lazily-populated store of detailed and emulation results.
+ * Lazily-populated store of experiment and scenario rows.
  */
 class ResultCache
 {
   public:
+    /** One row: field name -> value. */
+    using Row = std::map<std::string, uint64_t>;
+
     /**
      * @param path CSV backing file (created on first write); empty
      *             selects SVBENCH_RESULTS, falling back to
@@ -82,29 +88,35 @@ class ResultCache
 
     /**
      * The unified cache-aware entry point: fetch the row for @p rs
-     * (keyed by rs.platform, rs.spec and the mode tag), or run it on
-     * this thread's runner and record the row. Lukewarm runs are not
-     * cached (their identity includes the interferer, which the key
-     * does not carry) and always execute. The legacy per-mode methods
-     * below are thin wrappers over this.
+     * (keyed by rs.platform, rs.spec and the mode tag), or measure()
+     * it and record the row. Lukewarm runs are not cached (their
+     * identity includes the interferer, which the key does not carry)
+     * and always execute. Sweeps go through parallelSweep()
+     * (core/parallel.hh), which records in submission order.
      */
     RunResult run(const RunSpec &rs);
+
+    /**
+     * Run @p rs on this thread's runner for rs.platform without
+     * consulting or recording a row: run() is lookup + measure() +
+     * record, and memoisedSweep() (core/parallel.hh) measures its
+     * misses on workers and records them itself.
+     */
+    RunResult measure(const RunSpec &rs);
 
     /** The CSV row key of (@p cfg, @p spec) under @p mode. */
     std::string rowKey(const ClusterConfig &cfg, const FunctionSpec &spec,
                        RunMode mode) const;
 
     /** @return true and fill @p out when @p key has a complete row. */
-    bool lookupRow(const std::string &key,
-                   std::map<std::string, uint64_t> &out);
+    bool lookupRow(const std::string &key, Row &out);
 
     /**
      * Store a row: stamps the mode's schema version into "v",
      * validates the field set against the RowSchema descriptor, then
      * appends to the CSV.
      */
-    void recordRow(const std::string &key,
-                   const std::map<std::string, uint64_t> &fields);
+    void recordRow(const std::string &key, const Row &fields);
 
     /**
      * Fetch (or run and record) the detailed cold/warm result for
@@ -118,65 +130,10 @@ class ResultCache
     EmuResult emulated(const ClusterConfig &cfg, const FunctionSpec &spec,
                        const WorkloadImpl &impl);
 
-    // --- split-phase API for the parallel scheduler ----------------------
-    // parallelSweep() computes misses concurrently but records them in
-    // submission order, keeping the CSV byte-identical to a serial
-    // sweep; hence lookup, compute and record are exposed separately.
-
-    /** @return true and fill @p out when the detailed row is cached. */
-    bool lookupDetailed(const ClusterConfig &cfg, const FunctionSpec &spec,
-                        FunctionResult &out);
-
-    /**
-     * Run the detailed experiment on this thread's runner for @p cfg
-     * WITHOUT recording the row (the caller will recordDetailed()).
-     */
-    FunctionResult computeDetailed(const ClusterConfig &cfg,
-                                   const FunctionSpec &spec,
-                                   const WorkloadImpl &impl);
-
-    /** Store @p res in the row map and append it to the CSV file. */
-    void recordDetailed(const ClusterConfig &cfg, const FunctionSpec &spec,
-                        const FunctionResult &res);
-
-    /** The row key of the detailed result for (@p cfg, @p spec). */
-    std::string detailedKey(const ClusterConfig &cfg,
-                            const FunctionSpec &spec) const;
-
-    /**
-     * The CheckpointStore fingerprint of (@p cfg, @p spec)'s prepared
-     * state. parallelSweep() groups jobs by this key so each prepared
-     * tuple is set up by exactly one worker and shared by the rest.
-     */
-    std::string checkpointKeyOf(const ClusterConfig &cfg,
-                                const FunctionSpec &spec) const;
-
-    // --- load-calibration rows (mode "ldcal") ----------------------------
-    // Same split-phase shape as the detailed API, used by
-    // load::loadSweep() to calibrate service times in submission
-    // order before the scenario simulations run.
-
     /** Fetch (or run and record) the load calibration; blocking. */
     LoadCalibration loadCalibration(const ClusterConfig &cfg,
                                     const FunctionSpec &spec,
                                     const WorkloadImpl &impl);
-
-    /** @return true and fill @p out when the calibration is cached. */
-    bool lookupLoadCal(const ClusterConfig &cfg, const FunctionSpec &spec,
-                       LoadCalibration &out);
-
-    /** Run the calibration on this thread's runner, no recording. */
-    LoadCalibration computeLoadCal(const ClusterConfig &cfg,
-                                   const FunctionSpec &spec,
-                                   const WorkloadImpl &impl);
-
-    /** Store @p cal in the row map and append it to the CSV file. */
-    void recordLoadCal(const ClusterConfig &cfg, const FunctionSpec &spec,
-                       const LoadCalibration &cal);
-
-    /** The row key of the load calibration for (@p cfg, @p spec). */
-    std::string loadCalKey(const ClusterConfig &cfg,
-                           const FunctionSpec &spec) const;
 
     /**
      * Key of a scenario summary row under @p mode: "load" and "wflow"
@@ -189,20 +146,18 @@ class ResultCache
                             const std::string &scenario,
                             const std::string &mode) const;
 
-    /** Forget everything (and remove the backing file). */
-    void clear();
-
   private:
     std::string keyOf(const ClusterConfig &cfg, const std::string &name,
                       const std::string &mode) const;
     ExperimentRunner &runnerFor(const ClusterConfig &cfg);
     void load();
-    /** Caller must hold @ref mtx. */
-    void appendLocked(const std::string &key,
-                      const std::map<std::string, uint64_t> &fields);
+    /** recordRow() for a caller that holds @ref mtx. */
+    void recordLocked(const std::string &key, const Row &fields);
 
     std::string path;
     bool fresh = false;
+    /** The file ends in a line without its newline (guarded by mtx). */
+    bool tornTail = false;
 
     /** Guards rows, pending, and the CSV append. */
     std::mutex mtx;
@@ -210,7 +165,7 @@ class ResultCache
     /** Keys whose simulation is in flight on some thread. */
     std::set<std::string> pending;
     /** key -> field -> value. */
-    std::map<std::string, std::map<std::string, uint64_t>> rows;
+    std::map<std::string, Row> rows;
 
     /** Guards runners (map mutation only; runner use is unsynchronised
      *  and safe because entries are keyed by constructing thread). */
@@ -218,6 +173,13 @@ class ResultCache
     /** One live runner per (cluster configuration, thread). */
     std::map<std::string, std::unique_ptr<ExperimentRunner>> runners;
 };
+
+/** The row a cacheable result is stored as (o3, emu or ldcal). */
+ResultCache::Row packRunResult(const RunResult &res);
+
+/** The @p mode result for function @p name that @p row holds. */
+RunResult unpackRunResult(RunMode mode, const std::string &name,
+                          const ResultCache::Row &row);
 
 } // namespace svb
 

@@ -11,20 +11,24 @@ Assembler::li(Reg rd, int64_t value)
         addi(rd, 0, int32_t(value));
         return;
     }
-    // Fits 32 bits signed: lui + addiw.
+    // Fits 32 bits signed: lui + addiw. The rounding add wraps near
+    // INT32_MAX (addiw wraps back), so it is done in unsigned
+    // arithmetic: lui takes the upper 20 bits, lo the signed rest.
     if (value >= INT32_MIN && value <= INT32_MAX) {
-        int32_t v = int32_t(value);
-        int32_t hi = (v + 0x800) >> 12;
-        int32_t lo = v - (hi << 12);
-        lui(rd, hi & 0xfffff);
+        const uint32_t v = uint32_t(value);
+        const uint32_t hi = (v + 0x800u) >> 12;
+        const int32_t lo = int32_t(v - (hi << 12));
+        lui(rd, int32_t(hi));
         if (lo != 0 || hi == 0)
             addiw(rd, rd, lo);
         return;
     }
     // General 64-bit constant: materialise the upper part recursively,
     // then shift in 12-bit chunks (standard GNU-as expansion shape).
-    int64_t lo12 = value << 52 >> 52;
-    int64_t hi = (value - lo12) >> 12;
+    // value - lo12 wraps at INT64_MAX, hence the unsigned subtraction.
+    const uint64_t u = uint64_t(value);
+    const int64_t lo12 = int64_t(u << 52) >> 52;
+    const int64_t hi = int64_t(u - uint64_t(lo12)) >> 12;
     li(rd, hi);
     slli(rd, rd, 12);
     if (lo12 != 0)

@@ -105,41 +105,19 @@ void
 calibrateAll(ResultCache &cache, const std::vector<CalibrationNeed> &needs,
              unsigned jobs_override)
 {
-    // Class-structured fleets contribute one cluster per class (the
-    // clusters are synthesised per scenario, so a job stores its config
-    // by value).
-    struct CalJob
-    {
-        ClusterConfig cfg;
-        const FunctionSpec *spec;
-        const WorkloadImpl *impl;
-    };
-    std::vector<CalJob> calJobs;
-    std::map<std::string, char> seenCal;
+    // Class-structured fleets contribute one cluster per class.
+    std::vector<RunSpec> specs;
     for (const auto &[scenario, fns] : needs) {
         for (const ClusterConfig &cluster :
              calibrationClusters(scenario->cluster, scenario->fleet)) {
-            for (const LoadMixEntry &entry : *fns) {
-                if (!seenCal.emplace(cache.loadCalKey(cluster, entry.spec), 1)
-                         .second)
-                    continue;
-                LoadCalibration cached;
-                if (!cache.lookupLoadCal(cluster, entry.spec, cached))
-                    calJobs.push_back({cluster, &entry.spec, entry.impl});
-            }
+            for (const LoadMixEntry &entry : *fns)
+                specs.push_back({.mode = RunMode::LoadCal,
+                                 .spec = entry.spec,
+                                 .impl = entry.impl,
+                                 .platform = cluster});
         }
     }
-    if (calJobs.empty())
-        return;
-    const auto cals = parallelIndexed<LoadCalibration>(
-        calJobs.size(),
-        [&](size_t i) {
-            return cache.computeLoadCal(calJobs[i].cfg, *calJobs[i].spec,
-                                        *calJobs[i].impl);
-        },
-        jobs_override);
-    for (size_t i = 0; i < calJobs.size(); ++i)
-        cache.recordLoadCal(calJobs[i].cfg, *calJobs[i].spec, cals[i]);
+    parallelSweep(cache, specs, jobs_override);
 }
 
 AttemptEngine::AttemptEngine(const ReplayScenario &scenario, size_t num_fns,

@@ -33,7 +33,6 @@
 #ifndef SVB_LOAD_ATTEMPT_ENGINE_HH
 #define SVB_LOAD_ATTEMPT_ENGINE_HH
 
-#include <map>
 #include <queue>
 #include <string>
 #include <utility>
@@ -53,7 +52,7 @@ using CalibrationMatrix = std::vector<std::vector<LoadCalibration>>;
 using SpanArgs = std::vector<std::pair<std::string, std::string>>;
 
 /** One result-cache row: field name -> value. */
-using Row = std::map<std::string, uint64_t>;
+using Row = ResultCache::Row;
 
 /**
  * Calibrate (through @p cache) every function of @p fns on every
@@ -77,9 +76,9 @@ using CalibrationNeed =
     std::pair<const ReplayScenario *, const std::vector<LoadMixEntry> *>;
 
 /**
- * Phase 1 of replaySweep(): calibrate every distinct (platform,
- * function) @p needs names — concurrently, but recorded in submission
- * order, so the ldcal rows match a serial sweep's at any worker count.
+ * Phase 1 of replaySweep(): calibrate every (platform, function)
+ * @p needs names, as one RunMode::LoadCal parallelSweep(), so the
+ * ldcal rows match a serial sweep's at any worker count.
  */
 void calibrateAll(ResultCache &cache,
                   const std::vector<CalibrationNeed> &needs,
@@ -87,11 +86,11 @@ void calibrateAll(ResultCache &cache,
 
 /**
  * The sweep behind loadSweep() and workflowSweep(): phase 1
- * calibrates, phase 2 simulates the scenarios across SVBENCH_JOBS
- * workers, answers cached rows inline and records fresh rows in
- * submission order, so the backing CSV is byte-identical to a serial
- * sweep. Scenarios sharing a row key simulate once. @p Rows names the
- * Scenario and Result types and supplies
+ * calibrates, phase 2 runs the scenarios through memoisedSweep()
+ * (core/parallel.hh), so cached rows are answered inline, scenarios
+ * sharing a row key simulate once and the backing CSV is
+ * byte-identical to a serial sweep. @p Rows names the Scenario and
+ * Result types and supplies
  *   static constexpr const char *mode;            the row tag
  *   static const std::vector<LoadMixEntry> &functions(const Scenario &);
  *   static Result run(ResultCache &, const Scenario &);
@@ -104,48 +103,35 @@ replaySweep(ResultCache &cache,
             const std::vector<typename Rows::Scenario> &scenarios,
             unsigned jobs_override)
 {
+    using Scenario = typename Rows::Scenario;
     using Result = typename Rows::Result;
     std::vector<CalibrationNeed> needs;
-    for (const auto &s : scenarios) {
+    for (const Scenario &s : scenarios) {
         validateScenarioName(s.name);
         needs.emplace_back(&s, &Rows::functions(s));
     }
     calibrateAll(cache, needs, jobs_override);
 
-    std::vector<Result> results(scenarios.size());
-    std::vector<std::string> keys(scenarios.size());
-    std::map<std::string, size_t> primaryForKey;
-    std::vector<size_t> primaries;
-    std::vector<char> isHit(scenarios.size(), 0);
-    for (size_t i = 0; i < scenarios.size(); ++i) {
-        keys[i] = cache.scenarioKey(scenarios[i].cluster, scenarios[i].name,
-                                    Rows::mode);
-        Row row;
-        if (cache.lookupRow(keys[i], row)) {
-            results[i] = Rows::unpack(scenarios[i].name, row);
-            isHit[i] = 1;
-        } else if (primaryForKey.emplace(keys[i], i).second) {
-            primaries.push_back(i);
+    struct ScenarioRows
+    {
+        ResultCache &cache;
+
+        std::string
+        key(const Scenario &s) const
+        {
+            return cache.scenarioKey(s.cluster, s.name, Rows::mode);
         }
-    }
-    if (!primaries.empty()) {
-        const auto fresh = parallelIndexed<Result>(
-            primaries.size(),
-            [&](size_t k) {
-                return Rows::run(cache, scenarios[primaries[k]]);
-            },
-            jobs_override);
-        for (size_t k = 0; k < primaries.size(); ++k) {
-            results[primaries[k]] = fresh[k];
-            cache.recordRow(keys[primaries[k]], Rows::pack(fresh[k]));
+        std::string group(const Scenario &) const { return {}; }
+        Result compute(const Scenario &s) const { return Rows::run(cache, s); }
+        Row pack(const Result &res) const { return Rows::pack(res); }
+        Result
+        unpack(const Scenario &s, const Row &row) const
+        {
+            return Rows::unpack(s.name, row);
         }
-    }
-    for (size_t i = 0; i < scenarios.size(); ++i) {
-        const size_t primary = isHit[i] ? i : primaryForKey.at(keys[i]);
-        if (primary != i)
-            results[i] = results[primary];
-    }
-    return results;
+    };
+    return memoisedSweep(cache, scenarios, ScenarioRows{cache},
+                         jobs_override);
 }
 
 /** Client-visible outcome of one attempt. */

@@ -55,9 +55,6 @@ Fleet::Fleet(const FleetConfig &config, const PoolConfig &node_pool,
     : cfg(config)
 {
     if (!cfg.spec.empty()) {
-        svb_assert(cfg.nodeSpeed.empty(),
-                   "FleetSpec and nodeSpeed are mutually exclusive "
-                   "(classes carry their own speed factor)");
         unsigned first = 0;
         for (const FleetGroup &g : cfg.spec.groups) {
             validateClass(g.klass);
@@ -76,10 +73,6 @@ Fleet::Fleet(const FleetConfig &config, const PoolConfig &node_pool,
         svb_assert(cfg.nodes >= 1, "fleet needs at least one node");
         groups.push_back({NodeClass{}, 0, cfg.nodes});
     }
-    svb_assert(cfg.nodeSpeed.empty() || cfg.nodeSpeed.size() == cfg.nodes,
-               "fleet nodeSpeed must be empty or one factor per node");
-    for (const double f : cfg.nodeSpeed)
-        svb_assert(f > 0.0, "fleet node speed factor must be positive");
     for (const NodeFaultEvent &ev : cfg.nodeFaults) {
         svb_assert(ev.node < cfg.nodes, "node fault on unknown node ",
                    ev.node);
@@ -199,8 +192,6 @@ double
 Fleet::speedFactor(unsigned node) const
 {
     svb_assert(node < nodes.size(), "unknown fleet node");
-    if (!cfg.nodeSpeed.empty())
-        return cfg.nodeSpeed[node];
     return groups[groupOf(node)].klass.speedFactor;
 }
 

@@ -14,9 +14,8 @@
  *    RISC-V + x86 cluster calibrates each tier on its own simulated
  *    host), per-class keep-alive defaults, a residual speed factor,
  *    and cost/power weights. A FleetSpec is an ordered list of
- *    {class, count} groups; the legacy scalar fields (nodes +
- *    nodeSpeed) remain as a thin single-class adapter and stay
- *    byte-identical.
+ *    {class, count} groups; a plain node count (FleetConfig::nodes)
+ *    is one default-class group of that many nodes.
  *  - Fleet: N simulated nodes, each owning its own InstancePool (the
  *    per-node keep-alive state and concurrency limit) plus the
  *    class-derived service model over the calibrated cold/warm times;
@@ -185,18 +184,13 @@ struct FleetConfig
     unsigned fnConcurrencyLimit = 0;
     /** Latency of the 429-style response a throttled request gets. */
     uint64_t throttleNs = 50'000; // 50 us
-    /** Per-node service-time multiplier (empty = all 1.0). Factors of
-     *  exactly 1.0 leave service times bit-untouched. Legacy adapter:
-     *  mutually exclusive with `spec` (classes carry speedFactor). */
-    std::vector<double> nodeSpeed;
     AutoscalerConfig autoscaler;
     /** Scheduled node crashes / partitions, applied on the engine's
      *  event timeline. */
     std::vector<NodeFaultEvent> nodeFaults;
     /** Class-structured fleet shape. When non-empty it replaces
-     *  `nodes` (sum of group counts) and `nodeSpeed` (per-class
-     *  speedFactor); a spec of one default class is byte-identical
-     *  to the legacy scalar fields. */
+     *  `nodes` (the sum of the group counts); a spec of one default
+     *  class is byte-identical to a plain node count. */
     FleetSpec spec;
 
     /** Total nodes, whichever API described the fleet. */
@@ -212,7 +206,7 @@ struct FleetConfig
     {
         return nodeCount() > 1 || autoscaler.enabled ||
                !nodeFaults.empty() || fnConcurrencyLimit > 0 ||
-               !nodeSpeed.empty() || !spec.empty();
+               !spec.empty();
     }
 };
 
@@ -321,9 +315,8 @@ class Fleet
     /** Queued-backlog load metric of @p node (routing order key). */
     uint64_t backlogNs(unsigned node, uint64_t now_ns) const;
 
-    /** Residual service-time multiplier of @p node: the legacy
-     *  per-node factor, or the node's class speedFactor (1.0 when
-     *  homogeneous). */
+    /** Residual service-time multiplier of @p node: its class
+     *  speedFactor (1.0 for a plain node count). */
     double speedFactor(unsigned node) const;
 
     unsigned nodeCount() const { return unsigned(nodes.size()); }

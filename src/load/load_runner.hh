@@ -9,8 +9,9 @@
  * they induce. This runner composes the pieces:
  *
  *  1. Service times are CALIBRATED on the real simulated cluster
- *     (ExperimentRunner::runLoadCalibration): the measured cold-path
- *     latency of request 1 on a freshly restored instance, and a
+ *     (ExperimentRunner::run, RunMode::LoadCal): the measured
+ *     cold-path latency of request 1 on a freshly restored instance,
+ *     and a
  *     cycle of measured warm-path latencies. Each cold start restores
  *     the PR-2 prepared-state checkpoint instead of re-booting, so a
  *     warm CheckpointStore makes calibration cheap; rows are memoised

@@ -309,32 +309,15 @@ PhysMemory::unserializeState(const std::string &prefix, const Checkpoint &cp)
     updateHooks();
 
     std::fill(mem.begin(), mem.end(), 0);
-    if (cp.hasScalar(prefix + "format")) {
-        // v2: page table over the unique-page pool.
-        const std::vector<uint8_t> &pd = cp.getBlob(prefix + "pagedata");
-        BlobReader r(cp.getBlob(prefix + "table"));
-        while (!r.done()) {
-            const uint64_t page = r.getU64();
-            const uint64_t uid = r.getU64();
-            const size_t off = size_t(page) * snapshotPageBytes;
-            const size_t len =
-                std::min(snapshotPageBytes, mem.size() - off);
-            std::memcpy(mem.data() + off,
-                        pd.data() + size_t(uid) * snapshotPageBytes, len);
-        }
-    } else {
-        // Legacy v1: repeated (page index, raw bytes) records.
-        const size_t pageBytes = cp.getScalar(prefix + "pageBytes");
-        const uint64_t pages = cp.getScalar(prefix + "pages");
-        BlobReader r(cp.getBlob(prefix + "data"));
-        for (uint64_t i = 0; i < pages; ++i) {
-            const uint64_t page = r.getU64();
-            const size_t off = size_t(page) * pageBytes;
-            const size_t len = std::min(pageBytes, mem.size() - off);
-            for (size_t b = 0; b < len; ++b)
-                mem[off + b] = r.getU8();
-        }
-        svb_assert(r.done(), "checkpoint memory blob has trailing bytes");
+    const std::vector<uint8_t> &pd = cp.getBlob(prefix + "pagedata");
+    BlobReader r(cp.getBlob(prefix + "table"));
+    while (!r.done()) {
+        const uint64_t page = r.getU64();
+        const uint64_t uid = r.getU64();
+        const size_t off = size_t(page) * snapshotPageBytes;
+        const size_t len = std::min(snapshotPageBytes, mem.size() - off);
+        std::memcpy(mem.data() + off,
+                    pd.data() + size_t(uid) * snapshotPageBytes, len);
     }
     ++nFullRestores;
 }
@@ -365,55 +348,33 @@ PhysMemory::validateCheckpoint(const std::string &prefix,
                     " exceeds the " + std::to_string(nPages) +
                     "-page memory");
 
-    if (cp.hasScalar(prefix + "format")) {
-        // --- v2: page table + unique-page pool -------------------------
-        if (cp.getScalar(prefix + "format") != 2)
-            return fail("unknown format");
-        if (!cp.hasScalar(prefix + "uniquePages"))
-            return fail("uniquePages scalar missing");
-        if (!cp.hasBlob(prefix + "table") ||
-            !cp.hasBlob(prefix + "pagedata"))
-            return fail("page-table blobs missing");
-        const uint64_t nUnique = cp.getScalar(prefix + "uniquePages");
-        const std::vector<uint8_t> &table = cp.getBlob(prefix + "table");
-        const std::vector<uint8_t> &pd = cp.getBlob(prefix + "pagedata");
-        if (table.size() != pages * 16)
-            return fail("page-table length mismatch");
-        if (nUnique > pages || pd.size() != nUnique * snapshotPageBytes)
-            return fail("unique-page pool length mismatch");
-        uint64_t prev = ~uint64_t(0);
-        for (uint64_t i = 0; i < pages; ++i) {
-            const uint64_t page = leU64(table.data() + i * 16);
-            const uint64_t uid = leU64(table.data() + i * 16 + 8);
-            if (page >= nPages)
-                return fail("page index OOB");
-            if (prev != ~uint64_t(0) && page <= prev)
-                return fail("page table not strictly increasing");
-            if (uid >= nUnique)
-                return fail("unique page id OOB");
-            prev = page;
-        }
-    } else {
-        // --- legacy v1: repeated (index, raw bytes) records ------------
-        if (!cp.hasBlob(prefix + "data"))
-            return fail("data blob missing");
-        const std::vector<uint8_t> &blob = cp.getBlob(prefix + "data");
-        size_t pos = 0;
-        for (uint64_t i = 0; i < pages; ++i) {
-            if (pos + 8 > blob.size())
-                return fail("truncated page record");
-            const uint64_t page = leU64(blob.data() + pos);
-            pos += 8;
-            if (page >= nPages)
-                return fail("page index OOB");
-            const size_t len = std::min<size_t>(
-                pageBytes, size_t(size) - size_t(page) * pageBytes);
-            if (pos + len > blob.size())
-                return fail("truncated page payload");
-            pos += len;
-        }
-        if (pos != blob.size())
-            return fail("trailing bytes in memory blob");
+    // Format 2, the page table over the unique-page pool, is the only
+    // encoding read: any other image is a miss, prepared again.
+    if (!cp.hasScalar(prefix + "format") ||
+        cp.getScalar(prefix + "format") != 2)
+        return fail("unknown format (want 2)");
+    if (!cp.hasScalar(prefix + "uniquePages"))
+        return fail("uniquePages scalar missing");
+    if (!cp.hasBlob(prefix + "table") || !cp.hasBlob(prefix + "pagedata"))
+        return fail("page-table blobs missing");
+    const uint64_t nUnique = cp.getScalar(prefix + "uniquePages");
+    const std::vector<uint8_t> &table = cp.getBlob(prefix + "table");
+    const std::vector<uint8_t> &pd = cp.getBlob(prefix + "pagedata");
+    if (table.size() != pages * 16)
+        return fail("page-table length mismatch");
+    if (nUnique > pages || pd.size() != nUnique * snapshotPageBytes)
+        return fail("unique-page pool length mismatch");
+    uint64_t prev = ~uint64_t(0);
+    for (uint64_t i = 0; i < pages; ++i) {
+        const uint64_t page = leU64(table.data() + i * 16);
+        const uint64_t uid = leU64(table.data() + i * 16 + 8);
+        if (page >= nPages)
+            return fail("page index OOB");
+        if (prev != ~uint64_t(0) && page <= prev)
+            return fail("page table not strictly increasing");
+        if (uid >= nUnique)
+            return fail("unique page id OOB");
+        prev = page;
     }
 
     if (cp.hasBlob(prefix + "ws")) {
@@ -440,7 +401,7 @@ PhysMemory::hasMemoryImage(const std::string &prefix, const Checkpoint &cp)
          {"size", "pageBytes", "pages", "format", "uniquePages"})
         if (cp.hasScalar(prefix + key))
             return true;
-    for (const char *key : {"data", "table", "pagedata", "ws"})
+    for (const char *key : {"table", "pagedata", "ws"})
         if (cp.hasBlob(prefix + key))
             return true;
     return false;

@@ -158,8 +158,8 @@ class PhysMemory : public Serializable
                           const Checkpoint &cp) override;
 
     /**
-     * Structural validation of a checkpoint's memory image (both the
-     * legacy flat-sparse v1 and the page-table v2 encodings): page
+     * Structural validation of a checkpoint's memory image (the
+     * page-table encoding, format 2; any other format fails): page
      * count, every page index/offset and every blob length are
      * checked against the recorded memory size, so a corrupt or
      * hostile file can never index out of bounds. Returns false and

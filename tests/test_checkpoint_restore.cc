@@ -411,6 +411,30 @@ TEST(CheckpointNegativeTest, DoctoredMemoryImageIsAMiss)
     EXPECT_EQ(store.acquire(fp, &claimed), nullptr);
     EXPECT_TRUE(claimed);
     store.release(fp);
+
+    // A well-formed image in the retired flat v1 encoding (repeated
+    // page index + raw page bytes, no format scalar) is a miss too:
+    // the caller claims the fingerprint and prepares again.
+    Checkpoint v1;
+    v1.setScalar("mem.size", 8 * snapshotPageBytes);
+    v1.setScalar("mem.pageBytes", snapshotPageBytes);
+    v1.setScalar("mem.pages", 2);
+    BlobWriter records;
+    for (const uint64_t page : {0u, 5u}) {
+        records.putU64(page);
+        for (size_t b = 0; b < snapshotPageBytes; ++b)
+            records.putU8(uint8_t(page + b));
+    }
+    v1.setBlob("mem.data", records.take());
+    v1.setString("meta.fingerprint", fp);
+    v1.saveToFile(path);
+    CheckpointStore::global().resetForTest(ckpts.dir);
+
+    claimed = false;
+    EXPECT_EQ(store.acquire(fp, &claimed), nullptr)
+        << "a v1 memory image was served";
+    EXPECT_TRUE(claimed);
+    store.release(fp);
 }
 
 TEST(CheckpointAtomicityTest, ConcurrentWritersNeverTearTheFile)
@@ -520,11 +544,13 @@ TEST(ResultCacheRobustnessTest, TruncatedCsvLosesOnlyAffectedRows)
     }
 
     ResultCache reloaded(file);
-    FunctionResult out;
-    EXPECT_TRUE(reloaded.lookupDetailed(cfg, good, out))
+    ResultCache::Row out;
+    EXPECT_TRUE(reloaded.lookupRow(
+        reloaded.rowKey(cfg, good, RunMode::Detailed), out))
         << "intact row was lost";
-    EXPECT_TRUE(out.ok);
-    EXPECT_FALSE(reloaded.lookupDetailed(cfg, bad, out))
+    EXPECT_EQ(out.at("ok"), 1u);
+    EXPECT_FALSE(reloaded.lookupRow(
+        reloaded.rowKey(cfg, bad, RunMode::Detailed), out))
         << "truncated row was served as a complete result";
     std::remove(file.c_str());
 }

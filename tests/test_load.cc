@@ -9,12 +9,16 @@
  *    worker count, with the cold path exercised under load;
  *  - the new ResultCache row modes ("ldcal", "load") round-trip, and
  *    rows of unknown modes or stale schema versions are skipped, not
- *    misparsed.
+ *    misparsed;
+ *  - seeded mutations of a result CSV always end in accept or
+ *    warn-and-miss.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -24,6 +28,7 @@
 #include "core/checkpoint_store.hh"
 #include "core/parallel.hh"
 #include "load/load_runner.hh"
+#include "sim/rng.hh"
 #include "workloads/workloads.hh"
 
 using namespace svb;
@@ -165,13 +170,16 @@ TEST(Arrival, SubstreamsIdenticalAtAnyWorkerCount)
     constexpr size_t streams = 16;
 
     auto runWith = [&](unsigned jobs) {
-        return parallelIndexed<std::vector<uint64_t>>(
-            streams,
-            [&](size_t id) {
-                return ArrivalProcess::generate(cfg, master.split(id),
-                                                200);
-            },
-            jobs);
+        std::vector<std::vector<uint64_t>> out(streams);
+        ThreadPool pool(jobs);
+        for (size_t id = 0; id < streams; ++id) {
+            pool.submit([&, id] {
+                out[id] = ArrivalProcess::generate(cfg, master.split(id),
+                                                   200);
+            });
+        }
+        pool.wait();
+        return out;
     };
     const auto serial = runWith(1);
     const auto wide = runWith(8);
@@ -644,7 +652,7 @@ TEST(ResultCacheSchema, StaleVersionRowsAreSkipped)
     std::string key;
     {
         ResultCache cache(file.path);
-        key = cache.loadCalKey(cfg, spec);
+        key = cache.rowKey(cfg, spec, RunMode::LoadCal);
     }
     {
         // A complete ldcal row, but with a schema version from the
@@ -655,8 +663,8 @@ TEST(ResultCacheSchema, StaleVersionRowsAreSkipped)
               "warm3Ns=1\n";
     }
     ResultCache cache(file.path);
-    LoadCalibration cal;
-    EXPECT_FALSE(cache.lookupLoadCal(cfg, spec, cal));
+    ResultCache::Row row;
+    EXPECT_FALSE(cache.lookupRow(key, row));
 }
 
 TEST(ResultCacheSchema, LoadCalRowRoundTrips)
@@ -673,14 +681,240 @@ TEST(ResultCacheSchema, LoadCalRowRoundTrips)
     cal.ok = true;
     {
         ResultCache cache(file.path);
-        cache.recordLoadCal(cfg, spec, cal);
+        cache.recordRow(cache.rowKey(cfg, spec, RunMode::LoadCal),
+                        packRunResult(cal));
     }
     // A fresh cache instance re-reads it from disk.
     ResultCache cache(file.path);
-    LoadCalibration back;
-    ASSERT_TRUE(cache.lookupLoadCal(cfg, spec, back));
+    ResultCache::Row row;
+    ASSERT_TRUE(
+        cache.lookupRow(cache.rowKey(cfg, spec, RunMode::LoadCal), row));
+    const auto back = std::get<LoadCalibration>(
+        unpackRunResult(RunMode::LoadCal, spec.name, row));
     EXPECT_EQ(back.coldNs, cal.coldNs);
     for (unsigned k = 0; k < loadWarmSamples; ++k)
         EXPECT_EQ(back.warmNs[k], cal.warmNs[k]);
     EXPECT_TRUE(back.ok);
+}
+
+// --------------------------------------------------------------------------
+// Seeded mutation fuzzing of the result CSV loader
+// --------------------------------------------------------------------------
+
+namespace
+{
+
+std::vector<std::string>
+splitLines(const std::string &text)
+{
+    std::vector<std::string> lines;
+    std::istringstream is(text);
+    for (std::string line; std::getline(is, line);)
+        lines.push_back(line);
+    return lines;
+}
+
+/** The key of a CSV line, split as ResultCache's loader splits it. */
+std::string
+keyOfLine(const std::string &line)
+{
+    return line.substr(0, line.find('|'));
+}
+
+/** A decimal digit run past 2^64 - 1, varied by @p rng. */
+std::string
+overflowingDigits(Rng &rng)
+{
+    switch (rng.nextBounded(3)) {
+      case 0:
+        return "18446744073709551616"; // 2^64
+      case 1:
+        return "99999999999999999999";
+      default: {
+        std::string digits(1, char('1' + rng.nextBounded(9)));
+        const uint64_t len = 21 + rng.nextBounded(20);
+        while (digits.size() < len)
+            digits += char('0' + rng.nextBounded(10));
+        return digits;
+      }
+    }
+}
+
+} // namespace
+
+TEST(ResultCacheFuzz, SeededMutationsEndInAcceptOrWarnAndMiss)
+{
+    const FunctionSpec spec = specFor("fibonacci-go");
+    const ClusterConfig cfg = standaloneConfig(IsaId::Riscv);
+    TempCacheFile file("test_load_fuzz.csv");
+
+    // A real file: one complete row of each schema, written by the
+    // cache, with distinct values and the largest valid value in the
+    // fingerprint fields. The o3 row, whose "ok" field precedes its
+    // warm block, goes last, where a crash mid-append cuts.
+    std::map<std::string, ResultCache::Row> original;
+    {
+        ResultCache cache(file.path);
+        const std::vector<std::string> keys = {
+            cache.rowKey(cfg, spec, RunMode::Emu),
+            cache.rowKey(cfg, spec, RunMode::LoadCal),
+            cache.scenarioKey(cfg, "fuzz", "load"),
+            cache.scenarioKey(cfg, "fuzz", "wflow"),
+            cache.scenarioKey(cfg, "fuzz", "coldrs"),
+            cache.rowKey(cfg, spec, RunMode::Detailed)};
+        uint64_t value = 1000;
+        for (const std::string &key : keys) {
+            const RowSchema *schema =
+                RowSchema::find(key.substr(key.rfind(',') + 1));
+            ASSERT_NE(schema, nullptr) << key;
+            ResultCache::Row row;
+            for (const std::string &field : schema->fields)
+                row[field] = (value += 7919);
+            row["ok"] = 1;
+            if (row.count("histoFp"))
+                row["histoFp"] = UINT64_MAX;
+            cache.recordRow(key, row);
+            ASSERT_TRUE(cache.lookupRow(key, original[key]));
+        }
+    }
+    const std::string pristine = slurp(file.path);
+    const std::vector<std::string> lines = splitLines(pristine);
+    ASSERT_EQ(lines.size(), 6u);
+
+    // Reload @p text: the load must finish, every served row must be
+    // complete under its schema, every unmutated line must still be
+    // served with its own values, and @p miss (if set) must not be.
+    size_t reloads = 0;
+    auto reload = [&](const std::string &text, const std::string &what,
+                      const std::string &miss) {
+        SCOPED_TRACE(what);
+        {
+            std::ofstream os(file.path, std::ios::binary | std::ios::trunc);
+            os << text;
+        }
+        ResultCache cache(file.path);
+        ++reloads;
+        const std::vector<std::string> now = splitLines(text);
+        std::map<std::string, unsigned> keyCount;
+        for (const std::string &line : now)
+            ++keyCount[keyOfLine(line)];
+        for (const auto &[key, count] : keyCount) {
+            ResultCache::Row row;
+            if (!cache.lookupRow(key, row))
+                continue;
+            const RowSchema *schema =
+                RowSchema::find(key.substr(key.rfind(',') + 1));
+            ASSERT_NE(schema, nullptr) << "served a row of no mode: " << key;
+            const auto v = row.find("v");
+            ASSERT_NE(v, row.end()) << key;
+            EXPECT_EQ(v->second, schema->version) << key;
+            EXPECT_TRUE(schema->complete(row)) << key;
+        }
+        // An unterminated final line is never served, however intact.
+        const auto whole =
+            text.empty() || text.back() == '\n' ? now.end() : now.end() - 1;
+        for (const std::string &line : lines) {
+            const std::string key = keyOfLine(line);
+            if (keyCount[key] != 1 ||
+                std::find(now.begin(), whole, line) == whole)
+                continue;
+            ResultCache::Row row;
+            ASSERT_TRUE(cache.lookupRow(key, row))
+                << "unmutated row lost: " << key;
+            EXPECT_EQ(row, original.at(key)) << key;
+        }
+        ResultCache::Row row;
+        if (!miss.empty()) {
+            EXPECT_FALSE(cache.lookupRow(miss, row))
+                << "mutated row served: " << miss;
+        }
+    };
+
+    reload(pristine, "pristine", "");
+    Rng rng(0xf022c5f);
+
+    // Byte flips anywhere in the file.
+    for (int i = 0; i < 1500; ++i) {
+        std::string text = pristine;
+        const size_t at = rng.nextBounded(text.size());
+        text[at] = char(uint8_t(text[at]) ^ (1u << rng.nextBounded(8)));
+        reload(text, "flip at " + std::to_string(at), "");
+    }
+
+    // The file cut at each offset of its last (o3) row. A cut inside
+    // the final value leaves a complete-looking row with fewer digits,
+    // so no unterminated line may be served.
+    const std::string o3Key = keyOfLine(lines.back());
+    const size_t o3At = pristine.size() - lines.back().size() - 1;
+    for (size_t cut = o3At; cut < pristine.size(); ++cut)
+        reload(pristine.substr(0, cut), "file cut at " + std::to_string(cut),
+               o3Key);
+    {
+        // Measuring the row again after a cut appends it on a line of
+        // its own, and that line is served.
+        const std::string torn =
+            pristine.substr(0, o3At + lines.back().size() / 2);
+        {
+            std::ofstream os(file.path, std::ios::binary | std::ios::trunc);
+            os << torn;
+        }
+        {
+            ResultCache cache(file.path);
+            cache.recordRow(o3Key, original.at(o3Key));
+        }
+        EXPECT_EQ(slurp(file.path), torn + "\n" + lines.back() + "\n");
+        ResultCache cache(file.path);
+        ResultCache::Row row;
+        ASSERT_TRUE(cache.lookupRow(o3Key, row));
+        EXPECT_EQ(row, original.at(o3Key));
+    }
+
+    const auto replaceLine = [&](size_t idx, const std::string &with) {
+        std::string text;
+        for (size_t k = 0; k < lines.size(); ++k)
+            text += (k == idx ? with : lines[k]) + "\n";
+        return text;
+    };
+
+    // A dropped or doubled delimiter breaks its row's key or fields.
+    for (int i = 0; i < 600; ++i) {
+        const size_t idx = rng.nextBounded(lines.size());
+        const char delim = "|=,"[rng.nextBounded(3)];
+        std::vector<size_t> at;
+        for (size_t k = 0; k < lines[idx].size(); ++k)
+            if (lines[idx][k] == delim)
+                at.push_back(k);
+        std::string line = lines[idx];
+        const size_t pos = at[rng.nextBounded(at.size())];
+        const bool drop = rng.nextBounded(2) == 0;
+        if (drop)
+            line.erase(pos, 1);
+        else
+            line.insert(pos, 1, delim);
+        reload(replaceLine(idx, line),
+               std::string(drop ? "dropped '" : "doubled '") + delim +
+                   "' at " + std::to_string(pos) + " of row " +
+                   std::to_string(idx),
+               keyOfLine(lines[idx]));
+    }
+
+    // A value past 2^64 - 1 makes its row malformed: warned about and
+    // measured again, never served clamped.
+    for (int i = 0; i < 300; ++i) {
+        const size_t idx = rng.nextBounded(lines.size());
+        std::vector<size_t> eqs;
+        for (size_t k = 0; k < lines[idx].size(); ++k)
+            if (lines[idx][k] == '=')
+                eqs.push_back(k);
+        const size_t eq = eqs[rng.nextBounded(eqs.size())];
+        const size_t end = std::min(lines[idx].find('|', eq),
+                                    lines[idx].size());
+        std::string line = lines[idx];
+        const std::string digits = overflowingDigits(rng);
+        line.replace(eq + 1, end - eq - 1, digits);
+        reload(replaceLine(idx, line),
+               digits + " in row " + std::to_string(idx),
+               keyOfLine(lines[idx]));
+    }
+    EXPECT_GT(reloads, 3000u);
 }

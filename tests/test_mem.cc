@@ -269,15 +269,15 @@ TEST(PhysMemory, ValidateCheckpointRejectsHostileImages)
         cp.setBlob("m.ws", w.take());
         EXPECT_FALSE(PhysMemory::validateCheckpoint("m.", cp, &err));
     }
-    // Hostile legacy v1: payload length larger than the blob.
+    // An image without format=2 is rejected: a missing format (the
+    // retired flat v1 records) or any other format number.
     {
-        Checkpoint cp;
-        cp.setScalar("m.size", 4 * snapshotPageBytes);
-        cp.setScalar("m.pageBytes", snapshotPageBytes);
-        cp.setScalar("m.pages", 2);
-        BlobWriter w;
-        w.putU64(0); // one record, then truncation
-        cp.setBlob("m.data", w.take());
+        Checkpoint cp = good;
+        cp.erasePrefix("m.format");
+        EXPECT_FALSE(PhysMemory::validateCheckpoint("m.", cp, &err));
+        cp.setScalar("m.format", 1);
+        EXPECT_FALSE(PhysMemory::validateCheckpoint("m.", cp, &err));
+        cp.setScalar("m.format", 3);
         EXPECT_FALSE(PhysMemory::validateCheckpoint("m.", cp, &err));
     }
     // The original is still fine (doctored copies never leaked back).

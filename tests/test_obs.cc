@@ -58,10 +58,10 @@ specFor(const std::string &name)
  * runner at ANY worker count, so the recorded prepare phases — and
  * with them the whole trace — cannot depend on SVBENCH_JOBS.
  */
-std::vector<SweepJob>
+std::vector<RunSpec>
 traceJobList()
 {
-    std::vector<SweepJob> jobs;
+    std::vector<RunSpec> jobs;
     const FunctionSpec spec = specFor("fibonacci-go");
     for (IsaId isa : {IsaId::Riscv, IsaId::Cx86}) {
         for (db::DbKind kind : {db::DbKind::Cassandra, db::DbKind::Mongo}) {
@@ -70,8 +70,10 @@ traceJobList()
             cfg.dbKind = kind;
             cfg.startDb = false;
             cfg.startMemcached = false;
-            jobs.push_back({cfg, spec,
-                            &workloads::workloadImpl(spec.workload)});
+            jobs.push_back({.mode = RunMode::Detailed,
+                            .spec = spec,
+                            .impl = &workloads::workloadImpl(spec.workload),
+                            .platform = cfg});
         }
     }
     return jobs;
@@ -106,9 +108,8 @@ sweepTrace(unsigned jobs, const std::string &cache_path)
     tracer.reset();
     tracer.enable("test_obs_trace.json");
     ResultCache cache(file.path);
-    const auto results = parallelSweep(cache, traceJobList(), jobs);
-    for (const FunctionResult &res : results)
-        EXPECT_TRUE(res.ok);
+    for (const RunResult &res : parallelSweep(cache, traceJobList(), jobs))
+        EXPECT_TRUE(runResultOk(res));
     std::ostringstream os;
     tracer.render(os);
     tracer.reset();
@@ -442,7 +443,8 @@ seedCalibration(ResultCache &cache, const ClusterConfig &cfg,
     for (unsigned k = 0; k < loadWarmSamples; ++k)
         cal.warmNs[k] = 300'000 + 50'000 * k;
     cal.ok = true;
-    cache.recordLoadCal(cfg, spec, cal);
+    cache.recordRow(cache.rowKey(cfg, spec, RunMode::LoadCal),
+                    packRunResult(cal));
 }
 
 /** Run @p body with a fresh tracer and @return the rendered trace. */

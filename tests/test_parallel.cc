@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -44,17 +45,24 @@ config(IsaId isa)
     return cfg;
 }
 
-std::vector<SweepJob>
+RunSpec
+runOf(RunMode mode, IsaId isa, const std::string &fn)
+{
+    const FunctionSpec spec = specFor(fn);
+    return {.mode = mode,
+            .spec = spec,
+            .impl = &workloads::workloadImpl(spec.workload),
+            .platform = config(isa)};
+}
+
+std::vector<RunSpec>
 smallJobList()
 {
     // Two functions x two ISAs: enough jobs to occupy four workers.
-    std::vector<SweepJob> jobs;
+    std::vector<RunSpec> jobs;
     for (IsaId isa : {IsaId::Riscv, IsaId::Cx86}) {
-        for (const char *fn : {"fibonacci-go", "aes-go"}) {
-            const FunctionSpec spec = specFor(fn);
-            jobs.push_back({config(isa), spec,
-                            &workloads::workloadImpl(spec.workload)});
-        }
+        for (const char *fn : {"fibonacci-go", "aes-go"})
+            jobs.push_back(runOf(RunMode::Detailed, isa, fn));
     }
     return jobs;
 }
@@ -96,6 +104,27 @@ expectSameResult(const FunctionResult &a, const FunctionResult &b)
     }
 }
 
+void
+expectSameResult(const LoadCalibration &a, const LoadCalibration &b)
+{
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.ok, b.ok);
+    EXPECT_EQ(a.coldNs, b.coldNs);
+    for (unsigned k = 0; k < loadWarmSamples; ++k)
+        EXPECT_EQ(a.warmNs[k], b.warmNs[k]);
+}
+
+void
+expectSameResult(const RunResult &a, const RunResult &b)
+{
+    ASSERT_EQ(a.index(), b.index());
+    if (const auto *fa = std::get_if<FunctionResult>(&a))
+        expectSameResult(*fa, std::get<FunctionResult>(b));
+    else
+        expectSameResult(std::get<LoadCalibration>(a),
+                         std::get<LoadCalibration>(b));
+}
+
 } // namespace
 
 TEST(ThreadPool, RunsEverySubmittedTask)
@@ -128,16 +157,17 @@ TEST(ParallelSweep, MatchesSerialResultsAndCacheBytes)
     // Reference: the legacy strictly-serial path (direct detailed()
     // calls on a single thread).
     TempCacheFile serial_file("test_parallel_serial.csv");
-    std::vector<FunctionResult> serial;
+    std::vector<RunResult> serial;
     {
         ResultCache cache(serial_file.path);
-        for (const SweepJob &job : jobs)
-            serial.push_back(cache.detailed(job.cfg, job.spec, *job.impl));
+        for (const RunSpec &job : jobs)
+            serial.push_back(cache.detailed(job.platform, job.spec,
+                                            *job.impl));
     }
 
     // Same sweep through the scheduler with four workers.
     TempCacheFile par_file("test_parallel_jobs4.csv");
-    std::vector<FunctionResult> parallel;
+    std::vector<RunResult> parallel;
     {
         ResultCache cache(par_file.path);
         parallel = parallelSweep(cache, jobs, 4);
@@ -168,10 +198,8 @@ TEST(ParallelSweep, SecondRunIsAllCacheHits)
 
 TEST(ParallelSweep, DuplicateJobsSimulateOnce)
 {
-    const FunctionSpec spec = specFor("fibonacci-go");
-    const WorkloadImpl &impl = workloads::workloadImpl(spec.workload);
-    const std::vector<SweepJob> jobs(4,
-                                     {config(IsaId::Riscv), spec, &impl});
+    const std::vector<RunSpec> jobs(
+        4, runOf(RunMode::Detailed, IsaId::Riscv, "fibonacci-go"));
 
     TempCacheFile file("test_parallel_dup.csv");
     ResultCache cache(file.path);
@@ -185,6 +213,79 @@ TEST(ParallelSweep, DuplicateJobsSimulateOnce)
     EXPECT_EQ(rows, 1u);
     for (size_t i = 1; i < results.size(); ++i)
         expectSameResult(results[0], results[i]);
+}
+
+TEST(ParallelSweep, MixedHitsMissesAndDuplicatesMatchASerialRunLoop)
+{
+    // An o3 and an ldcal spec of each kind: pre-recorded hit, miss,
+    // and a duplicate of both. The two misses share a checkpoint
+    // fingerprint, so they also ride one grouped task.
+    const RunSpec o3Miss =
+        runOf(RunMode::Detailed, IsaId::Riscv, "fibonacci-go");
+    const RunSpec calMiss =
+        runOf(RunMode::LoadCal, IsaId::Riscv, "fibonacci-go");
+    const RunSpec o3Hit =
+        runOf(RunMode::Detailed, IsaId::Cx86, "fibonacci-go");
+    const RunSpec calHit =
+        runOf(RunMode::LoadCal, IsaId::Cx86, "fibonacci-go");
+    const std::vector<RunSpec> jobs = {o3Miss, calHit, calMiss, o3Hit,
+                                       o3Miss, calHit, calMiss, o3Hit};
+
+    // The pre-recorded rows hold values no simulation produces, so
+    // serving them proves they were read, not re-measured.
+    FunctionResult o3Row;
+    o3Row.name = o3Hit.spec.name;
+    o3Row.cold.cycles = 11;
+    o3Row.cold.insts = 5;
+    o3Row.warm.cycles = 7;
+    o3Row.warm.insts = 5;
+    o3Row.ok = true;
+    LoadCalibration calRow;
+    calRow.name = calHit.spec.name;
+    calRow.coldNs = 123;
+    for (unsigned k = 0; k < loadWarmSamples; ++k)
+        calRow.warmNs[k] = 4 + k;
+    calRow.ok = true;
+    auto seed = [&](const std::string &path) {
+        ResultCache cache(path);
+        cache.recordRow(cache.rowKey(o3Hit.platform, o3Hit.spec, o3Hit.mode),
+                        packRunResult(o3Row));
+        cache.recordRow(
+            cache.rowKey(calHit.platform, calHit.spec, calHit.mode),
+            packRunResult(calRow));
+    };
+
+    TempCacheFile serial_file("test_parallel_mixed_serial.csv");
+    seed(serial_file.path);
+    std::vector<RunResult> serial;
+    {
+        ResultCache cache(serial_file.path);
+        for (const RunSpec &rs : jobs)
+            serial.push_back(cache.run(rs));
+    }
+    const std::string serial_csv = slurp(serial_file.path);
+    // Two seeded rows, then one measured row per distinct miss.
+    EXPECT_EQ(std::count(serial_csv.begin(), serial_csv.end(), '\n'), 4);
+    expectSameResult(serial[1], RunResult(calRow));
+    expectSameResult(serial[3], RunResult(o3Row));
+    EXPECT_TRUE(runResultOk(serial[0]));
+    EXPECT_TRUE(runResultOk(serial[2]));
+
+    for (unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        TempCacheFile file("test_parallel_mixed_j" +
+                           std::to_string(workers) + ".csv");
+        seed(file.path);
+        std::vector<RunResult> swept;
+        {
+            ResultCache cache(file.path);
+            swept = parallelSweep(cache, jobs, workers);
+        }
+        ASSERT_EQ(swept.size(), serial.size());
+        for (size_t i = 0; i < serial.size(); ++i)
+            expectSameResult(serial[i], swept[i]);
+        EXPECT_EQ(serial_csv, slurp(file.path));
+    }
 }
 
 TEST(ResultCache, ConcurrentDetailedRunsKeyOnce)
