@@ -170,8 +170,8 @@ ExperimentRunner::armWorkingSetCapture(const std::string &fp,
                                        const Checkpoint *cp)
 {
     // Only fingerprints without a recorded working set need one; the
-    // capture costs a bitmap update per touched page until the cold
-    // request completes.
+    // capture sends the first access to each page through PhysMemory's
+    // slow path until the cold request completes.
     if (cp != nullptr && cp->hasBlob("mem.ws"))
         return;
     pendingWsFp = fp;

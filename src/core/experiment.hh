@@ -243,7 +243,7 @@ class ExperimentRunner
     /**
      * Arm cold-request working-set capture for fingerprint @p fp when
      * the published checkpoint does not carry one yet (@p cp nullptr
-     * means "just published by this runner"): the touch hook records
+     * means "just published by this runner"): touch recording notes
      * every page the first request reaches, and noteColdRequestDone()
      * attaches the set to the store (first writer wins).
      */

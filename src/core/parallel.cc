@@ -98,14 +98,10 @@ ThreadPool::workerLoop()
     }
 }
 
-void
-runGrouped(const std::vector<size_t> &indices,
-           const std::function<std::string(size_t)> &groupOf,
-           const std::function<void(size_t)> &compute,
-           unsigned jobs_override)
+std::vector<std::vector<size_t>>
+groupIndices(const std::vector<size_t> &indices,
+             const std::function<std::string(size_t)> &groupOf)
 {
-    if (indices.empty())
-        return;
     std::vector<std::vector<size_t>> groups;
     std::map<std::string, size_t> groupFor;
     for (size_t i : indices) {
@@ -119,6 +115,15 @@ runGrouped(const std::vector<size_t> &indices,
             groups.emplace_back();
         groups[it->second].push_back(i);
     }
+    return groups;
+}
+
+void
+runGroups(const std::vector<std::vector<size_t>> &groups,
+          const std::function<void(size_t)> &compute, unsigned jobs_override)
+{
+    if (groups.empty())
+        return;
     ThreadPool pool(jobs_override);
     for (const std::vector<size_t> &members : groups) {
         pool.submit([&compute, &members] {
@@ -133,7 +138,7 @@ namespace
 {
 
 /**
- * The runGrouped() key of an experiment: its checkpoint fingerprint.
+ * The groupIndices() key of an experiment: its checkpoint fingerprint.
  * Ablation points usually differ only in backend parameters
  * (latencies, O3 geometry, predictors), which the fingerprint
  * deliberately ignores, so whole series share one checkpoint.
@@ -155,6 +160,7 @@ struct RunRows
         return cache.rowKey(rs.platform, rs.spec, rs.mode);
     }
     std::string group(const RunSpec &rs) const { return runGroup(rs); }
+    void announce(const RunSpec &rs) const { cache.announce(rs); }
     RunResult compute(const RunSpec &rs) const { return cache.measure(rs); }
     ResultCache::Row
     pack(const RunResult &res) const
@@ -188,8 +194,8 @@ parallelRun(const std::vector<RunSpec> &specs, unsigned jobs_override)
     std::vector<RunResult> results(specs.size());
     std::vector<size_t> all(specs.size());
     std::iota(all.begin(), all.end(), size_t(0));
-    runGrouped(
-        all, [&](size_t i) { return runGroup(specs[i]); },
+    runGroups(
+        groupIndices(all, [&](size_t i) { return runGroup(specs[i]); }),
         [&](size_t i) {
             results[i] = ExperimentRunner(specs[i].platform).run(specs[i]);
         },

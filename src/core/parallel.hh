@@ -85,34 +85,45 @@ class ThreadPool
 };
 
 /**
- * Run @p compute(i) for every index of @p indices across the pool,
- * one task per group: indices that share a non-empty @p groupOf(i)
- * run in list order on one worker, every other index is a task of its
- * own, and tasks are submitted in order of their first index. No pool
- * is constructed when @p indices is empty.
+ * Partition @p indices into pool tasks: indices that share a non-empty
+ * @p groupOf(i) form one group in list order, every other index is a
+ * group of its own, and groups are ordered by their first index.
  *
  * Experiments group by their prepared-state checkpoint fingerprint: a
  * group's first job prepares the tuple and publishes the snapshot, its
  * groupmates restore from it, instead of blocking in the store's
  * claim/wait on other threads.
  */
-void runGrouped(const std::vector<size_t> &indices,
-                const std::function<std::string(size_t)> &groupOf,
-                const std::function<void(size_t)> &compute,
-                unsigned jobs_override = 0);
+std::vector<std::vector<size_t>>
+groupIndices(const std::vector<size_t> &indices,
+             const std::function<std::string(size_t)> &groupOf);
+
+/**
+ * Run @p compute(i) for every index of @p groups across the pool, one
+ * task per group, its indices in order on one worker; tasks are
+ * submitted in group order. With one worker that is exactly the order
+ * of @p groups flattened. No pool is constructed when @p groups is
+ * empty.
+ */
+void runGroups(const std::vector<std::vector<size_t>> &groups,
+               const std::function<void(size_t)> &compute,
+               unsigned jobs_override = 0);
 
 /**
  * The memoised sweep every cached row goes through. Each job's row is
  * looked up first and a hit is answered inline. The misses are
  * deduplicated by row key, the distinct ones computed across the pool
- * (runGrouped()), recorded from the calling thread in submission
+ * (runGroups()), recorded from the calling thread in submission
  * order, and copied to the later jobs that share their key, just as a
  * serial sweep hits the row its first job recorded. The backing CSV is
  * therefore byte-identical to a serial sweep's at any worker count.
+ * So is stdout: each miss's progress line is printed from the calling
+ * thread before dispatch, in the order one worker would run them.
  *
  * @p rows describes a Job and its Result:
  *   std::string key(const Job &)               the row key
- *   std::string group(const Job &)             runGrouped() key
+ *   std::string group(const Job &)             groupIndices() key
+ *   void announce(const Job &)                 progress line of a miss
  *   Result compute(const Job &)                measure (on a worker)
  *   ResultCache::Row pack(const Result &)      the row to record
  *   Result unpack(const Job &, const ResultCache::Row &)
@@ -142,9 +153,13 @@ memoisedSweep(ResultCache &cache, const std::vector<Job> &jobs,
             source[i] = it->second;
         }
     }
-    runGrouped(
-        misses, [&](size_t i) { return rows.group(jobs[i]); },
-        [&](size_t i) { results[i] = rows.compute(jobs[i]); },
+    const std::vector<std::vector<size_t>> groups = groupIndices(
+        misses, [&](size_t i) { return rows.group(jobs[i]); });
+    for (const std::vector<size_t> &members : groups)
+        for (size_t i : members)
+            rows.announce(jobs[i]);
+    runGroups(
+        groups, [&](size_t i) { results[i] = rows.compute(jobs[i]); },
         jobs_override);
     for (size_t i : misses)
         cache.recordRow(keys[i], rows.pack(results[i]));
@@ -170,7 +185,7 @@ parallelSweep(ResultCache &cache, const std::vector<RunSpec> &specs,
  * Cache-free variant for design-space ablations, whose configurations
  * differ in fields the cache key does not cover. Each spec gets a
  * fresh ExperimentRunner on a worker thread, submitted through
- * runGrouped(); results are merged in submission order.
+ * runGroups(); results are merged in submission order.
  */
 std::vector<RunResult>
 parallelRun(const std::vector<RunSpec> &specs, unsigned jobs_override = 0);

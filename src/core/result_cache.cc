@@ -502,10 +502,9 @@ ResultCache::rowKey(const ClusterConfig &cfg, const FunctionSpec &spec,
     return keyOf(cfg, spec.name, runModeName(mode));
 }
 
-RunResult
-ResultCache::measure(const RunSpec &rs)
+void
+ResultCache::announce(const RunSpec &rs) const
 {
-    svb_assert(rs.impl != nullptr, "RunSpec without a workload impl");
     switch (rs.mode) {
       case RunMode::Detailed:
         inform("measuring ", rs.spec.name, " on ",
@@ -524,6 +523,12 @@ ResultCache::measure(const RunSpec &rs)
       case RunMode::Lukewarm:
         break;
     }
+}
+
+RunResult
+ResultCache::measure(const RunSpec &rs)
+{
+    svb_assert(rs.impl != nullptr, "RunSpec without a workload impl");
     return runnerFor(rs.platform).run(rs);
 }
 
@@ -552,6 +557,7 @@ ResultCache::run(const RunSpec &rs)
         pending.insert(key);
     }
 
+    announce(rs);
     const RunResult res = measure(rs);
     {
         std::lock_guard<std::mutex> lk(mtx);

@@ -98,11 +98,15 @@ class ResultCache
 
     /**
      * Run @p rs on this thread's runner for rs.platform without
-     * consulting or recording a row: run() is lookup + measure() +
-     * record, and memoisedSweep() (core/parallel.hh) measures its
-     * misses on workers and records them itself.
+     * consulting or recording a row: run() is lookup + announce() +
+     * measure() + record, and memoisedSweep() (core/parallel.hh)
+     * announces its misses from the calling thread, measures them on
+     * workers and records them itself.
      */
     RunResult measure(const RunSpec &rs);
+
+    /** Print the "measuring"/"calibrating" progress line of @p rs. */
+    void announce(const RunSpec &rs) const;
 
     /** The CSV row key of (@p cfg, @p spec) under @p mode. */
     std::string rowKey(const ClusterConfig &cfg, const FunctionSpec &spec,

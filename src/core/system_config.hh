@@ -30,9 +30,11 @@ struct SystemConfig
     uint64_t clockMHz = 1000;
 
     /**
-     * Backing store actually allocated by the simulator. The modelled
-     * platform is 2 GB (Table 4.1); the scaled-down workloads fit
-     * comfortably in this backing allocation.
+     * Guest physical memory size. The modelled platform is 2 GB
+     * (Table 4.1); the scaled-down workloads fit comfortably in this.
+     * Host memory is spent only on the pages the guest writes
+     * (PhysMemory keeps a 4 KiB frame per written page), so building
+     * a System costs the same at any size.
      */
     size_t memBytes = 96 * 1024 * 1024;
 

@@ -122,6 +122,7 @@ replaySweep(ResultCache &cache,
             return cache.scenarioKey(s.cluster, s.name, Rows::mode);
         }
         std::string group(const Scenario &) const { return {}; }
+        void announce(const Scenario &) const {}
         Result compute(const Scenario &s) const { return Rows::run(cache, s); }
         Row pack(const Result &res) const { return Rows::pack(res); }
         Result

@@ -10,12 +10,13 @@
  * map from guest page index to a shared, refcounted SnapshotPage,
  * plus the recorded cold-request working set.
  *
- * Sharing is copy-on-write by construction: a lazily restored
- * PhysMemory materialises a page by *copying* it into its private
- * flat backing on first touch, so a guest write never reaches the
- * shared page. Refcounts are the shared_ptr counts themselves; the
- * store only holds weak references, so dropping the last image/lease
- * (pool eviction, instance kill) frees the host memory.
+ * Sharing is copy-on-write by construction: a restored PhysMemory maps
+ * a snapshot page read-only, in place, and the first guest write to it
+ * copies the page into a private frame of that PhysMemory, so a write
+ * never reaches the shared page. Refcounts are the shared_ptr counts
+ * themselves; the store only holds weak references, so dropping the
+ * last image/lease (pool eviction, instance kill) frees the host
+ * memory.
  */
 
 #ifndef SVB_MEM_PAGE_STORE_HH
@@ -91,7 +92,7 @@ class PageStore
 
 /**
  * The page table of one published checkpoint: what a lazy restore
- * materialises from. Immutable once built; shared by every concurrent
+ * maps its pages from. Immutable once built; shared by every concurrent
  * instance restored from the same fingerprint.
  */
 struct PageImage

@@ -1,8 +1,6 @@
 #include "phys_memory.hh"
 
 #include <algorithm>
-#include <array>
-#include <cstring>
 #include <unordered_map>
 
 #include "sim/logging.hh"
@@ -11,124 +9,164 @@
 namespace svb
 {
 
-PhysMemory::PhysMemory(size_t size_bytes) : mem(size_bytes, 0)
+namespace
 {
+
+/** The shared zero frame every never-written page reads from. */
+alignas(64) const uint8_t zeroFrame[snapshotPageBytes] = {};
+
+/** Call @p fn(page, offset, n) for each in-page piece of
+ *  [addr, addr+len), in address order. */
+template <class Fn>
+void
+forEachPage(Addr addr, size_t len, Fn &&fn)
+{
+    while (len > 0) {
+        const uint64_t page = addr / snapshotPageBytes;
+        const size_t off = addr % snapshotPageBytes;
+        const size_t n = std::min(len, snapshotPageBytes - off);
+        fn(page, off, n);
+        addr += n;
+        len -= n;
+    }
 }
 
-// --- raw flat-array accessors ----------------------------------------------
+} // namespace
+
+PhysMemory::PhysMemory(size_t size_bytes)
+    : nFrames(size_bytes / snapshotPageBytes),
+      frames(static_cast<Frame *>(std::calloc(nFrames, sizeof(Frame))))
+{
+    svb_assert(size_bytes % snapshotPageBytes == 0,
+               "guest memory is not a whole number of pages: ", size_bytes);
+    svb_assert(nFrames == 0 || frames != nullptr,
+               "cannot allocate the frame table");
+}
+
+// --- slow paths ---------------------------------------------------------------
 
 void
-PhysMemory::readBytesRaw(Addr addr, void *dst, size_t len) const
+PhysMemory::checkRange(Addr addr, size_t len, const char *what) const
 {
-    svb_assert(addr + len <= mem.size(), "phys read OOB: addr=", addr,
-               " len=", len);
-    std::memcpy(dst, mem.data() + addr, len);
+    // Written so that nothing can wrap: addr near 2^64 fails here.
+    if (len > size() || addr > size() - len)
+        svb_panic("phys ", what, " OOB: addr=", addr, " len=", len);
 }
 
 void
-PhysMemory::writeBytesRaw(Addr addr, const void *src, size_t len)
+PhysMemory::readBytesSlow(Addr addr, void *dst, size_t len) const
 {
-    svb_assert(addr + len <= mem.size(), "phys write OOB: addr=", addr,
-               " len=", len);
-    std::memcpy(mem.data() + addr, src, len);
+    checkRange(addr, len, "read");
+    uint8_t *out = static_cast<uint8_t *>(dst);
+    forEachPage(addr, len, [&](uint64_t page, size_t off, size_t n) {
+        std::memcpy(out, readable(page) + off, n);
+        out += n;
+    });
+}
+
+void
+PhysMemory::writeBytesSlow(Addr addr, const void *src, size_t len)
+{
+    checkRange(addr, len, "write");
+    const uint8_t *in = static_cast<const uint8_t *>(src);
+    forEachPage(addr, len, [&](uint64_t page, size_t off, size_t n) {
+        std::memcpy(writable(page) + off, in, n);
+        in += n;
+    });
 }
 
 uint64_t
-PhysMemory::readRaw(Addr addr, unsigned len) const
+PhysMemory::readSlow(Addr addr, unsigned len) const
 {
-    svb_assert(addr + len <= mem.size(), "phys read OOB: addr=", addr);
-    uint64_t v = 0;
-    for (unsigned i = 0; i < len; ++i)
-        v |= uint64_t(mem[addr + i]) << (8 * i);
+    svb_assert(len <= 8, "phys read wider than 8 bytes: len=", len);
+    uint64_t v = 0; // little-endian host: the low len bytes
+    readBytesSlow(addr, &v, len);
     return v;
 }
 
 void
-PhysMemory::writeRaw(Addr addr, uint64_t value, unsigned len)
+PhysMemory::writeSlow(Addr addr, uint64_t value, unsigned len)
 {
-    svb_assert(addr + len <= mem.size(), "phys write OOB: addr=", addr);
-    for (unsigned i = 0; i < len; ++i)
-        mem[addr + i] = uint8_t(value >> (8 * i));
+    svb_assert(len <= 8, "phys write wider than 8 bytes: len=", len);
+    writeBytesSlow(addr, &value, len);
 }
 
 void
-PhysMemory::clearRange(Addr addr, size_t len)
+PhysMemory::install(uint64_t page, bool prefetch) const
 {
-    if (hooksActive && len > 0)
-        touch(addr, len);
-    svb_assert(addr + len <= mem.size(), "phys clear OOB");
-    std::memset(mem.data() + addr, 0, len);
-}
-
-uint8_t *
-PhysMemory::data()
-{
-    materializeAll();
-    return mem.data();
-}
-
-const uint8_t *
-PhysMemory::data() const
-{
-    materializeAll();
-    return mem.data();
-}
-
-// --- touch hook -------------------------------------------------------------
-
-void
-PhysMemory::updateHooks() const
-{
-    hooksActive = recording || remainingLazy > 0;
-}
-
-void
-PhysMemory::touch(Addr addr, size_t len) const
-{
-    if (len == 0)
-        return;
-    // An OOB access still reaches the raw accessor's bounds assert;
-    // the explicit clamps here only keep the bitmaps safe until then.
-    const uint64_t p0 = addr / snapshotPageBytes;
-    const uint64_t p1 = (addr + len - 1) / snapshotPageBytes;
-    for (uint64_t p = p0; p <= p1; ++p) {
-        if (remainingLazy > 0 && p < pageReady.size() && !pageReady[p])
-            materializePage(p, /*prefetch=*/false);
-        if (recording && p < touched.size() && !touched[p])
-            touched[p] = true;
-    }
-}
-
-void
-PhysMemory::materializePage(uint64_t page, bool prefetch) const
-{
-    const auto it = lazyImage->pages.find(page);
-    svb_assert(it != lazyImage->pages.end(),
-               "materialise of a page absent from the image");
-    const size_t off = size_t(page) * snapshotPageBytes;
-    const size_t len = std::min(snapshotPageBytes, mem.size() - off);
-    // Copy-on-write: the shared snapshot page is copied into this
-    // instance's private backing; later guest writes land there.
-    std::memcpy(mem.data() + off, it->second->bytes.data(), len);
-    pageReady[page] = true;
+    frames[page].kind = FrameKind::Shared;
     --remainingLazy;
     ++nResident;
     if (prefetch)
         ++nPrefetched;
     else
         ++nFaults;
-    if (remainingLazy == 0)
-        updateHooks();
+}
+
+const uint8_t *
+PhysMemory::readable(uint64_t page) const
+{
+    Frame &f = frames[page];
+    if (f.kind == FrameKind::Pending)
+        install(page, /*prefetch=*/false);
+    f.rd = f.host != nullptr ? f.host : zeroFrame;
+    return f.rd;
+}
+
+uint8_t *
+PhysMemory::writable(uint64_t page)
+{
+    Frame &f = frames[page];
+    if (f.kind == FrameKind::Pending)
+        install(page, /*prefetch=*/false);
+    if (f.kind != FrameKind::Private) {
+        // Copy-on-write: the zero frame and snapshot pages are shared,
+        // so the first write gets this instance its own copy.
+        uint8_t *own = newFrame();
+        if (f.host != nullptr)
+            std::memcpy(own, f.host, snapshotPageBytes);
+        else
+            std::memset(own, 0, snapshotPageBytes);
+        f.host = own;
+        f.kind = FrameKind::Private;
+    }
+    f.wr = const_cast<uint8_t *>(f.host); // ours to write
+    f.rd = f.host;
+    return f.wr;
 }
 
 void
-PhysMemory::materializeAll() const
+PhysMemory::clearRange(Addr addr, size_t len)
 {
-    if (remainingLazy == 0)
-        return;
-    for (const auto &[page, sp] : lazyImage->pages)
-        if (!pageReady[page])
-            materializePage(page, /*prefetch=*/false);
+    checkRange(addr, len, "clear");
+    forEachPage(addr, len, [&](uint64_t page, size_t off, size_t n) {
+        Frame &f = frames[page];
+        if (f.kind == FrameKind::Pending)
+            install(page, /*prefetch=*/false);
+        if (f.kind == FrameKind::Zero ||
+            (f.kind == FrameKind::Shared && n == snapshotPageBytes))
+            f = Frame{zeroFrame, nullptr, nullptr, FrameKind::Zero};
+        else
+            std::memset(writable(page) + off, 0, n);
+    });
+}
+
+uint8_t *
+PhysMemory::newFrame()
+{
+    owned.push_back(std::make_unique_for_overwrite<uint8_t[]>(
+        snapshotPageBytes));
+    return owned.back().get();
+}
+
+void
+PhysMemory::reset()
+{
+    std::fill_n(frames.get(), nFrames, Frame{});
+    owned.clear();
+    lazyImage.reset();
+    remainingLazy = 0;
+    recording = false;
 }
 
 // --- working-set recording ---------------------------------------------------
@@ -136,21 +174,25 @@ PhysMemory::materializeAll() const
 void
 PhysMemory::startTouchRecording()
 {
-    touched.assign(numPages(), false);
+    // With every fast pointer gone, each page's first access takes the
+    // slow path, which reinstalls its pointer: at stop, the pages with
+    // a pointer are the pages touched in between.
+    for (size_t p = 0; p < nFrames; ++p) {
+        frames[p].rd = nullptr;
+        frames[p].wr = nullptr;
+    }
     recording = true;
-    updateHooks();
 }
 
 std::vector<uint64_t>
 PhysMemory::stopTouchRecording()
 {
     std::vector<uint64_t> pages;
-    for (uint64_t p = 0; p < touched.size(); ++p)
-        if (touched[p])
-            pages.push_back(p);
+    if (recording)
+        for (size_t p = 0; p < nFrames; ++p)
+            if (frames[p].rd != nullptr)
+                pages.push_back(p);
     recording = false;
-    touched.clear();
-    updateHooks();
     return pages;
 }
 
@@ -160,29 +202,26 @@ void
 PhysMemory::restoreLazy(std::shared_ptr<const PageImage> image)
 {
     svb_assert(image != nullptr, "restoreLazy without an image");
-    svb_assert(image->memSize == mem.size(),
-               "page image memory size mismatch");
-    std::fill(mem.begin(), mem.end(), 0);
-    recording = false;
-    touched.clear();
+    svb_assert(image->memSize == size(), "page image memory size mismatch");
+    reset();
     lazyImage = std::move(image);
-    // Pages absent from the image are all-zero, which the fill above
-    // already produced: only snapshot pages stay pending.
-    pageReady.assign(numPages(), true);
-    remainingLazy = 0;
+    // Pages absent from the image stay on the zero frame; snapshot
+    // pages stay pending, without a fast pointer, until first touch.
     for (const auto &[page, sp] : lazyImage->pages) {
-        svb_assert(page < pageReady.size(), "image page index OOB");
-        pageReady[page] = false;
-        ++remainingLazy;
+        svb_assert(page < nFrames, "image page index OOB");
+        frames[page].host = sp->bytes.data();
+        frames[page].kind = FrameKind::Pending;
     }
-    nImagePages = lazyImage->pages.size();
+    remainingLazy = nImagePages = lazyImage->pages.size();
     nResident = 0;
     ++nLazyRestores;
     // Eager part: the recorded cold-request working set.
-    for (uint64_t p : lazyImage->workingSet)
-        if (p < pageReady.size() && !pageReady[p])
-            materializePage(p, /*prefetch=*/true);
-    updateHooks();
+    for (uint64_t p : lazyImage->workingSet) {
+        if (p < nFrames && frames[p].kind == FrameKind::Pending) {
+            install(p, /*prefetch=*/true);
+            frames[p].rd = frames[p].host;
+        }
+    }
 }
 
 void
@@ -229,14 +268,13 @@ PhysMemory::serializeState(const std::string &prefix, Checkpoint &cp) const
     // Page-table encoding (format v2): guest memory becomes a table
     // of content-hashed 4 KiB pages with in-image deduplication —
     // (page index, unique page id) mappings over a pool of unique
-    // page payloads. Zero pages are omitted entirely (the backing
-    // allocation is much larger than the touched footprint), and the
+    // page payloads. Zero pages are omitted entirely, and the
     // unique-page pool is what the CheckpointStore's shared PageImage
-    // and the cross-instance CoW page store are built from.
-    materializeAll();
-    static const std::array<uint8_t, snapshotPageBytes> zeroPage{};
+    // and the cross-instance CoW page store are built from. Only
+    // frames off the zero frame are visited; a pending snapshot page
+    // is read in place, without mapping it.
     cp.setScalar(prefix + "format", 2);
-    cp.setScalar(prefix + "size", mem.size());
+    cp.setScalar(prefix + "size", size());
     cp.setScalar(prefix + "pageBytes", snapshotPageBytes);
 
     BlobWriter table;
@@ -246,23 +284,12 @@ PhysMemory::serializeState(const std::string &prefix, Checkpoint &cp) const
     std::unordered_map<uint64_t, std::vector<uint64_t>> byHash;
     uint64_t nMappings = 0;
     uint64_t nUnique = 0;
-    std::array<uint8_t, snapshotPageBytes> padded;
-    for (size_t page = 0; page * snapshotPageBytes < mem.size(); ++page) {
-        const size_t off = page * snapshotPageBytes;
-        const size_t len = std::min(snapshotPageBytes, mem.size() - off);
-        // Zero-page detection via word-wise memcmp against a static
-        // zero page (not a byte-at-a-time scan): this runs over every
-        // page of every checkpoint save.
-        if (std::memcmp(mem.data() + off, zeroPage.data(), len) == 0)
+    for (size_t page = 0; page < nFrames; ++page) {
+        const uint8_t *payload = frames[page].host;
+        // A written-then-cleared private frame can be all zero again.
+        if (payload == nullptr ||
+            std::memcmp(payload, zeroFrame, snapshotPageBytes) == 0)
             continue;
-        const uint8_t *payload = mem.data() + off;
-        if (len < snapshotPageBytes) {
-            // Short tail page: compare and store zero-padded, so its
-            // hash and bytes behave exactly like a full page.
-            std::memcpy(padded.data(), payload, len);
-            std::memset(padded.data() + len, 0, snapshotPageBytes - len);
-            payload = padded.data();
-        }
         const uint64_t h = hashSnapshotPage(payload, snapshotPageBytes);
         uint64_t uid = ~uint64_t(0);
         for (uint64_t cand : byHash[h]) {
@@ -296,28 +323,22 @@ PhysMemory::unserializeState(const std::string &prefix, const Checkpoint &cp)
     std::string err;
     if (!validateCheckpoint(prefix, cp, &err))
         svb_fatal("refusing corrupt checkpoint memory image: ", err);
-    svb_assert(cp.getScalar(prefix + "size") == mem.size(),
+    svb_assert(cp.getScalar(prefix + "size") == size(),
                "checkpoint memory size mismatch");
 
-    // A full restore replaces the contents wholesale: any pending
-    // lazy pages and any in-flight touch recording die with them.
-    lazyImage.reset();
-    pageReady.clear();
-    remainingLazy = 0;
-    recording = false;
-    touched.clear();
-    updateHooks();
-
-    std::fill(mem.begin(), mem.end(), 0);
+    // A full restore replaces the contents wholesale: pending lazy
+    // pages and any in-flight touch recording die with them. Only the
+    // image's pages are copied, each into a private frame.
+    reset();
     const std::vector<uint8_t> &pd = cp.getBlob(prefix + "pagedata");
     BlobReader r(cp.getBlob(prefix + "table"));
     while (!r.done()) {
         const uint64_t page = r.getU64();
         const uint64_t uid = r.getU64();
-        const size_t off = size_t(page) * snapshotPageBytes;
-        const size_t len = std::min(snapshotPageBytes, mem.size() - off);
-        std::memcpy(mem.data() + off,
-                    pd.data() + size_t(uid) * snapshotPageBytes, len);
+        uint8_t *own = newFrame();
+        std::memcpy(own, pd.data() + size_t(uid) * snapshotPageBytes,
+                    snapshotPageBytes);
+        frames[page] = Frame{own, own, own, FrameKind::Private};
     }
     ++nFullRestores;
 }
@@ -341,7 +362,10 @@ PhysMemory::validateCheckpoint(const std::string &prefix,
     const uint64_t pageBytes = cp.getScalar(prefix + "pageBytes");
     if (pageBytes != snapshotPageBytes)
         return fail("unsupported pageBytes " + std::to_string(pageBytes));
-    const uint64_t nPages = (size + pageBytes - 1) / pageBytes;
+    if (size % pageBytes != 0)
+        return fail("memory size " + std::to_string(size) +
+                    " is not a whole number of pages");
+    const uint64_t nPages = size / pageBytes;
     const uint64_t pages = cp.getScalar(prefix + "pages");
     if (pages > nPages)
         return fail("page count " + std::to_string(pages) +

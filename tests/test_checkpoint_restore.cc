@@ -13,14 +13,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 
 #include "core/checkpoint_store.hh"
 #include "mem/phys_memory.hh"
@@ -435,6 +439,165 @@ TEST(CheckpointNegativeTest, DoctoredMemoryImageIsAMiss)
         << "a v1 memory image was served";
     EXPECT_TRUE(claimed);
     store.release(fp);
+}
+
+namespace
+{
+
+/** Overwrite the little-endian u64 at @p off of @p blob. */
+void
+putLe(std::vector<uint8_t> &blob, size_t off, uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        blob[off + size_t(i)] = uint8_t(v >> (8 * i));
+}
+
+/** Apply @p edit to a copy of blob @p key of @p cp and store it back. */
+template <class Edit>
+void
+editBlob(Checkpoint &cp, const std::string &key, Edit &&edit)
+{
+    std::vector<uint8_t> blob = cp.getBlob(key);
+    edit(blob);
+    cp.setBlob(key, std::move(blob));
+}
+
+} // namespace
+
+TEST(CheckpointNegativeTest, MutatedMemoryImageIsAMissOrRestores)
+{
+    // Seeded mutations of the memory image of a real published
+    // checkpoint. Restores install frames by page index, so each case
+    // must end in warn-and-miss at acquire(), or in a full and a REAP
+    // restore that both complete; never in a crash.
+    TempCheckpointDir ckpts("ckpt_neg_mutated");
+    std::filesystem::create_directories(ckpts.dir);
+    CheckpointStore &store = CheckpointStore::global();
+    const FunctionSpec spec = specFor("fibonacci-go");
+    const WorkloadImpl &impl = workloads::workloadImpl(spec.workload);
+    const ClusterConfig cfg = standaloneConfig(IsaId::Riscv);
+    {
+        ExperimentRunner prep(cfg);
+        ASSERT_TRUE(prep.runFunctionEmu(spec, impl).ok);
+    }
+    const std::string fp = CheckpointStore::fingerprint(cfg, spec);
+    const std::string path = store.pathFor(fp);
+    const Checkpoint original = Checkpoint::loadFromFile(path);
+    ASSERT_TRUE(original.hasBlob("mem.ws"));
+    const uint64_t nFrames = cfg.system.memBytes / snapshotPageBytes;
+    const size_t tableBytes = original.getBlob("mem.table").size();
+    const size_t wsBytes = original.getBlob("mem.ws").size();
+    ASSERT_GE(tableBytes, 32u);
+    ASSERT_GE(wsBytes, 16u);
+
+    std::vector<std::pair<std::string, std::function<void(Checkpoint &)>>>
+        cases;
+    std::mt19937_64 rng(0x5eed);
+    for (const auto &[key, bytes, n] :
+         {std::tuple{"mem.table", tableBytes, 24},
+          std::tuple{"mem.ws", wsBytes, 12}}) {
+        for (int i = 0; i < n; ++i) {
+            const size_t at = rng() % bytes;
+            const uint8_t bit = uint8_t(1u << (rng() % 8));
+            cases.emplace_back(
+                std::string(key) + " flip @" + std::to_string(at),
+                [key, at, bit](Checkpoint &cp) {
+                    editBlob(cp, key, [&](auto &b) { b[at] ^= bit; });
+                });
+        }
+    }
+    for (const char *key : {"mem.size", "mem.pages", "mem.uniquePages",
+                            "mem.pageBytes"}) {
+        const uint64_t v = original.getScalar(key);
+        for (const uint64_t to : {v + 1, v - 1, uint64_t(0), ~uint64_t(0)})
+            cases.emplace_back(std::string(key) + "=" + std::to_string(to),
+                               [key, to](Checkpoint &cp) {
+                                   cp.setScalar(key, to);
+                               });
+    }
+    for (const uint64_t page : {nFrames, nFrames + 1, ~uint64_t(0)}) {
+        cases.emplace_back("last table page=" + std::to_string(page),
+                           [page](Checkpoint &cp) {
+                               editBlob(cp, "mem.table", [&](auto &b) {
+                                   putLe(b, b.size() - 16, page);
+                               });
+                           });
+        cases.emplace_back("last ws page=" + std::to_string(page),
+                           [page](Checkpoint &cp) {
+                               editBlob(cp, "mem.ws", [&](auto &b) {
+                                   putLe(b, b.size() - 8, page);
+                               });
+                           });
+    }
+    cases.emplace_back("swapped table entries", [](Checkpoint &cp) {
+        editBlob(cp, "mem.table", [](auto &b) {
+            std::swap_ranges(b.begin(), b.begin() + 16, b.begin() + 16);
+        });
+    });
+    cases.emplace_back("duplicated table entry", [](Checkpoint &cp) {
+        editBlob(cp, "mem.table", [](auto &b) {
+            std::copy(b.begin(), b.begin() + 16, b.begin() + 16);
+        });
+    });
+    cases.emplace_back("swapped unique-page ids", [](Checkpoint &cp) {
+        editBlob(cp, "mem.table", [](auto &b) {
+            std::swap_ranges(b.begin() + 8, b.begin() + 16, b.begin() + 24);
+        });
+    });
+    for (const auto &[key, cut] :
+         {std::pair{"mem.table", 1}, std::pair{"mem.table", 8},
+          std::pair{"mem.table", 16}, std::pair{"mem.pagedata", 1},
+          std::pair{"mem.pagedata", int(snapshotPageBytes)},
+          std::pair{"mem.ws", 1}, std::pair{"mem.ws", 8}}) {
+        cases.emplace_back(std::string(key) + " cut by " +
+                               std::to_string(cut),
+                           [key, cut](Checkpoint &cp) {
+                               editBlob(cp, key, [&](auto &b) {
+                                   b.resize(b.size() - size_t(cut));
+                               });
+                           });
+    }
+
+    ServerlessCluster cl(cfg);
+    unsigned misses = 0;
+    unsigned restores = 0;
+    for (const auto &[name, mutate] : cases) {
+        SCOPED_TRACE(name);
+        Checkpoint cp = original;
+        mutate(cp);
+        cp.saveToFile(path);
+        store.resetForTest(ckpts.dir);
+
+        bool claimed = false;
+        testing::internal::CaptureStderr();
+        const std::shared_ptr<const Checkpoint> got =
+            store.acquire(fp, &claimed);
+        const std::string warned = testing::internal::GetCapturedStderr();
+        if (got == nullptr) {
+            EXPECT_TRUE(claimed);
+            EXPECT_NE(warned.find("warn: ignoring corrupt checkpoint"),
+                      std::string::npos)
+                << warned;
+            store.release(fp);
+            ++misses;
+            continue;
+        }
+        EXPECT_FALSE(claimed);
+        for (const bool reap : {false, true}) {
+            cl.beginRestore();
+            cl.deploy(spec, impl);
+            std::shared_ptr<const PageImage> img;
+            if (reap)
+                img = store.imageFor(fp, *got);
+            cl.finishRestore(*got, img);
+            const PhysMemory &phys = cl.system().phys();
+            EXPECT_EQ(phys.lazyRestores() + phys.fullRestores(), 1u);
+        }
+        ++restores;
+    }
+    // Both endings occur, so neither branch is vacuous.
+    EXPECT_GT(misses, 0u);
+    EXPECT_GT(restores, 0u);
 }
 
 TEST(CheckpointAtomicityTest, ConcurrentWritersNeverTearTheFile)

@@ -1,15 +1,20 @@
 /**
  * @file
  * Memory system unit tests: physical memory (including the
- * page-granular checkpoint format, working-set touch recording and
- * lazy CoW restores), tag-only caches (LRU, writebacks,
+ * page-granular checkpoint format, working-set touch recording, lazy
+ * CoW restores, bounds checks and a differential test against a flat
+ * reference model), tag-only caches (LRU, writebacks,
  * invalidation), the DRAM row-buffer model, and the per-core
  * hierarchies with write-invalidate coherence.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <random>
+#include <set>
 
 #include "mem/hierarchy.hh"
 #include "mem/phys_memory.hh"
@@ -283,6 +288,314 @@ TEST(PhysMemory, ValidateCheckpointRejectsHostileImages)
     // The original is still fine (doctored copies never leaked back).
     EXPECT_TRUE(PhysMemory::validateCheckpoint("m.", good, &err)) << err;
 }
+
+// An address near 2^64 must not wrap the bounds check into range: every
+// accessor panics instead of reading or writing beside the memory.
+constexpr Addr nearTop = ~Addr(0) - 3;
+
+TEST(PhysMemoryDeathTest, ReadNearTopOfAddressSpacePanics)
+{
+    PhysMemory mem(4096);
+    EXPECT_DEATH((void)mem.read(nearTop, 8), "phys read OOB");
+}
+
+TEST(PhysMemoryDeathTest, WriteNearTopOfAddressSpacePanics)
+{
+    PhysMemory mem(4096);
+    EXPECT_DEATH(mem.write(nearTop, 1, 8), "phys write OOB");
+}
+
+TEST(PhysMemoryDeathTest, ReadBytesNearTopOfAddressSpacePanics)
+{
+    PhysMemory mem(4096);
+    uint8_t buf[8];
+    EXPECT_DEATH(mem.readBytes(nearTop, buf, sizeof(buf)), "phys read OOB");
+}
+
+TEST(PhysMemoryDeathTest, WriteBytesNearTopOfAddressSpacePanics)
+{
+    PhysMemory mem(4096);
+    const uint8_t buf[8] = {};
+    EXPECT_DEATH(mem.writeBytes(nearTop, buf, sizeof(buf)),
+                 "phys write OOB");
+}
+
+TEST(PhysMemoryDeathTest, ClearRangeNearTopOfAddressSpacePanics)
+{
+    PhysMemory mem(4096);
+    EXPECT_DEATH(mem.clearRange(nearTop, 8), "phys clear OOB");
+}
+
+TEST(PhysMemoryDeathTest, AccessStraddlingTheEndPanics)
+{
+    PhysMemory mem(2 * snapshotPageBytes);
+    EXPECT_EQ(mem.read(2 * snapshotPageBytes - 8, 8), 0u);
+    EXPECT_DEATH((void)mem.read(2 * snapshotPageBytes - 4, 8),
+                 "phys read OOB");
+    EXPECT_DEATH(mem.clearRange(snapshotPageBytes, snapshotPageBytes + 1),
+                 "phys clear OOB");
+}
+
+namespace
+{
+
+constexpr size_t fuzzPages = 16;
+constexpr size_t fuzzBytes = fuzzPages * snapshotPageBytes;
+
+/** Indices of the pages of @p bytes holding a non-zero byte. */
+std::vector<uint64_t>
+nonZeroPages(const std::vector<uint8_t> &bytes)
+{
+    std::vector<uint64_t> pages;
+    for (uint64_t p = 0; p < bytes.size() / snapshotPageBytes; ++p) {
+        const auto first = bytes.begin() + long(p * snapshotPageBytes);
+        if (std::any_of(first, first + long(snapshotPageBytes),
+                        [](uint8_t b) { return b != 0; }))
+            pages.push_back(p);
+    }
+    return pages;
+}
+
+/**
+ * One PhysMemory under test beside its reference model: a flat byte
+ * vector plus the model's view of the lazy-restore and touch-recording
+ * state, kept from nothing but the sequence of operations.
+ */
+struct ModelledMemory
+{
+    std::unique_ptr<PhysMemory> mem =
+        std::make_unique<PhysMemory>(fuzzBytes);
+    std::vector<uint8_t> bytes = std::vector<uint8_t>(fuzzBytes, 0);
+    /** Image pages the last lazy restore has not mapped yet. */
+    std::set<uint64_t> pending;
+    bool lazy = false;
+    bool recording = false;
+    std::set<uint64_t> touched;
+    /** Cumulative counters just before the last lazy restore. */
+    uint64_t prefetched0 = 0;
+    uint64_t faults0 = 0;
+
+    /** An access of @p len bytes at @p addr touches its pages. */
+    void
+    touch(Addr addr, size_t len)
+    {
+        if (len == 0)
+            return;
+        for (uint64_t p = addr / snapshotPageBytes;
+             p <= (addr + len - 1) / snapshotPageBytes; ++p) {
+            pending.erase(p);
+            if (recording)
+                touched.insert(p);
+        }
+    }
+
+    /** Either restore ends a recording and replaces the contents. */
+    void
+    restored(const std::vector<uint8_t> &snapshot)
+    {
+        bytes = snapshot;
+        recording = false;
+        touched.clear();
+        pending.clear();
+    }
+
+    void
+    checkCounters() const
+    {
+        ASSERT_EQ(mem->pendingLazyPages(), pending.size());
+        ASSERT_EQ(mem->prefetchedPages() - prefetched0 + mem->lazyFaults() -
+                      faults0,
+                  mem->residentImagePages());
+        if (lazy) {
+            ASSERT_EQ(mem->residentImagePages() + pending.size(),
+                      mem->imagePages());
+        }
+        ASSERT_EQ(mem->touchRecording(), recording);
+    }
+};
+
+class PhysMemoryDifferential : public ::testing::TestWithParam<uint64_t>
+{
+};
+
+} // namespace
+
+TEST_P(PhysMemoryDifferential, MatchesAFlatReferenceModel)
+{
+    std::mt19937_64 rng(GetParam());
+    const auto pick = [&rng](uint64_t n) { return rng() % n; };
+    // Half the accesses sit on a page boundary, straddling it when
+    // longer than a byte.
+    const auto addrFor = [&](size_t len) -> Addr {
+        if (pick(2) == 0) {
+            const Addr edge = (1 + pick(fuzzPages - 1)) * snapshotPageBytes;
+            const Addr back = pick(len + 1);
+            return std::min<Addr>(edge > back ? edge - back : 0,
+                                  fuzzBytes - len);
+        }
+        return pick(fuzzBytes - len + 1);
+    };
+    // Mostly short, sometimes spanning up to three pages.
+    const auto bulkLen = [&]() -> size_t {
+        return pick(4) == 0 ? pick(2 * snapshotPageBytes + 2) : pick(65);
+    };
+
+    ModelledMemory inst[2];
+    std::vector<uint64_t> lastRecorded;
+    std::shared_ptr<const PageImage> image;
+    std::vector<uint8_t> imageBytes;
+
+    for (unsigned op = 0; op < 3000; ++op) {
+        SCOPED_TRACE("op " + std::to_string(op));
+        ModelledMemory &m = inst[pick(2)];
+        const uint64_t kind = pick(100);
+        if (kind < 30) {
+            const unsigned w = 1u << pick(4);
+            const Addr a = addrFor(w);
+            uint64_t want = 0;
+            for (unsigned i = 0; i < w; ++i)
+                want |= uint64_t(m.bytes[a + i]) << (8 * i);
+            ASSERT_EQ(m.mem->read(a, w), want) << "read " << a << "/" << w;
+            m.touch(a, w);
+        } else if (kind < 55) {
+            const unsigned w = 1u << pick(4);
+            const Addr a = addrFor(w);
+            const uint64_t v = rng();
+            m.mem->write(a, v, w);
+            for (unsigned i = 0; i < w; ++i)
+                m.bytes[a + i] = uint8_t(v >> (8 * i));
+            m.touch(a, w);
+        } else if (kind < 63) {
+            const size_t len = bulkLen();
+            const Addr a = addrFor(len);
+            std::vector<uint8_t> got(len);
+            m.mem->readBytes(a, got.data(), len);
+            ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                                   m.bytes.begin() + long(a)))
+                << "readBytes " << a << "/" << len;
+            m.touch(a, len);
+        } else if (kind < 71) {
+            const size_t len = bulkLen();
+            const Addr a = addrFor(len);
+            std::vector<uint8_t> data(len);
+            for (uint8_t &b : data)
+                b = uint8_t(rng());
+            m.mem->writeBytes(a, data.data(), len);
+            std::copy(data.begin(), data.end(), m.bytes.begin() + long(a));
+            m.touch(a, len);
+        } else if (kind < 77) {
+            // Whole pages (often never written) or an arbitrary range.
+            size_t len;
+            Addr a;
+            if (pick(2) == 0) {
+                len = (1 + pick(3)) * snapshotPageBytes;
+                a = pick(fuzzPages - len / snapshotPageBytes + 1) *
+                    snapshotPageBytes;
+            } else {
+                len = bulkLen();
+                a = addrFor(len);
+            }
+            m.mem->clearRange(a, len);
+            std::fill_n(m.bytes.begin() + long(a), len, 0);
+            m.touch(a, len);
+        } else if (kind < 81) {
+            if (!m.recording) {
+                m.mem->startTouchRecording();
+                m.recording = true;
+                m.touched.clear();
+            } else {
+                lastRecorded = m.mem->stopTouchRecording();
+                ASSERT_EQ(lastRecorded, std::vector<uint64_t>(
+                                            m.touched.begin(),
+                                            m.touched.end()));
+                m.recording = false;
+            }
+        } else if (kind < 91) {
+            // Snapshot one instance, then restore it fully or lazily.
+            Checkpoint cp;
+            m.mem->serializeState("m.", cp);
+            std::vector<uint64_t> tablePages;
+            BlobReader r(cp.getBlob("m.table"));
+            while (!r.done()) {
+                tablePages.push_back(r.getU64());
+                (void)r.getU64();
+            }
+            const std::vector<uint64_t> imagePages = nonZeroPages(m.bytes);
+            ASSERT_EQ(tablePages, imagePages);
+            const std::vector<uint8_t> snapshot = m.bytes;
+            if (kind < 85) {
+                ModelledMemory &dst = inst[pick(2)];
+                dst.mem->unserializeState("m.", cp);
+                dst.restored(snapshot);
+                dst.lazy = false;
+                continue;
+            }
+            // With the last recorded working set, a random one or none.
+            std::vector<uint64_t> ws;
+            if (const uint64_t choice = pick(3); choice == 1) {
+                ws = lastRecorded;
+            } else if (choice == 2) {
+                for (uint64_t p = 0; p < fuzzPages; ++p)
+                    if (pick(3) == 0)
+                        ws.push_back(p);
+            }
+            if (!ws.empty()) {
+                BlobWriter w;
+                for (uint64_t p : ws)
+                    w.putU64(p);
+                cp.setBlob("m.ws", w.take());
+            }
+            std::string err;
+            ASSERT_TRUE(PhysMemory::validateCheckpoint("m.", cp, &err))
+                << err;
+            image = PhysMemory::buildImage("m.", cp);
+            imageBytes = snapshot;
+            // Sometimes both instances share the image, so later writes
+            // exercise copy-on-write on both sides.
+            const ModelledMemory *one = &inst[pick(2)];
+            const bool both = pick(3) == 0;
+            for (ModelledMemory *dst : {&inst[0], &inst[1]}) {
+                if (!both && dst != one)
+                    continue;
+                dst->prefetched0 = dst->mem->prefetchedPages();
+                dst->faults0 = dst->mem->lazyFaults();
+                dst->mem->restoreLazy(image);
+                dst->restored(snapshot);
+                dst->lazy = true;
+                std::set_difference(imagePages.begin(), imagePages.end(),
+                                    ws.begin(), ws.end(),
+                                    std::inserter(dst->pending,
+                                                  dst->pending.end()));
+                ASSERT_EQ(dst->mem->prefetchedPages() - dst->prefetched0,
+                          imagePages.size() - dst->pending.size());
+            }
+        } else if (kind < 94) {
+            // The shared image itself never sees an instance's writes.
+            if (image == nullptr)
+                continue;
+            PhysMemory fresh(fuzzBytes);
+            fresh.restoreLazy(image);
+            std::vector<uint8_t> all(fuzzBytes);
+            fresh.readBytes(0, all.data(), fuzzBytes);
+            ASSERT_EQ(all, imageBytes);
+        } else {
+            std::vector<uint8_t> all(fuzzBytes);
+            m.mem->readBytes(0, all.data(), fuzzBytes);
+            ASSERT_EQ(all, m.bytes);
+            m.touch(0, fuzzBytes);
+        }
+        for (const ModelledMemory &mm : inst)
+            ASSERT_NO_FATAL_FAILURE(mm.checkCounters());
+    }
+    for (ModelledMemory &mm : inst) {
+        std::vector<uint8_t> all(fuzzBytes);
+        mm.mem->readBytes(0, all.data(), fuzzBytes);
+        EXPECT_EQ(all, mm.bytes);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PhysMemoryDifferential,
+                         ::testing::Range<uint64_t>(1, 9));
 
 TEST(PageStore, InternDedupsAndFreesWithLastHolder)
 {

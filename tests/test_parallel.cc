@@ -288,6 +288,44 @@ TEST(ParallelSweep, MixedHitsMissesAndDuplicatesMatchASerialRunLoop)
     }
 }
 
+TEST(ParallelSweep, ProgressLinesPrintInOneWorkerOrder)
+{
+    // The O3 run and the calibration share a checkpoint fingerprint,
+    // so one worker runs them back to back, while the two emulation
+    // runs are groups of their own that finish long before the O3 run
+    // does. Lines printed by the workers themselves would put the
+    // calibration's line last at 4 workers.
+    const std::vector<RunSpec> jobs = {
+        runOf(RunMode::Detailed, IsaId::Riscv, "fibonacci-go"),
+        runOf(RunMode::Emu, IsaId::Cx86, "fibonacci-go"),
+        runOf(RunMode::LoadCal, IsaId::Riscv, "fibonacci-go"),
+        runOf(RunMode::Emu, IsaId::Cx86, "aes-go"),
+    };
+    const std::string riscv = isaName(IsaId::Riscv);
+    const std::string cx86 = isaName(IsaId::Cx86);
+    const std::string serialOrder =
+        "info: measuring fibonacci-go on " + riscv +
+        " (detailed O3, cold+warm)...\n"
+        "info: calibrating fibonacci-go on " + riscv +
+        " for load (cold + " + std::to_string(loadWarmSamples) +
+        " warm samples)...\n"
+        "info: measuring fibonacci-go on " + cx86 + " (emulation)...\n"
+        "info: measuring aes-go on " + cx86 + " (emulation)...\n";
+    for (unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        TempCacheFile file("test_parallel_progress_j" +
+                           std::to_string(workers) + ".csv");
+        ResultCache cache(file.path);
+        testing::internal::CaptureStdout();
+        const std::vector<RunResult> results =
+            parallelSweep(cache, jobs, workers);
+        const std::string out = testing::internal::GetCapturedStdout();
+        for (const RunResult &r : results)
+            EXPECT_TRUE(runResultOk(r));
+        EXPECT_EQ(out, serialOrder);
+    }
+}
+
 TEST(ResultCache, ConcurrentDetailedRunsKeyOnce)
 {
     const FunctionSpec spec = specFor("fibonacci-go");
