@@ -172,12 +172,6 @@ CheckpointStore::acquire(const std::string &fp, bool *claimed)
 void
 CheckpointStore::publish(const std::string &fp, Checkpoint cp)
 {
-    // Published prepared images must not depend on which emulation
-    // tier produced them: strip the superblock anchors (host-side
-    // acceleration state) so an image prepared with SVBENCH_FASTWARM=1
-    // is byte-equal in content to one restored and re-used with =0.
-    // Restore re-forms superblocks lazily from the decode cache.
-    cp.erasePrefix("superblock.");
     cp.setString("meta.fingerprint", fp);
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);

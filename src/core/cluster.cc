@@ -189,22 +189,28 @@ ServerlessCluster::resetFunctionRings()
 }
 
 bool
+ServerlessCluster::runUntilCount(const uint64_t &count, uint64_t target)
+{
+    while (count < target) {
+        const uint64_t ran = machine->run(cfg.phaseCycleLimit);
+        if (count >= target)
+            break;
+        // run() stopped short of the target: a hang if it used the
+        // whole phase budget or if no core can run any more; otherwise
+        // a stop request for an earlier target.
+        if (ran >= cfg.phaseCycleLimit || machine->allHalted())
+            return false;
+    }
+    return true;
+}
+
+bool
 ServerlessCluster::runUntilSlotWorkEnds(unsigned slot, uint64_t target)
 {
     stopAtWorkEnds = target;
     stopSlot = int(slot & 1);
-    while (nSlotWorkEnd[slot & 1] < target) {
-        const uint64_t ran = machine->run(cfg.phaseCycleLimit);
-        if (nSlotWorkEnd[slot & 1] >= target)
-            break;
-        if (ran >= cfg.phaseCycleLimit)
-            return false;
-        bool any_active = false;
-        for (unsigned c = 0; c < cfg.system.numCores; ++c)
-            any_active |= !machine->cpu(c).halted();
-        if (!any_active)
-            return false;
-    }
+    if (!runUntilCount(nSlotWorkEnd[slot & 1], target))
+        return false;
     stopAtWorkEnds = ~uint64_t(0);
     stopSlot = -1;
     return true;
@@ -215,20 +221,8 @@ ServerlessCluster::runUntilWorkEnds(uint64_t target)
 {
     stopAtWorkEnds = target;
     stopSlot = -1;
-    while (nWorkEnd < target) {
-        const uint64_t ran = machine->run(cfg.phaseCycleLimit);
-        if (nWorkEnd >= target)
-            break;
-        if (ran >= cfg.phaseCycleLimit)
-            return false; // hung
-        // run() returned because of a requestStop from an earlier
-        // target or because everything halted.
-        bool any_active = false;
-        for (unsigned c = 0; c < cfg.system.numCores; ++c)
-            any_active |= !machine->cpu(c).halted();
-        if (!any_active)
-            return false;
-    }
+    if (!runUntilCount(nWorkEnd, target))
+        return false;
     stopAtWorkEnds = ~uint64_t(0);
     return true;
 }
@@ -236,19 +230,7 @@ ServerlessCluster::runUntilWorkEnds(uint64_t target)
 bool
 ServerlessCluster::runUntilReady(uint64_t target_events)
 {
-    while (nReady < target_events) {
-        const uint64_t ran = machine->run(cfg.phaseCycleLimit);
-        if (nReady >= target_events)
-            break;
-        if (ran >= cfg.phaseCycleLimit)
-            return false;
-        bool any_active = false;
-        for (unsigned c = 0; c < cfg.system.numCores; ++c)
-            any_active |= !machine->cpu(c).halted();
-        if (!any_active)
-            return false;
-    }
-    return true;
+    return runUntilCount(nReady, target_events);
 }
 
 void

@@ -171,6 +171,11 @@ class ServerlessCluster : public M5Listener
     void buildSystem();
     void createStoreContainers();
 
+    /** Run in phaseCycleLimit chunks until @p count (a counter the m5
+     *  plumbing advances) reaches @p target. @return false when a
+     *  chunk hangs or every core halts first */
+    bool runUntilCount(const uint64_t &count, uint64_t target);
+
     ClusterConfig cfg;
     std::unique_ptr<System> machine;
     std::optional<Checkpoint> baseline;

@@ -45,7 +45,7 @@ System::System(const SystemConfig &config)
             rootStats.childGroup("cpu" + std::to_string(c));
         atomics.push_back(std::make_unique<AtomicCpu>(
             int(c), cfg.isa, *physMem, *coreMems[c], *decoder,
-            *guestKernel, core_group, sblocks.get()));
+            *guestKernel, core_group, *sblocks));
         o3s.push_back(std::make_unique<O3Cpu>(
             cfg.o3, int(c), cfg.isa, *physMem, *coreMems[c], *decoder,
             *guestKernel, core_group));
@@ -98,6 +98,19 @@ System::flushMicroarchState()
 }
 
 bool
+System::allHalted() const
+{
+    for (unsigned c = 0; c < cfg.numCores; ++c) {
+        const bool halted = models[c] == CpuModel::Atomic
+                                ? atomics[c]->halted()
+                                : o3s[c]->halted();
+        if (!halted)
+            return false;
+    }
+    return true;
+}
+
+void
 System::tickCore(unsigned c)
 {
     // Atomic-model cores step through the superblock engine when the
@@ -105,16 +118,89 @@ System::tickCore(unsigned c)
     // callbacks; tickFast() is cycle-for-cycle identical to tick().
     // Both models are final, so these are direct calls.
     if (models[c] == CpuModel::O3) {
-        O3Cpu &o3 = *o3s[c];
-        o3.tick();
-        return !o3.halted();
+        o3s[c]->tick();
+        return;
     }
     AtomicCpu &atomic = *atomics[c];
     if (fastWarm && !atomic.tracing())
         atomic.tickFast();
     else
         atomic.tick();
-    return !atomic.halted();
+}
+
+uint64_t
+System::step(uint64_t limit)
+{
+    // The quiet-core rule. A core is quiet while it is halted or
+    // burning stallCycles(): ticking it is pure bookkeeping. While
+    // every core is an untraced fast-tier Atomic core and at most one
+    // can act, that core runs chained and the quiet ones are credited
+    // in bulk, up to the earliest of the run limit, the next event and
+    // the end of every other core's stall. A trap handler changes only
+    // its own core's context, so quiet cores stay quiet through the
+    // batch, which ends at the trap; the next step checks again.
+    bool chained = fastWarm;
+    unsigned actor = cfg.numCores; // none
+    uint64_t quiet_end = ~uint64_t(0); // cycles to the next stall end or event
+    for (unsigned c = 0; c < cfg.numCores && chained; ++c) {
+        const AtomicCpu &core = *atomics[c];
+        if (models[c] != CpuModel::Atomic || core.tracing())
+            chained = false;
+        else if (core.halted())
+            continue;
+        else if (core.stallCycles() > 0)
+            quiet_end = std::min<uint64_t>(quiet_end, core.stallCycles());
+        else if (actor == cfg.numCores)
+            actor = c;
+        else
+            chained = false;
+    }
+    if (chained && eventq.pending() > 0) {
+        const Tick next_ev = eventq.nextEventTick();
+        svb_assert(next_ev > globalCycle, "overdue event");
+        quiet_end = std::min<uint64_t>(quiet_end, next_ev - globalCycle);
+    }
+
+    // Every other case ticks one cycle, every core in core order:
+    // detailed or traced cores present, several Atomic cores able to
+    // act at once (shared-ring polling needs their exact interleaving),
+    // or the final drain, where every core is halted with no event due.
+    if (!chained || (actor == cfg.numCores && quiet_end == ~uint64_t(0))) {
+        ++globalCycle;
+        for (unsigned c = 0; c < cfg.numCores; ++c)
+            tickCore(c);
+        return 1;
+    }
+
+    uint64_t n = std::min(limit, quiet_end);
+    const uint64_t g0 = globalCycle;
+    if (actor < cfg.numCores) {
+        // Two words of captures fit std::function's small buffer, so a
+        // batch allocates nothing on the host heap (an allocation per
+        // batch raised detailed-fresh's peak RSS by up to 13 MiB).
+        const AtomicCpu::PreTrap pre_trap = [this, actor](uint64_t batch) {
+            // On the per-cycle path, the trapping cycle ticks the cores
+            // below the actor before it traps and the cores above it
+            // only after; the handler may observe either.
+            globalCycle += batch;
+            for (unsigned c = 0; c < cfg.numCores; ++c) {
+                if (c != actor)
+                    atomics[c]->addQuietCycles(c < actor ? batch
+                                                         : batch - 1);
+            }
+        };
+        n = atomics[actor]->runFast(n, &pre_trap);
+    }
+    // pre_trap moved the cycle to the trapping one: then only the cores
+    // above the actor still owe that cycle. Otherwise every quiet core
+    // owes the whole batch.
+    const bool trapped = globalCycle != g0;
+    globalCycle = g0 + n;
+    for (unsigned c = 0; c < cfg.numCores; ++c) {
+        if (c != actor && (!trapped || c > actor))
+            atomics[c]->addQuietCycles(trapped ? 1 : n);
+    }
+    return n;
 }
 
 uint64_t
@@ -123,131 +209,9 @@ System::run(uint64_t max_cycles)
     stopRequested = false;
     uint64_t ran = 0;
     while (ran < max_cycles && !stopRequested) {
-        // Fast-path eligibility, re-evaluated every iteration: model
-        // switches, halts and trace sinks only change inside trap
-        // handlers or between run() calls, both of which end the
-        // chained batch below.
-        bool all_atomic_fast = fastWarm;
-        unsigned n_active = 0;
-        unsigned active_core = 0;
-        for (unsigned c = 0; c < cfg.numCores && all_atomic_fast; ++c) {
-            if (models[c] != CpuModel::Atomic || atomics[c]->tracing()) {
-                all_atomic_fast = false;
-            } else if (!atomics[c]->halted()) {
-                ++n_active;
-                active_core = c;
-            }
-        }
-
-        if (all_atomic_fast && n_active == 1) {
-            // Chained superblock execution on the single runnable
-            // core: stay inside the dispatch loop until the budget, a
-            // trap, or the next pending event — nothing inside a batch
-            // schedules events, so the clamp below keeps event
-            // delivery on its exact per-cycle tick. Halted cores are
-            // credited idle cycles in bulk; the mid-cycle interleaving
-            // a trap handler could observe is reconstructed by
-            // pre_trap before the handler runs.
-            uint64_t budget = max_cycles - ran;
-            if (eventq.pending() > 0) {
-                const Tick next_ev = eventq.nextEventTick();
-                svb_assert(next_ev > globalCycle, "overdue event");
-                budget =
-                    std::min<uint64_t>(budget, next_ev - globalCycle);
-            }
-            const unsigned k = active_core;
-            const uint64_t g0 = globalCycle;
-            bool trapped = false;
-            const AtomicCpu::PreTrap pre_trap = [&](uint64_t batch) {
-                // On the per-cycle path, cycle g0+batch would have
-                // ticked cores 0..k-1 (idle) before core k traps and
-                // cores k+1.. only on the batch's earlier cycles.
-                trapped = true;
-                globalCycle = g0 + batch;
-                for (unsigned c = 0; c < cfg.numCores; ++c) {
-                    if (c < k)
-                        atomics[c]->addIdleCycles(batch);
-                    else if (c > k)
-                        atomics[c]->addIdleCycles(batch - 1);
-                }
-            };
-            const uint64_t consumed =
-                atomics[k]->runFast(budget, &pre_trap);
-            globalCycle = g0 + consumed;
-            ran += consumed;
-            // Idle top-up to exactly `consumed` per halted core: after
-            // a trap, cores above k still owe the trapping cycle; with
-            // no trap, pre_trap never ran and everyone owes the batch.
-            for (unsigned c = 0; c < cfg.numCores; ++c) {
-                if (c == k)
-                    continue;
-                if (trapped) {
-                    if (c > k)
-                        atomics[c]->addIdleCycles(1);
-                } else {
-                    atomics[c]->addIdleCycles(consumed);
-                }
-            }
-            eventq.serviceUpTo(globalCycle);
-            bool any_active = false;
-            for (unsigned c = 0; c < cfg.numCores; ++c)
-                any_active |= !cpu(c).halted();
-            if (!any_active && eventq.pending() == 0)
-                break;
-            continue;
-        }
-
-        if (all_atomic_fast && n_active == 0 && eventq.pending() > 0) {
-            // Everyone is halted but an event is due: jump straight to
-            // it, crediting the skipped cycles as idle — byte-identical
-            // to ticking every core through its halted branch.
-            const Tick next_ev = eventq.nextEventTick();
-            svb_assert(next_ev > globalCycle, "overdue event");
-            const uint64_t skip = std::min<uint64_t>(max_cycles - ran,
-                                                     next_ev - globalCycle);
-            globalCycle += skip;
-            ran += skip;
-            for (unsigned c = 0; c < cfg.numCores; ++c)
-                atomics[c]->addIdleCycles(skip);
-            eventq.serviceUpTo(globalCycle);
-            bool any_active = false;
-            for (unsigned c = 0; c < cfg.numCores; ++c)
-                any_active |= !cpu(c).halted();
-            if (!any_active && eventq.pending() == 0)
-                break;
-            continue;
-        }
-
-        // Per-cycle path: detailed cores present, several Atomic cores
-        // runnable at once (shared-ring polling needs cycle-accurate
-        // interleaving), or the final all-idle drain.
-        ++globalCycle;
-        ++ran;
-        bool any_active = false;
-        for (unsigned c = 0; c < cfg.numCores; ++c)
-            any_active |= tickCore(c);
+        ran += step(max_cycles - ran);
         eventq.serviceUpTo(globalCycle);
-        if (!any_active && eventq.pending() == 0)
-            break;
-    }
-    return ran;
-}
-
-uint64_t
-System::runUntil(const std::function<bool()> &cond, uint64_t max_cycles)
-{
-    stopRequested = false;
-    uint64_t ran = 0;
-    while (ran < max_cycles && !stopRequested && !cond()) {
-        // @p cond must be evaluated between cycles, so no chaining
-        // here; the superblock engine still accelerates each step.
-        ++globalCycle;
-        ++ran;
-        bool any_active = false;
-        for (unsigned c = 0; c < cfg.numCores; ++c)
-            any_active |= tickCore(c);
-        eventq.serviceUpTo(globalCycle);
-        if (!any_active && eventq.pending() == 0)
+        if (allHalted() && eventq.pending() == 0)
             break;
     }
     return ran;
@@ -306,8 +270,6 @@ System::saveCheckpoint(bool include_uarch) const
     }
     if (include_uarch) {
         cp.setScalar("uarch.present", 1);
-        decoder->serializeState("decode.", cp);
-        sblocks->serializeState("superblock.", cp);
         dram->serializeState("dram.", cp);
         for (unsigned c = 0; c < cfg.numCores; ++c) {
             const std::string prefix = "cpu" + std::to_string(c) + ".";
@@ -335,11 +297,14 @@ System::restoreCheckpoint(const Checkpoint &cp,
 {
     svb_assert(cp.getString("system.isa") == isaName(cfg.isa),
                "checkpoint ISA mismatch");
+    // Decoded code is host-side state that no checkpoint carries: the
+    // decode and superblock caches of a freshly built system start
+    // empty and refill from the restored memory on first fetch.
+    svb_assert(globalCycle == 0 && decoder->size() == 0,
+               "restoreCheckpoint needs a freshly built system (cycle ",
+               globalCycle, ", ", decoder->size(), " decoded addresses)");
     globalCycle = cp.getScalar("system.cycle");
     eventq.clear();
-    // Superblocks lower code from the pre-restore physical memory;
-    // drop them all. setContext() below resets every core's cursor.
-    sblocks->clear();
     if (image != nullptr && reapRestore)
         physMem->restoreLazy(std::move(image));
     else
@@ -363,14 +328,7 @@ System::restoreCheckpoint(const Checkpoint &cp,
         return;
     }
     // Warm-state restore. Order matters: setContext() above flushed
-    // the Atomic TLBs, so they are repopulated here; physical memory
-    // is already restored, so the decode cache can re-decode.
-    decoder->unserializeState("decode.", cp);
-    // Older (or published, see CheckpointStore) snapshots carry no
-    // superblock anchors; the cache then re-forms lazily, which is
-    // functionally identical — blocks hold no guest state.
-    if (cp.hasBlob("superblock.paddrs"))
-        sblocks->unserializeState("superblock.", cp);
+    // the Atomic TLBs, so they are repopulated here.
     dram->unserializeState("dram.", cp);
     for (unsigned c = 0; c < cfg.numCores; ++c) {
         const std::string prefix = "cpu" + std::to_string(c) + ".";

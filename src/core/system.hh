@@ -11,7 +11,6 @@
 #ifndef SVB_CORE_SYSTEM_HH
 #define SVB_CORE_SYSTEM_HH
 
-#include <functional>
 #include <memory>
 #include <ostream>
 
@@ -74,15 +73,15 @@ class System : public M5Listener
     // --- execution -----------------------------------------------------------
     /**
      * Run for at most @p max_cycles; stops early when requestStop() is
-     * called or every core is halted.
+     * called or every core is halted with no event pending. run(1)
+     * advances exactly one cycle.
      *
      * @return cycles actually run
      */
     uint64_t run(uint64_t max_cycles);
 
-    /** Run until @p cond returns true (checked each cycle). */
-    uint64_t runUntil(const std::function<bool()> &cond,
-                      uint64_t max_cycles);
+    /** True when no core can run: every core is halted. */
+    bool allHalted() const;
 
     /** Ask the run loop to return at the end of the current cycle. */
     void requestStop() { stopRequested = true; }
@@ -106,8 +105,8 @@ class System : public M5Listener
      * gem5).
      *
      * With @p include_uarch the warm microarchitectural state rides
-     * along too: caches, TLBs, DRAM open rows, decode cache, trained
-     * branch predictors and in-flight atomic-CPU stall cycles. Such a
+     * along too: caches, TLBs, DRAM open rows, trained branch
+     * predictors and in-flight atomic-CPU stall cycles. Such a
      * snapshot restores to a machine byte-identical to the one it was
      * taken on, so measurements after a restore match an uninterrupted
      * run exactly.
@@ -120,7 +119,8 @@ class System : public M5Listener
      * flush caches/TLBs/predictors afterwards; checkpoints carrying it
      * restore that warm state instead. Restore must happen on a
      * freshly built system (detailed-CPU structures in their
-     * constructed state), which the cluster's restore path guarantees.
+     * constructed state; cycle 0 and an empty decode cache are
+     * asserted), which the cluster's restore path guarantees.
      *
      * With a non-null @p image (the CheckpointStore's shared page
      * image of @p cp) and reapEnabled(), guest memory restores
@@ -132,9 +132,13 @@ class System : public M5Listener
                            std::shared_ptr<const PageImage> image = nullptr);
 
   private:
-    /** One cycle for core @p c through its concrete CPU model.
-     *  @return true while the core is still running */
-    bool tickCore(unsigned c);
+    /** One cycle for core @p c through its concrete CPU model. */
+    void tickCore(unsigned c);
+
+    /** One step of run(), at most @p limit cycles: a chained batch
+     *  under the quiet-core rule, or one cycle of every core.
+     *  @return cycles advanced (>= 1) */
+    uint64_t step(uint64_t limit);
 
     SystemConfig cfg;
     StatGroup rootStats{"system"};

@@ -23,7 +23,7 @@ namespace svb
 AtomicCpu::AtomicCpu(int core_id, IsaId isa_id, PhysMemory &phys_mem,
                      CoreMemSystem &mem_sys, DecodeCache &decode,
                      TrapHandler &trap_handler, StatGroup &stats,
-                     SuperblockCache *sblocks)
+                     SuperblockCache &sblocks)
     : BaseCpu(core_id, isa_id, phys_mem, mem_sys, decode, trap_handler,
               stats, "atomic"),
       sblocks(sblocks),
@@ -200,8 +200,6 @@ AtomicCpu::tickFast()
 uint64_t
 AtomicCpu::runFast(uint64_t budget, const PreTrap *pre_trap)
 {
-    svb_assert(sblocks != nullptr,
-               "runFast() needs a SuperblockCache (core ", coreId, ")");
     svb_assert(!traceSink,
                "runFast() cannot deliver trace callbacks (core ", coreId,
                ")");
@@ -250,7 +248,7 @@ AtomicCpu::runFast(uint64_t budget, const PreTrap *pre_trap)
                 itlbUnit.translate(ctx.pc, ctx.ptRoot, phys, nullptr, 0);
             svb_assert(!itr.fault, "instruction page fault at pc=",
                        ctx.pc, " core=", coreId);
-            curBlock = &sblocks->at(itr.paddr);
+            curBlock = &sblocks.at(itr.paddr);
             curInst = 0;
             curFrame = paging::pageBase(itr.paddr);
             curVpage = paging::pageBase(ctx.pc);
@@ -523,7 +521,7 @@ inst_done:
             if (prev->succ != nullptr && prev->succAnchor == next_anchor) {
                 curBlock = prev->succ;
             } else {
-                curBlock = &sblocks->at(next_anchor);
+                curBlock = &sblocks.at(next_anchor);
                 prev->succAnchor = next_anchor;
                 prev->succ = curBlock;
             }

@@ -24,6 +24,7 @@
 #include <functional>
 
 #include "base_cpu.hh"
+#include "sim/logging.hh"
 
 namespace svb
 {
@@ -39,7 +40,7 @@ class AtomicCpu final : public BaseCpu
   public:
     AtomicCpu(int core_id, IsaId isa, PhysMemory &phys, CoreMemSystem &mem,
               DecodeCache &decoder, TrapHandler &trap, StatGroup &stats,
-              SuperblockCache *sblocks = nullptr);
+              SuperblockCache &sblocks);
 
     void tick() override;
 
@@ -54,8 +55,8 @@ class AtomicCpu final : public BaseCpu
      * Invoked just before a trap handler runs inside a chained batch,
      * with the number of cycles consumed so far (including the
      * trapping one). The system uses it to bring the global cycle and
-     * the other cores' idle statistics up to date, because trap
-     * handlers can observe both (m5 stat dumps, work-begin/end marks).
+     * the quiet cores' statistics up to date, because trap handlers
+     * can observe both (m5 stat dumps, work-begin/end marks).
      */
     using PreTrap = std::function<void(uint64_t batch_cycles)>;
 
@@ -64,8 +65,9 @@ class AtomicCpu final : public BaseCpu
      * returning to the event loop, ending early at any trap (syscall /
      * halt, after whose handler the caller must re-evaluate scheduling
      * and events) or when the core is halted. Nothing executed here
-     * schedules events, so the caller bounds @p budget by the next
-     * pending event tick.
+     * schedules events or changes another core, so the caller bounds
+     * @p budget by the next pending event tick and by the end of every
+     * other core's stall.
      *
      * @return cycles consumed (>= 1 when budget >= 1)
      */
@@ -110,14 +112,29 @@ class AtomicCpu final : public BaseCpu
         curVpage = 0;
     }
 
-    /** Credit @p n halted cycles (batched idle accounting while
-     *  another core runs a chained batch). */
-    void addIdleCycles(uint64_t n) { statIdleCycles += n; }
+    /**
+     * Credit @p n cycles in which this core cannot act — it is halted,
+     * or burning stallCycles() — exactly as @p n calls of tick() would.
+     * The run loop credits its quiet cores this way instead of ticking
+     * them (see System::run()).
+     */
+    void
+    addQuietCycles(uint64_t n)
+    {
+        if (ctx.halted) {
+            statIdleCycles += n;
+            return;
+        }
+        svb_assert(n <= pendingStall, "core ", coreId, " credited ", n,
+                   " quiet cycles with ", pendingStall, " left to stall");
+        statCycles += n;
+        pendingStall -= Cycles(n);
+    }
 
   private:
     void recordPc(Addr pc);
 
-    SuperblockCache *sblocks;
+    SuperblockCache &sblocks;
 
     bool warming = true;
     Cycles pendingStall = 0; ///< trap-cost cycles still to burn

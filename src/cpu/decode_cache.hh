@@ -12,14 +12,12 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <vector>
 
 #include "isa/cx86/decoder.hh"
 #include "isa/isa_info.hh"
 #include "isa/riscv/decoder.hh"
 #include "isa/static_inst.hh"
 #include "mem/phys_memory.hh"
-#include "sim/serialize.hh"
 #include "sim/stats.hh"
 
 namespace svb
@@ -95,41 +93,6 @@ class DecodeCache
                      [this] { return double(nMruHits); });
         g.addFormula("entries", "distinct instruction addresses decoded",
                      [this] { return double(cache.size()); });
-    }
-
-    /**
-     * Serialize the set of decoded addresses (sorted, for a stable
-     * on-disk image). The decoded bytes themselves are not stored:
-     * code is immutable, so re-decoding from restored physical memory
-     * reproduces identical entries.
-     */
-    void
-    serializeState(const std::string &prefix, Checkpoint &cp) const
-    {
-        std::vector<Addr> addrs;
-        addrs.reserve(cache.size());
-        for (const auto &kv : cache)
-            addrs.push_back(kv.first);
-        std::sort(addrs.begin(), addrs.end());
-        BlobWriter w;
-        for (Addr a : addrs)
-            w.putU64(a);
-        cp.setBlob(prefix + "paddrs", w.take());
-    }
-
-    /** Rebuild the cache by decoding every checkpointed address.
-     *  Physical memory must already be restored. */
-    void
-    unserializeState(const std::string &prefix, const Checkpoint &cp)
-    {
-        cache.clear();
-        mru = nullptr;
-        mruPaddr = 0;
-        BlobReader r(cp.getBlob(prefix + "paddrs"));
-        while (!r.done())
-            decodeAt(r.getU64());
-        mru = nullptr;
-        mruPaddr = 0;
     }
 
   private:

@@ -1,6 +1,5 @@
 #include "superblock.hh"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "paging.hh"
@@ -96,33 +95,6 @@ SuperblockCache::build(Addr anchor)
     ++nBlocks;
     nInsts += sb.insts.size();
     return sb;
-}
-
-void
-SuperblockCache::serializeState(const std::string &prefix,
-                                Checkpoint &cp) const
-{
-    std::vector<Addr> anchors;
-    anchors.reserve(blocks.size());
-    for (const auto &kv : blocks)
-        anchors.push_back(kv.first);
-    std::sort(anchors.begin(), anchors.end());
-    BlobWriter w;
-    for (Addr a : anchors)
-        w.putU64(a);
-    cp.setBlob(prefix + "paddrs", w.take());
-}
-
-void
-SuperblockCache::unserializeState(const std::string &prefix,
-                                  const Checkpoint &cp)
-{
-    clear();
-    BlobReader r(cp.getBlob(prefix + "paddrs"));
-    while (!r.done())
-        at(r.getU64());
-    mruBlock = nullptr;
-    mruAnchor = 0;
 }
 
 void

@@ -18,9 +18,8 @@
  * Blocks are keyed by the physical address of their first instruction,
  * so they are shared across virtual mappings of the same code page.
  * Guest code is immutable (asserted by the loader), so blocks are
- * never invalidated; across checkpoint restore only the anchor
- * addresses are serialized and every block is re-formed from restored
- * physical memory.
+ * never invalidated. Checkpoints carry no blocks: a restored system
+ * starts with an empty cache and re-forms blocks on first execution.
  *
  * Thread-safety: instance-scoped, like the DecodeCache it wraps.
  */
@@ -33,7 +32,6 @@
 #include <vector>
 
 #include "decode_cache.hh"
-#include "sim/serialize.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -91,8 +89,8 @@ struct Superblock
     /**
      * Last-used successor link (host-side memoisation, mutable by the
      * engine): lets loop iterations chain block-to-block without even
-     * the MRU probe. Blocks are only destroyed all at once (clear()),
-     * and the map is node-based, so a link can never dangle.
+     * the MRU probe. Blocks live as long as their cache and the map is
+     * node-based, so a link can never dangle.
      */
     mutable Addr succAnchor = 0;
     mutable const Superblock *succ = nullptr;
@@ -128,25 +126,6 @@ class SuperblockCache
     }
 
     size_t size() const { return blocks.size(); }
-
-    /** Drop every block (checkpoint restore onto new memory contents). */
-    void
-    clear()
-    {
-        blocks.clear();
-        mruBlock = nullptr;
-        mruAnchor = 0;
-    }
-
-    /**
-     * Serialize only the sorted anchor addresses; the lowered form is
-     * derived state and is re-built from restored physical memory.
-     */
-    void serializeState(const std::string &prefix, Checkpoint &cp) const;
-
-    /** Re-form every checkpointed anchor. Physical memory (and hence
-     *  the decode cache's backing bytes) must already be restored. */
-    void unserializeState(const std::string &prefix, const Checkpoint &cp);
 
     /**
      * Host-side observability counters (how much execution the fast

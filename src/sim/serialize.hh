@@ -56,9 +56,7 @@ class Checkpoint
 
     /**
      * Drop every scalar, string and blob whose key starts with
-     * @p prefix. Used by the checkpoint store to strip host-side
-     * acceleration state (e.g. "superblock.") before an image is
-     * published for sharing.
+     * @p prefix (e.g. to build a checkpoint that lacks a section).
      */
     void erasePrefix(const std::string &prefix);
 

@@ -441,6 +441,46 @@ TEST(CheckpointNegativeTest, DoctoredMemoryImageIsAMiss)
     store.release(fp);
 }
 
+TEST(CheckpointNegativeTest, DecodeAddressesPastMemoryAreIgnored)
+{
+    // Checkpoints carry no decoded code, so a snapshot that names
+    // decode addresses (here one past the end of guest memory) must
+    // be served and restore exactly like the clean one, never decode
+    // from them.
+    TempCheckpointDir ckpts("ckpt_neg_decode");
+    CheckpointStore &store = CheckpointStore::global();
+    const FunctionSpec spec = specFor("fibonacci-go");
+    const WorkloadImpl &impl = workloads::workloadImpl(spec.workload);
+    const ClusterConfig cfg = standaloneConfig(IsaId::Riscv);
+    {
+        ExperimentRunner prep(cfg);
+        ASSERT_TRUE(prep.runFunctionEmu(spec, impl).ok);
+    }
+    ExperimentRunner clean(cfg);
+    const EmuResult a = clean.runFunctionEmu(spec, impl);
+    ASSERT_TRUE(a.ok);
+
+    const std::string path =
+        store.pathFor(CheckpointStore::fingerprint(cfg, spec));
+    Checkpoint cp = Checkpoint::loadFromFile(path);
+    BlobWriter addrs;
+    addrs.putU64(0x10000);
+    addrs.putU64(cfg.system.memBytes + 0x1000);
+    cp.setBlob("decode.paddrs", addrs.take());
+    cp.saveToFile(path);
+    store.resetForTest(ckpts.dir);
+
+    ExperimentRunner doctored(cfg);
+    const EmuResult b = doctored.runFunctionEmu(spec, impl);
+    ASSERT_TRUE(b.ok);
+    EXPECT_EQ(a.coldNs, b.coldNs);
+    EXPECT_EQ(a.warmNs, b.warmNs);
+    EXPECT_EQ(clean.cluster().system().stats().snapshotAll(),
+              doctored.cluster().system().stats().snapshotAll());
+    // Served, not re-prepared: a miss would have republished the file.
+    EXPECT_TRUE(Checkpoint::loadFromFile(path).hasBlob("decode.paddrs"));
+}
+
 namespace
 {
 

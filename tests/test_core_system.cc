@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/system.hh"
 #include "gen/guestlib.hh"
 #include "gen/ir.hh"
@@ -74,25 +76,44 @@ TEST(SystemRun, GuestExitSimStopsTheLoop)
     EXPECT_FALSE(sys.cpu(0).halted()); // stopped, not finished
 }
 
-TEST(SystemRun, RunUntilConditionStopsEarly)
+TEST(SystemRun, RunOneAdvancesExactlyOneCycle)
 {
-    SystemConfig cfg = SystemConfig::paperConfig(IsaId::Riscv);
-    cfg.numCores = 1;
-    System sys(cfg);
-    gen::ProgramBuilder pb;
-    const gen::GuestLib lib = gen::GuestLib::addTo(pb);
-    auto f = pb.beginFunction("main", 0);
-    const int iters = f.imm(1 << 20);
-    f.callVoid(lib.burnAlu, {iters});
-    f.ret();
-    pb.setEntry("main");
-    loadProcess(sys.kernel(), gen::compileProgram(pb.take(), IsaId::Riscv),
-                "p", 0);
-    sys.scheduleIdleCores();
-    const uint64_t ran =
-        sys.runUntil([&] { return sys.cycle() >= 5'000; }, 1'000'000);
-    EXPECT_LE(ran, 5'001u);
-    EXPECT_FALSE(sys.cpu(0).halted());
+    // Callers that test a condition between cycles loop on run(1). On
+    // a busy core (the other one halted, so the chained rule applies)
+    // each call must advance exactly one cycle and leave the machine
+    // where one long run() would, on either emulation tier.
+    for (const bool fast : {true, false}) {
+        SystemConfig cfg = SystemConfig::paperConfig(IsaId::Riscv);
+        cfg.fastWarm = fast;
+        std::unique_ptr<System> systems[2];
+        for (auto &sys : systems) {
+            sys = std::make_unique<System>(cfg);
+            gen::ProgramBuilder pb;
+            const gen::GuestLib lib = gen::GuestLib::addTo(pb);
+            auto f = pb.beginFunction("main", 0);
+            const int iters = f.imm(1 << 20);
+            f.callVoid(lib.burnAlu, {iters});
+            f.ret();
+            pb.setEntry("main");
+            loadProcess(sys->kernel(),
+                        gen::compileProgram(pb.take(), IsaId::Riscv), "p",
+                        0);
+            sys->scheduleIdleCores();
+        }
+        System &stepped = *systems[0];
+        for (uint64_t c = 1; c <= 5'000; ++c) {
+            ASSERT_EQ(stepped.run(1), 1u) << "fast=" << fast;
+            ASSERT_EQ(stepped.cycle(), c) << "fast=" << fast;
+        }
+        EXPECT_FALSE(stepped.cpu(0).halted());
+        EXPECT_TRUE(stepped.cpu(1).halted());
+        System &whole = *systems[1];
+        EXPECT_EQ(whole.run(5'000), 5'000u);
+        EXPECT_EQ(stepped.cpu(0).getContext().pc,
+                  whole.cpu(0).getContext().pc);
+        EXPECT_EQ(stepped.stats().snapshotAll(), whole.stats().snapshotAll())
+            << "fast=" << fast;
+    }
 }
 
 TEST(SystemRun, FourCoresRunIndependentPrograms)

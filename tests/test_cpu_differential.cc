@@ -7,13 +7,15 @@
  * forwarding, squash/recovery) against the simple reference model.
  *
  * The same harness also pins down the Atomic CPU's superblock fast
- * path (cpu/superblock.hh) against its per-instruction oracle: a
- * fast-tier system and a slow-tier system execute the same program in
- * cycle lockstep, and the full architectural context plus the entire
- * guest-visible stats tree must match at every chunk boundary — not
- * just at the end. A checkpoint taken mid-run must likewise restore
- * and resume through the fast tier byte-identically to the
- * uninterrupted machine.
+ * path (cpu/superblock.hh) and the run loop's chained batches against
+ * the per-instruction, per-cycle oracle: a fast-tier system and a
+ * slow-tier system execute the same programs (on one core, or one per
+ * core on two) in cycle lockstep, and every architectural context plus
+ * the entire guest-visible stats tree must match at every chunk
+ * boundary — not just at the end. A checkpoint taken mid-run must
+ * likewise restore and resume through the fast tier byte-identically
+ * to the uninterrupted machine, and a whole Emu-mode experiment must
+ * measure the same on both tiers.
  *
  * Architectural agreement does not catch a timing drift, so O3 timing
  * is pinned too: the whole stats tree after random programs run on
@@ -23,30 +25,47 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "core/checkpoint_store.hh"
+#include "core/experiment.hh"
 #include "core/system.hh"
 #include "gen/guestlib.hh"
 #include "gen/ir.hh"
 #include "guest/loader.hh"
 #include "guest/syscall_abi.hh"
 #include "sim/rng.hh"
+#include "workloads/workloads.hh"
 
 using namespace svb;
 
 namespace
 {
 
+/** Traps added at the top of every loop iteration of randomProgram(). */
+enum class LoopTrap
+{
+    None,
+    Yield,
+    /** A yield, then an m5 stat reset: a trap handler that observes
+     *  (and zeroes) every core's statistics mid-cycle. */
+    YieldAndResetStats,
+};
+
 /**
  * Generate a random but well-formed program: straight-line arithmetic,
  * bounded loops, loads/stores into a scratch array, calls into a
  * helper, and data-dependent branches. Writes a final FNV digest of
- * its scratch state to a result cell.
+ * its scratch state to a result cell. @p loop_trap draws no random
+ * numbers, so the rest of the program does not depend on it.
  */
 gen::Program
-randomProgram(uint64_t seed, Addr &result_addr)
+randomProgram(uint64_t seed, Addr &result_addr,
+              LoopTrap loop_trap = LoopTrap::None)
 {
     Rng rng(seed);
     gen::ProgramBuilder pb;
@@ -83,6 +102,13 @@ randomProgram(uint64_t seed, Addr &result_addr)
     const int loop = f.newLabel(), done = f.newLabel();
     f.movi(i, 0);
     f.label(loop);
+    if (loop_trap != LoopTrap::None)
+        f.syscall(sys::sysYield, {});
+    if (loop_trap == LoopTrap::YieldAndResetStats) {
+        const int op = f.imm(int64_t(sys::m5ResetStats));
+        const int arg = f.imm(0);
+        f.syscall(sys::sysM5, {op, arg});
+    }
     f.brcondi(gen::CondOp::Ge, i, int64_t(8 + rng.nextBounded(24)), done);
 
     const int body_ops = 6 + int(rng.nextBounded(14));
@@ -297,41 +323,64 @@ expectSameSnapshots(const std::map<std::string, double> &a,
 }
 
 /**
- * Run the fast-tier and slow-tier systems in cycle lockstep: after
- * every chunk the architectural context, the global cycle, and the
- * whole guest-visible stats tree (host-only groups are excluded by
- * snapshotAll()) must agree exactly. Chunk boundaries deliberately
- * fall mid-block, mid-stall, and between a syscall and its resumption,
- * so the fast path's cursor save/restore is exercised too.
+ * Run the fast-tier and slow-tier systems in cycle lockstep, program i
+ * on core i: after every @p chunk cycles each core's architectural
+ * context, the global cycle, and the whole guest-visible stats tree
+ * (host-only groups are excluded by snapshotAll()) must agree exactly.
+ * Chunk boundaries deliberately fall mid-block, mid-stall, and between
+ * a syscall and its resumption, so the fast path's cursor save/restore
+ * is exercised too.
  */
 void
-lockstepFastSlow(const gen::Program &prog, Addr result, IsaId isa,
-                 const std::string &what)
+lockstepFastSlow(const std::vector<gen::Program> &progs,
+                 const std::vector<Addr> &results, IsaId isa,
+                 const std::string &what, uint64_t chunk = 2048)
 {
-    LiveRun fast = startRun(prog, isa, true, result);
-    LiveRun slow = startRun(prog, isa, false, result);
+    std::unique_ptr<System> tiers[2]; // fast, slow
+    std::vector<int> pids;
+    for (const bool fast_warm : {true, false}) {
+        SystemConfig cfg = SystemConfig::paperConfig(isa);
+        cfg.numCores = unsigned(progs.size());
+        cfg.fastWarm = fast_warm;
+        auto sys = std::make_unique<System>(cfg);
+        pids.clear();
+        for (unsigned c = 0; c < progs.size(); ++c) {
+            pids.push_back(loadProcess(sys->kernel(),
+                                       gen::compileProgram(progs[c], isa),
+                                       "rand" + std::to_string(c), int(c))
+                               .pid);
+        }
+        sys->scheduleIdleCores();
+        tiers[fast_warm ? 0 : 1] = std::move(sys);
+    }
+    System &fast = *tiers[0];
+    System &slow = *tiers[1];
 
-    const uint64_t chunk = 2048;
     const uint64_t maxChunks = 80'000'000 / chunk;
-    for (uint64_t n = 0; n < maxChunks && !slow.sys->cpu(0).halted();
-         ++n) {
-        const uint64_t rf = fast.sys->run(chunk);
-        const uint64_t rs = slow.sys->run(chunk);
-        const std::string label =
-            what + " " + isaInfo(isa).name + " cycle " +
-            std::to_string(slow.sys->cycle());
+    for (uint64_t n = 0; n < maxChunks && !slow.allHalted(); ++n) {
+        const uint64_t rf = fast.run(chunk);
+        const uint64_t rs = slow.run(chunk);
+        const std::string label = what + " " + isaInfo(isa).name +
+                                  " cycle " + std::to_string(slow.cycle());
         ASSERT_EQ(rf, rs) << label << ": tiers ran different cycle counts";
-        ASSERT_EQ(fast.sys->cycle(), slow.sys->cycle()) << label;
-        expectSameContext(fast.sys->cpu(0).getContext(),
-                          slow.sys->cpu(0).getContext(), label);
-        expectSameSnapshots(fast.sys->stats().snapshotAll(),
-                            slow.sys->stats().snapshotAll(), label);
+        ASSERT_EQ(fast.cycle(), slow.cycle()) << label;
+        for (unsigned c = 0; c < progs.size(); ++c) {
+            expectSameContext(fast.cpu(c).getContext(),
+                              slow.cpu(c).getContext(),
+                              label + " core " + std::to_string(c));
+        }
+        expectSameSnapshots(fast.stats().snapshotAll(),
+                            slow.stats().snapshotAll(), label);
         if (::testing::Test::HasFailure())
             return; // first divergence located; the rest is noise
     }
-    ASSERT_TRUE(slow.sys->cpu(0).halted()) << what << ": program hung";
-    ASSERT_TRUE(fast.sys->cpu(0).halted()) << what << ": fast tier hung";
-    EXPECT_EQ(fast.readResult(), slow.readResult()) << what;
+    ASSERT_TRUE(slow.allHalted()) << what << ": program hung";
+    ASSERT_TRUE(fast.allHalted()) << what << ": fast tier hung";
+    for (unsigned c = 0; c < progs.size(); ++c) {
+        EXPECT_EQ(fast.kernel().process(pids[c]).space->read(results[c], 8),
+                  slow.kernel().process(pids[c]).space->read(results[c], 8))
+            << what << " core " << c;
+    }
 }
 
 } // namespace
@@ -413,10 +462,33 @@ TEST_P(FastSlowLockstepTest, ArchStateAndStatsMatchOnBothIsas)
     const uint64_t seed = GetParam();
     Addr result = 0;
     const gen::Program prog = randomProgram(seed, result);
-    lockstepFastSlow(prog, result, IsaId::Riscv,
+    lockstepFastSlow({prog}, {result}, IsaId::Riscv,
                      "seed " + std::to_string(seed));
-    lockstepFastSlow(prog, result, IsaId::Cx86,
+    lockstepFastSlow({prog}, {result}, IsaId::Cx86,
                      "seed " + std::to_string(seed));
+}
+
+// Two cores, a program yielding every loop iteration on each: the
+// yields' trap stalls and the first program's exit leave one core
+// quiet while the other acts, so the run loop alternates between
+// per-cycle ticks and chained batches that credit a stalling or halted
+// partner. One program also resets the stats each iteration, so a
+// handler observes the quiet core's credit mid-cycle; swapping the
+// programs puts that core below and then above the trapping one. The
+// odd chunk lands boundaries inside the batches.
+TEST_P(FastSlowLockstepTest, TwoCoresMatchOnBothIsas)
+{
+    const uint64_t seed = GetParam();
+    Addr ra = 0, rb = 0;
+    const gen::Program a = randomProgram(seed, ra, LoopTrap::Yield);
+    const gen::Program b =
+        randomProgram(seed + 8, rb, LoopTrap::YieldAndResetStats);
+    const std::string what = "seeds " + std::to_string(seed) + "+" +
+                             std::to_string(seed + 8);
+    for (const IsaId isa : {IsaId::Riscv, IsaId::Cx86}) {
+        lockstepFastSlow({a, b}, {ra, rb}, isa, what, 331);
+        lockstepFastSlow({b, a}, {rb, ra}, isa, what + " swapped", 331);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FastSlowLockstepTest,
@@ -428,8 +500,8 @@ TEST(FastSlowLockstepTest, PageCrossingCodeMatches)
 {
     Addr result = 0;
     const gen::Program prog = pageCrossProgram(result);
-    lockstepFastSlow(prog, result, IsaId::Riscv, "pagecross");
-    lockstepFastSlow(prog, result, IsaId::Cx86, "pagecross");
+    lockstepFastSlow({prog}, {result}, IsaId::Riscv, "pagecross");
+    lockstepFastSlow({prog}, {result}, IsaId::Cx86, "pagecross");
 }
 
 namespace
@@ -475,11 +547,9 @@ checkpointFastResume(IsaId isa)
         const std::string label = std::string("resume tier ") +
                                   (fast ? "fast " : "slow ") +
                                   isaInfo(isa).name;
-        // The checkpointed superblock anchors must have re-formed
-        // (only observable when the env leaves the fast tier on).
-        if (sys.fastPathEnabled()) {
-            EXPECT_GT(sys.superblocks().size(), 0u) << label;
-        }
+        // Checkpoints carry no decoded code: the restored machine
+        // starts without superblocks and forms them as it runs.
+        EXPECT_EQ(sys.superblocks().size(), 0u) << label;
         sys.stats().resetAll();
         const uint64_t ran = sys.run(80'000'000);
         EXPECT_EQ(ran, ranRef) << label;
@@ -502,4 +572,58 @@ TEST(FastResumeTest, CheckpointRestoreResumesByteIdenticalRiscv)
 TEST(FastResumeTest, CheckpointRestoreResumesByteIdenticalCx86)
 {
     checkpointFastResume(IsaId::Cx86);
+}
+
+namespace
+{
+
+/**
+ * A whole Emu-mode experiment (boot, container start and ten requests,
+ * all on the Atomic CPU) on the fast tier and on the per-cycle oracle.
+ * Each workBegin/workEnd mark is a trap that on the fast tier can land
+ * inside a chained batch, where the harness reads the cycle and resets
+ * stats: the request latencies and the final stats tree must match.
+ */
+void
+emuFastSlow(IsaId isa)
+{
+    FunctionSpec spec;
+    for (const FunctionSpec &f : workloads::allFunctions()) {
+        if (f.name == "fibonacci-go")
+            spec = f;
+    }
+    ASSERT_EQ(spec.name, "fibonacci-go");
+    EmuResult res[2];
+    std::map<std::string, double> snap[2];
+    for (const bool fast : {false, true}) {
+        // A private empty checkpoint directory per tier, so both
+        // prepare from scratch instead of restoring the other's image.
+        const std::string dir = std::string("ckpt_emu_fastslow_") +
+                                isaName(isa) + (fast ? "_fast" : "_slow");
+        std::filesystem::remove_all(dir);
+        CheckpointStore::global().resetForTest(dir);
+        ClusterConfig cfg;
+        cfg.system = SystemConfig::paperConfig(isa);
+        cfg.system.fastWarm = fast;
+        cfg.startDb = false;
+        cfg.startMemcached = false;
+        ExperimentRunner runner(cfg);
+        res[fast] = runner.runFunctionEmu(
+            spec, workloads::workloadImpl(spec.workload));
+        snap[fast] = runner.cluster().system().stats().snapshotAll();
+        std::filesystem::remove_all(dir);
+    }
+    const std::string label = std::string("emu ") + isaInfo(isa).name;
+    ASSERT_TRUE(res[0].ok && res[1].ok) << label;
+    EXPECT_EQ(res[1].coldNs, res[0].coldNs) << label;
+    EXPECT_EQ(res[1].warmNs, res[0].warmNs) << label;
+    expectSameSnapshots(snap[1], snap[0], label);
+}
+
+} // namespace
+
+TEST(FastSlowEmuTest, FibonacciGoMatchesOnBothIsas)
+{
+    emuFastSlow(IsaId::Riscv);
+    emuFastSlow(IsaId::Cx86);
 }

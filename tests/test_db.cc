@@ -128,12 +128,10 @@ TEST_P(DbKindTest, BootGetPutThroughRings)
     Driver driver = deployDriver(sys, rings_phys, record_id);
     sys.scheduleIdleCores();
     // The store spins forever by design; run until the driver exits.
-    const uint64_t ran = sys.runUntil(
-        [&] {
-            return sys.kernel().process(driver.prog.pid).state ==
-                   ProcState::Exited;
-        },
-        400'000'000);
+    uint64_t ran = 0;
+    while (ran < 400'000'000 &&
+           sys.kernel().process(driver.prog.pid).state != ProcState::Exited)
+        ran += sys.run(1);
     EXPECT_LT(ran, 400'000'000u) << "driver hung";
 
     const AddressSpace &as = *sys.kernel().process(driver.prog.pid).space;
@@ -204,13 +202,11 @@ TEST(Memcached, MissThenHit)
     mapSharedInto(sys.kernel(), lp.pid, layout::sharedBase, rings_phys,
                   topo::sharedRegionBytes);
     sys.scheduleIdleCores();
-    ASSERT_LT(sys.runUntil(
-                  [&] {
-                      return sys.kernel().process(lp.pid).state ==
-                             ProcState::Exited;
-                  },
-                  100'000'000),
-              100'000'000u);
+    uint64_t ran = 0;
+    while (ran < 100'000'000 &&
+           sys.kernel().process(lp.pid).state != ProcState::Exited)
+        ran += sys.run(1);
+    ASSERT_LT(ran, 100'000'000u);
 
     const AddressSpace &as = *sys.kernel().process(lp.pid).space;
     EXPECT_EQ(as.read(miss_len, 8), 0u);
