@@ -9,10 +9,13 @@
 
 #include <atomic>
 #include <cstring>
+#include <vector>
 
 #include "core/parallel.hh"
 #include "core/system.hh"
 #include "cpu/decode_cache.hh"
+#include "cpu/paging.hh"
+#include "cpu/superblock.hh"
 #include "gen/guestlib.hh"
 #include "gen/ir.hh"
 #include "guest/loader.hh"
@@ -276,6 +279,77 @@ BM_DecodeCacheLoopFetch(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DecodeCacheLoopFetch);
+
+namespace
+{
+
+/**
+ * One 4 KiB page of straight-line code (ALU, load, multiply, store;
+ * nothing that ends a block), nop-padded to the page end.
+ */
+std::vector<uint8_t>
+straightLinePage(IsaId isa)
+{
+    std::vector<uint8_t> code;
+    if (isa == IsaId::Riscv) {
+        riscv::Assembler as;
+        while (as.here() + 16 <= paging::pageSize) {
+            as.add(rv::a0, rv::a1, rv::a2);
+            as.ld(rv::a3, rv::sp, 16);
+            as.mul(rv::a4, rv::a0, rv::a3);
+            as.sd(rv::a4, rv::sp, 24);
+        }
+        code = as.finish();
+    } else {
+        cx86::Assembler as;
+        // Stop well short of the page end (a group is under 32 bytes),
+        // so no instruction straddles it, then pad.
+        while (as.here() + 32 <= paging::pageSize) {
+            as.add(cx::r1, cx::r2);
+            as.load(cx::r3, cx::rsp, 16, 8, false);
+            as.imulImm(cx::r3, 37);
+            as.store(cx::r3, cx::rsp, 24, 8);
+        }
+        while (as.here() < paging::pageSize)
+            as.nop();
+        code = as.finish();
+    }
+    return code;
+}
+
+} // namespace
+
+/**
+ * Superblock formation as after every System rebuild: from a fresh
+ * decoder and SuperblockCache, form every block of a page of
+ * straight-line code, each anchored where the previous one ended.
+ * Reports host time per lowered instruction (s_per_inst). Arg: isa
+ * (0 = RV64, 1 = CX86).
+ */
+void
+BM_SuperblockFormation(benchmark::State &state)
+{
+    const IsaId isa = state.range(0) == 0 ? IsaId::Riscv : IsaId::Cx86;
+    PhysMemory phys(1 << 20);
+    const std::vector<uint8_t> code = straightLinePage(isa);
+    phys.writeBytes(0, code.data(), code.size());
+    uint64_t lowered = 0;
+    for (auto _ : state) {
+        DecodeCache decoder(isa, phys);
+        SuperblockCache blocks(decoder);
+        Addr anchor = 0;
+        while (anchor < paging::pageSize) {
+            const SbInst &last = blocks.at(anchor).insts.back();
+            anchor = last.pcOff + last.length;
+        }
+        benchmark::DoNotOptimize(blocks.size());
+        lowered += blocks.instsLowered();
+    }
+    state.counters["s_per_inst"] = benchmark::Counter(
+        double(lowered),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SuperblockFormation)->ArgName("isa")->Arg(0)->Arg(1);
 
 /** Program compilation (IR -> machine code) throughput. */
 void

@@ -110,6 +110,12 @@ System::allHalted() const
     return true;
 }
 
+size_t
+System::decodedCodeMismatches() const
+{
+    return decoder->staleEntries() + sblocks->staleBlocks();
+}
+
 void
 System::tickCore(unsigned c)
 {
@@ -299,10 +305,13 @@ System::restoreCheckpoint(const Checkpoint &cp,
                "checkpoint ISA mismatch");
     // Decoded code is host-side state that no checkpoint carries: the
     // decode and superblock caches of a freshly built system start
-    // empty and refill from the restored memory on first fetch.
-    svb_assert(globalCycle == 0 && decoder->size() == 0,
+    // empty and refill from the restored memory on first fetch. Both
+    // are checked, since superblock formation leaves no decode entry.
+    svb_assert(globalCycle == 0 && decoder->size() == 0 &&
+                   sblocks->size() == 0,
                "restoreCheckpoint needs a freshly built system (cycle ",
-               globalCycle, ", ", decoder->size(), " decoded addresses)");
+               globalCycle, ", ", decoder->size(), " decoded addresses, ",
+               sblocks->size(), " superblocks)");
     globalCycle = cp.getScalar("system.cycle");
     eventq.clear();
     if (image != nullptr && reapRestore)

@@ -60,6 +60,18 @@ class System : public M5Listener
      *  lazy path (config AND SVBENCH_REAP both enabled). */
     bool reapEnabled() const { return reapRestore; }
 
+    /**
+     * Re-decode every cached instruction and re-form every cached
+     * superblock from current guest memory (a test-facing check).
+     * The fast tier lowers fresh bytes while O3 and the per-cycle
+     * oracle read cached decodes, so the two agree only while guest
+     * code is immutable.
+     *
+     * @return cached instructions plus blocks that differ, field by
+     *         field, from their fresh form (0 for immutable code)
+     */
+    size_t decodedCodeMismatches() const;
+
     // --- CPU control --------------------------------------------------------
     /** Hand the core's architectural state to the other CPU model. */
     void switchCpu(unsigned core, CpuModel model);
@@ -119,8 +131,9 @@ class System : public M5Listener
      * flush caches/TLBs/predictors afterwards; checkpoints carrying it
      * restore that warm state instead. Restore must happen on a
      * freshly built system (detailed-CPU structures in their
-     * constructed state; cycle 0 and an empty decode cache are
-     * asserted), which the cluster's restore path guarantees.
+     * constructed state; cycle 0 and empty decode and superblock
+     * caches are asserted), which the cluster's restore path
+     * guarantees.
      *
      * With a non-null @p image (the CheckpointStore's shared page
      * image of @p cp) and reapEnabled(), guest memory restores

@@ -1,10 +1,15 @@
 /**
  * @file
- * Physical-address-indexed decoded-instruction cache.
+ * Physical-address-indexed decoded-instruction cache, and the one
+ * decode path every reader of guest code shares.
  *
- * Guest code is decoded once per physical address and reused; the
- * workloads never modify code, so no invalidation path is needed
- * (asserted by the loader).
+ * Decoded code has two readers. O3 fetch and the Atomic CPU's
+ * per-cycle oracle tick() decode through this cache, once per physical
+ * address. The superblock former (superblock.hh) decodes each
+ * instruction straight from the bytes and inserts nothing here.
+ * Neither is ever invalidated: guest code is immutable, which
+ * System::decodedCodeMismatches() checks after whole experiments
+ * (test_experiment's fibonacci-go and hotel runs).
  */
 
 #ifndef SVB_CPU_DECODE_CACHE_HH
@@ -32,13 +37,7 @@ namespace svb
 class DecodeCache
 {
   public:
-    DecodeCache(IsaId isa, PhysMemory &phys) : isa(isa), phys(phys)
-    {
-        // Sized for the full guest software stack so the map does not
-        // rehash while the container boots (~tens of thousands of
-        // distinct instruction addresses).
-        cache.reserve(1 << 16);
-    }
+    DecodeCache(IsaId isa, PhysMemory &phys) : isa(isa), phys(phys) {}
 
     /**
      * Decode the instruction whose first byte is at physical @p paddr.
@@ -59,7 +58,7 @@ class DecodeCache
         auto it = cache.find(paddr);
         if (it == cache.end()) {
             ++nMisses;
-            it = cache.emplace(paddr, decodeMiss(paddr)).first;
+            it = cache.emplace(paddr, decodeBytes(paddr)).first;
         } else {
             ++nHits;
         }
@@ -69,36 +68,21 @@ class DecodeCache
         return *mru;
     }
 
-    size_t size() const { return cache.size(); }
-
     /**
-     * Host-side lookup counters. These measure simulator work (e.g.
-     * how much fetching the superblock tier absorbs), not guest
-     * events, so they are outside the fast/slow byte-identity
-     * contract and a fast-path run legitimately shows fewer lookups.
+     * Decode the instruction at @p paddr from the current bytes and
+     * cache nothing: the superblock former's path. It counts as one
+     * miss, the host work it stands for.
      */
-    uint64_t hits() const { return nHits; }
-    uint64_t misses() const { return nMisses; }
-    uint64_t mruHits() const { return nMruHits; }
-
-    /** Register the lookup counters as derived stats under @p g. */
-    void
-    attachStats(StatGroup &g)
+    StaticInst
+    decodeUncached(Addr paddr)
     {
-        g.addFormula("hits", "decode cache hash hits (host work)",
-                     [this] { return double(nHits); });
-        g.addFormula("misses", "decode cache misses (host work)",
-                     [this] { return double(nMisses); });
-        g.addFormula("mruHits", "decode cache MRU hits (host work)",
-                     [this] { return double(nMruHits); });
-        g.addFormula("entries", "distinct instruction addresses decoded",
-                     [this] { return double(cache.size()); });
+        ++nMisses;
+        return decodeBytes(paddr);
     }
 
-  private:
-    /** Decode the raw bytes at @p paddr (the shared miss path). */
+    /** Decode the raw bytes at @p paddr (the shared path; uncounted). */
     StaticInst
-    decodeMiss(Addr paddr) const
+    decodeBytes(Addr paddr) const
     {
         if (isa == IsaId::Riscv)
             return riscv::decode(phys.read32(paddr));
@@ -115,6 +99,47 @@ class DecodeCache
         return cx86::decode(window, avail);
     }
 
+    size_t size() const { return cache.size(); }
+
+    /** @return cached entries that differ from a fresh decode of the
+     *  current bytes (0 while guest code is immutable). */
+    size_t
+    staleEntries() const
+    {
+        size_t n = 0;
+        for (const auto &[paddr, inst] : cache)
+            n += !(inst == decodeBytes(paddr));
+        return n;
+    }
+
+    /**
+     * Host-side lookup counters. These measure simulator work (e.g.
+     * how much fetching the superblock tier absorbs), not guest
+     * events, so they are outside the fast/slow byte-identity
+     * contract and a fast-path run legitimately shows fewer lookups.
+     * Misses count every decode from bytes, superblock formation's
+     * included.
+     */
+    uint64_t hits() const { return nHits; }
+    uint64_t misses() const { return nMisses; }
+    uint64_t mruHits() const { return nMruHits; }
+
+    /** Register the lookup counters as derived stats under @p g. */
+    void
+    attachStats(StatGroup &g)
+    {
+        g.addFormula("hits", "decode cache hash hits (host work)",
+                     [this] { return double(nHits); });
+        g.addFormula("misses",
+                     "instructions decoded from bytes (host work)",
+                     [this] { return double(nMisses); });
+        g.addFormula("mruHits", "decode cache MRU hits (host work)",
+                     [this] { return double(nMruHits); });
+        g.addFormula("entries", "distinct instruction addresses decoded",
+                     [this] { return double(cache.size()); });
+    }
+
+  private:
     IsaId isa;
     PhysMemory &phys;
     std::unordered_map<Addr, StaticInst> cache;

@@ -40,17 +40,20 @@ kindOf(const MicroOp &uop)
     }
 }
 
-} // namespace
-
+/**
+ * Lower the run anchored at @p anchor, taking each instruction from
+ * @p decode (physical address -> StaticInst).
+ */
+template <class Decode>
 Superblock
-SuperblockCache::build(Addr anchor)
+formBlock(Addr anchor, Decode &&decode)
 {
     Superblock sb;
     sb.anchor = anchor;
     Addr off = paging::pageOffset(anchor);
     Addr p = anchor;
-    while (sb.insts.size() < maxInsts) {
-        const StaticInst &si = decoder.decodeAt(p);
+    while (sb.insts.size() < SuperblockCache::maxInsts) {
+        const StaticInst si = decode(p);
         if (!si.valid) {
             // Keep an undecodable first instruction as an explicit
             // trap marker so the engine reproduces the slow path's
@@ -92,9 +95,31 @@ SuperblockCache::build(Addr anchor)
         if (off >= paging::pageSize)
             break;
     }
+    return sb;
+}
+
+} // namespace
+
+Superblock
+SuperblockCache::build(Addr anchor)
+{
+    Superblock sb = formBlock(
+        anchor, [this](Addr p) { return decoder.decodeUncached(p); });
     ++nBlocks;
     nInsts += sb.insts.size();
     return sb;
+}
+
+size_t
+SuperblockCache::staleBlocks() const
+{
+    size_t n = 0;
+    for (const auto &[anchor, sb] : blocks) {
+        const Superblock fresh = formBlock(
+            anchor, [this](Addr p) { return decoder.decodeBytes(p); });
+        n += !(sb.insts == fresh.insts && sb.uops == fresh.uops);
+    }
+    return n;
 }
 
 void

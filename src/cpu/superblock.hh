@@ -2,10 +2,13 @@
  * @file
  * Superblock translation layer for the Atomic CPU fast path.
  *
- * A superblock lowers a straight-line run of already-decoded macro
- * instructions into one flat, pre-classified micro-op array the
- * threaded-dispatch interpreter in AtomicCpu::runFast() can execute
- * without per-instruction decode-cache lookups. A block is a classic
+ * A superblock lowers a straight-line run of macro instructions into
+ * one flat, pre-classified micro-op array the threaded-dispatch
+ * interpreter in AtomicCpu::runFast() can execute without
+ * per-instruction decode-cache lookups. Formation decodes each
+ * instruction straight from guest memory through the DecodeCache's
+ * shared decode path and inserts nothing into that cache, which only
+ * O3 fetch and the per-cycle oracle read. A block is a classic
  * superblock: single entry, multiple exits. Conditional branches stay
  * mid-block (the engine falls through while they are not taken and
  * side-exits when one is); formation stops at anything that always
@@ -17,11 +20,14 @@
  *
  * Blocks are keyed by the physical address of their first instruction,
  * so they are shared across virtual mappings of the same code page.
- * Guest code is immutable (asserted by the loader), so blocks are
- * never invalidated. Checkpoints carry no blocks: a restored system
- * starts with an empty cache and re-forms blocks on first execution.
+ * Guest code is immutable, so blocks are never invalidated;
+ * System::decodedCodeMismatches() checks that after whole experiments
+ * (test_experiment's fibonacci-go and hotel runs). Checkpoints carry
+ * no blocks: a restored system starts with an empty cache and re-forms
+ * blocks on first execution.
  *
- * Thread-safety: instance-scoped, like the DecodeCache it wraps.
+ * Thread-safety: instance-scoped, like the DecodeCache it decodes
+ * through.
  */
 
 #ifndef SVB_CPU_SUPERBLOCK_HH
@@ -62,6 +68,8 @@ struct SbUop
 {
     MicroOp uop;
     SbKind kind = SbKind::Nop;
+
+    bool operator==(const SbUop &) const = default;
 };
 
 /** Per-instruction metadata inside a superblock. */
@@ -72,6 +80,8 @@ struct SbInst
     uint8_t numUops = 0;
     uint32_t uopBase = 0; ///< index of the first uop in Superblock::uops
     bool valid = false;   ///< decoded successfully (else: trap on fetch)
+
+    bool operator==(const SbInst &) const = default;
 };
 
 /**
@@ -126,6 +136,10 @@ class SuperblockCache
     }
 
     size_t size() const { return blocks.size(); }
+
+    /** @return cached blocks that differ from one re-formed from the
+     *  current bytes (0 while guest code is immutable). */
+    size_t staleBlocks() const;
 
     /**
      * Host-side observability counters (how much execution the fast

@@ -99,6 +99,8 @@ struct MicroOp
     }
 
     bool isIndirectCtrl() const { return op == UopOp::JumpReg; }
+
+    bool operator==(const MicroOp &) const = default;
 };
 
 /** Outcome of evaluating a control micro-op. */

@@ -8,7 +8,8 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "microop.hh"
 #include "sim/types.hh"
@@ -41,7 +42,9 @@ struct StaticInst
     /** Target of a direct control transfer, pc-relative offset. */
     int64_t directOffset = 0;
 
-    std::string mnemonic; ///< disassembly text for debugging
+    /** Disassembly text for debugging; every decoder points it at a
+     *  string literal, so a StaticInst owns no heap memory. */
+    std::string_view mnemonic;
 
     /** Append a micro-op to the expansion. */
     void
@@ -52,7 +55,13 @@ struct StaticInst
 
     /** @return absolute direct target given the instruction's pc. */
     Addr directTarget(Addr pc) const { return pc + uint64_t(directOffset); }
+
+    bool operator==(const StaticInst &) const = default;
 };
+
+// An entry owns no heap memory, so freeing a decode cache runs no
+// per-entry destructor.
+static_assert(std::is_trivially_destructible_v<StaticInst>);
 
 } // namespace svb
 

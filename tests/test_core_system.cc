@@ -207,3 +207,48 @@ TEST(SystemRun, EventQueueIntegrates)
     sys.run(2'000);
     EXPECT_TRUE(fired);
 }
+
+TEST(SystemRun, DecodedCodeMismatchesSeesACodeWrite)
+{
+    // The immutable-code check is not vacuous: a write over cached code
+    // shows up, in the oracle's decode cache and in the fast tier's
+    // superblocks alike.
+    for (const bool fast : {false, true}) {
+        SystemConfig cfg = SystemConfig::paperConfig(IsaId::Riscv);
+        cfg.numCores = 1;
+        cfg.fastWarm = fast;
+        System sys(cfg);
+        Addr result = 0;
+        const LoadedProgram prog = loadProcess(
+            sys.kernel(),
+            gen::compileProgram(storeAndExit(result, 7), IsaId::Riscv), "p",
+            0);
+        sys.scheduleIdleCores();
+        sys.run(1'000'000);
+        ASSERT_TRUE(sys.cpu(0).halted());
+        EXPECT_EQ(sys.decodedCodeMismatches(), 0u) << "fast " << fast;
+        const Addr entry =
+            sys.kernel().process(prog.pid).space->translate(prog.entry);
+        sys.phys().write(entry, ~sys.phys().read32(entry), 4);
+        EXPECT_GE(sys.decodedCodeMismatches(), 1u) << "fast " << fast;
+    }
+}
+
+TEST(SystemCheckpointDeathTest, RestoreIntoASystemThatHasRunPanics)
+{
+    // Checkpoints carry no decoded code, so restore needs a freshly
+    // built System: cycle 0, empty decode and superblock caches.
+    SystemConfig cfg = SystemConfig::paperConfig(IsaId::Riscv);
+    cfg.numCores = 1;
+    System sys(cfg);
+    const Checkpoint cp = sys.saveCheckpoint();
+    Addr result = 0;
+    loadProcess(sys.kernel(),
+                gen::compileProgram(storeAndExit(result, 7), IsaId::Riscv),
+                "p", 0);
+    sys.scheduleIdleCores();
+    sys.run(1'000'000);
+    ASSERT_TRUE(sys.cpu(0).halted());
+    EXPECT_DEATH(sys.restoreCheckpoint(cp),
+                 "restoreCheckpoint needs a freshly built system");
+}

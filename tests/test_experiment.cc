@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 
 #include "core/experiment.hh"
@@ -87,6 +88,44 @@ expectPinned(const RequestStats &got, const PinnedStats &want,
     }
 }
 
+/**
+ * One host-only counter of @p sys by its printed name. Host-only
+ * groups stay out of snapshotAll(), so read the stat listing, as
+ * perfbench does.
+ */
+double
+hostStat(System &sys, const std::string &name)
+{
+    std::ostringstream os;
+    sys.stats().printAll(os);
+    std::istringstream is(os.str());
+    std::string line;
+    while (std::getline(is, line)) {
+        std::istringstream fields(line);
+        std::string key;
+        double value = 0;
+        if (fields >> key >> value && key == name)
+            return value;
+    }
+    ADD_FAILURE() << "no stat " << name;
+    return -1;
+}
+
+/**
+ * Guest code is immutable: at the end of a run, every instruction O3
+ * or the oracle cached and every block the fast tier formed still
+ * match a fresh decode of guest memory, field by field.
+ */
+void
+expectImmutableCode(System &sys, const char *what)
+{
+    EXPECT_GT(hostStat(sys, "system.decode.entries") +
+                  double(sys.superblocks().size()),
+              0.0)
+        << what << ": nothing decoded, nothing checked";
+    EXPECT_EQ(sys.decodedCodeMismatches(), 0u) << what;
+}
+
 } // namespace
 
 // fibonacci-go cold and warm requests on the paper configuration:
@@ -121,6 +160,7 @@ TEST(Experiment, FibonacciGoRiscvColdWarm)
     EXPECT_GT(res.cold.l1iMisses, res.warm.l1iMisses);
     expectPinned(res.cold, kRiscvCold, "riscv cold");
     expectPinned(res.warm, kRiscvWarm, "riscv warm");
+    expectImmutableCode(runner.cluster().system(), "riscv detailed");
 }
 
 TEST(Experiment, FibonacciGoCx86ColdWarm)
@@ -133,6 +173,31 @@ TEST(Experiment, FibonacciGoCx86ColdWarm)
     EXPECT_GT(res.cold.cycles, res.warm.cycles);
     expectPinned(res.cold, kCx86Cold, "cx86 cold");
     expectPinned(res.warm, kCx86Warm, "cx86 warm");
+    expectImmutableCode(runner.cluster().system(), "cx86 detailed");
+}
+
+TEST(Experiment, FibonacciGoEmuFormsBlocksStraightFromCode)
+{
+    // The fast tier lowers every block from guest memory and fills no
+    // decode-cache entry; each instruction it lowers is one counted
+    // decode, the host work perfbench's decode.hit_ratio reads.
+    for (IsaId isa : {IsaId::Riscv, IsaId::Cx86}) {
+        const char *what = isaName(isa);
+        ExperimentRunner runner(smallConfig(isa, false));
+        const FunctionSpec spec = specFor("fibonacci-go");
+        const EmuResult res = runner.runFunctionEmu(
+            spec, workloads::workloadImpl(spec.workload));
+        ASSERT_TRUE(res.ok) << what;
+        System &sys = runner.cluster().system();
+        ASSERT_TRUE(sys.fastPathEnabled())
+            << "SVBENCH_FASTWARM=0 turns off the tier this test pins";
+        EXPECT_EQ(hostStat(sys, "system.decode.entries"), 0.0) << what;
+        const double lowered =
+            hostStat(sys, "system.superblock.instsLowered");
+        EXPECT_GT(lowered, 0.0) << what;
+        EXPECT_EQ(hostStat(sys, "system.decode.misses"), lowered) << what;
+        expectImmutableCode(sys, what);
+    }
 }
 
 TEST(Experiment, PythonInterpreterRuns)
@@ -153,6 +218,7 @@ TEST(Experiment, HotelGeoTalksToCassandra)
         runner.runFunction(spec, workloads::workloadImpl(spec.workload));
     ASSERT_TRUE(res.ok);
     EXPECT_GT(res.cold.cycles, res.warm.cycles);
+    expectImmutableCode(runner.cluster().system(), "hotel geo");
 }
 
 TEST(Experiment, EmulationModeReportsLatencies)
