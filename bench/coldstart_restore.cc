@@ -14,8 +14,8 @@
  *   1. a first emulation run prepares the tuple, publishes the
  *      page-granular snapshot and records the cold request's page
  *      working set;
- *   2. a second, fresh runner restores from the store — fully
- *      (SVBENCH_REAP=0) or working-set-aware (SVBENCH_REAP=1) — and
+ *   2. a second, fresh runner restores from the store — fully or
+ *      working-set-aware, as SystemConfig::reapRestore selects — and
  *      re-measures the cold and warm request.
  *
  * Reported per cell: the guest-visible cold/warm latencies (which
@@ -37,7 +37,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 
 #include "bench_common.hh"
@@ -85,20 +84,18 @@ cellConfig(const Cell &cell)
     ClusterConfig cfg = benchutil::chapter4Config(cell.isa,
                                                   /*with_stores=*/false);
     cfg.system.fastWarm = cell.fastWarm;
+    cfg.system.reapRestore = cell.reap;
     return cfg;
 }
 
 /**
  * Measure one cell: prepare (or reuse) the checkpoint + working set,
  * then restore on a fresh runner under the cell's restore mode and
- * read the page accounting off its PhysMemory. Serial by design: the
- * REAP gate is latched from SVBENCH_REAP at System construction, so
- * the env flip must not race another cell.
+ * read the page accounting off its PhysMemory.
  */
 std::map<std::string, uint64_t>
 measureCell(const Cell &cell)
 {
-    setenv("SVBENCH_REAP", cell.reap ? "1" : "0", 1);
     const ClusterConfig cfg = cellConfig(cell);
     const WorkloadImpl &impl = workloads::workloadImpl(cell.spec.workload);
 
@@ -148,9 +145,7 @@ measureCell(const Cell &cell)
 double
 hostRestoreMicros(const Cell &cell, unsigned iters)
 {
-    setenv("SVBENCH_REAP", cell.reap ? "1" : "0", 1);
     const ClusterConfig cfg = cellConfig(cell);
-    const WorkloadImpl &impl = workloads::workloadImpl(cell.spec.workload);
     CheckpointStore &store = CheckpointStore::global();
     const std::string fp = CheckpointStore::fingerprint(cfg, cell.spec);
     bool claimed = false;
@@ -166,7 +161,6 @@ hostRestoreMicros(const Cell &cell, unsigned iters)
     double total_us = 0.0;
     for (unsigned i = 0; i < iters; ++i) {
         cl.beginRestore();
-        cl.deploy(cell.spec, impl);
         std::shared_ptr<const PageImage> img;
         if (cl.system().reapEnabled())
             img = store.imageFor(fp, *cp);
@@ -201,9 +195,10 @@ main()
         }
     }
 
-    // Serial fill: REAP mode is a process-global env latch (see
-    // measureCell), so cells never run concurrently. Cached rows make
-    // re-runs instant and keep the tables byte-identical either way.
+    // Serial fill in table order: a function's first cell publishes
+    // the snapshot and working set its later cells restore. Cached
+    // rows make re-runs instant and keep the tables byte-identical
+    // either way.
     std::vector<std::map<std::string, uint64_t>> rows;
     for (const Cell &cell : cells) {
         const std::string key =

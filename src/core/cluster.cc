@@ -7,6 +7,18 @@
 namespace svb
 {
 
+namespace
+{
+
+/** The process name deploy() gives @p spec's server or client. */
+std::string
+processName(const FunctionSpec &spec, unsigned ring_slot, bool client)
+{
+    return spec.name + (client ? "-client" : "") + (ring_slot ? "#1" : "");
+}
+
+} // namespace
+
 ServerlessCluster::ServerlessCluster(const ClusterConfig &config)
     : cfg(config)
 {
@@ -16,6 +28,14 @@ ServerlessCluster::ServerlessCluster(const ClusterConfig &config)
 void
 ServerlessCluster::buildSystem()
 {
+    nWorkBegin = nWorkEnd = nReady = 0;
+    nSlotWorkEnd[0] = nSlotWorkEnd[1] = 0;
+    workBeginCycle = workEndCycle = 0;
+    stopAtWorkEnds = ~uint64_t(0);
+    stopSlot = -1;
+    resetOnBegin = false;
+    resetOnBeginSlot = -1;
+    beginSnap.clear();
     machine = std::make_unique<System>(cfg.system);
     machine->setM5Listener(this);
 
@@ -24,38 +44,34 @@ ServerlessCluster::buildSystem()
     ringsPhys = machine->frames().allocFrames(topo::sharedRegionBytes /
                                           paging::pageSize);
     machine->phys().clearRange(ringsPhys, topo::sharedRegionBytes);
+}
 
-    createStoreContainers();
+int
+ServerlessCluster::loadContainer(const LoadableImage &image,
+                                 const std::string &name, int core)
+{
+    const int pid = loadProcess(machine->kernel(), image, name, core).pid;
+    mapSharedInto(machine->kernel(), pid, layout::sharedBase, ringsPhys,
+                  topo::sharedRegionBytes);
+    return pid;
 }
 
 void
 ServerlessCluster::createStoreContainers()
 {
-    dbPid = -1;
-    mcPid = -1;
     if (cfg.startDb) {
         db::DbParams params;
         params.kind = cfg.dbKind;
         params.reqRingVa = topo::dbReqRingVa;
-        LoadableImage image = db::buildDbProgram(params, cfg.system.isa);
-        LoadedProgram lp =
-            loadProcess(machine->kernel(), image,
-                        std::string(db::dbKindName(cfg.dbKind)),
-                        topo::clientCore);
-        dbPid = lp.pid;
-        mapSharedInto(machine->kernel(), dbPid, layout::sharedBase, ringsPhys,
-                      topo::sharedRegionBytes);
+        loadContainer(db::buildDbProgram(params, cfg.system.isa),
+                      db::dbKindName(cfg.dbKind), topo::clientCore);
     }
     if (cfg.startMemcached) {
         db::DbParams params;
         params.kind = db::DbKind::Memcached;
         params.reqRingVa = topo::mcReqRingVa;
-        LoadableImage image = db::buildDbProgram(params, cfg.system.isa);
-        LoadedProgram lp = loadProcess(machine->kernel(), image, "memcached",
-                                       topo::clientCore);
-        mcPid = lp.pid;
-        mapSharedInto(machine->kernel(), mcPid, layout::sharedBase, ringsPhys,
-                      topo::sharedRegionBytes);
+        loadContainer(db::buildDbProgram(params, cfg.system.isa),
+                      "memcached", topo::clientCore);
     }
 }
 
@@ -65,13 +81,8 @@ ServerlessCluster::boot()
     if (baseline.has_value())
         return;
 
-    // A runner whose first experiments all restored from prepared
-    // checkpoints never booted; its machine has run (deployments,
-    // advanced clock) and must be rebuilt before the store bootstraps
-    // execute on it.
-    if (machine->cycle() != 0)
-        buildSystem();
-
+    buildSystem();
+    createStoreContainers();
     const uint64_t expected_ready =
         (cfg.startDb ? 1u : 0u) + (cfg.startMemcached ? 1u : 0u);
     machine->scheduleIdleCores();
@@ -88,14 +99,6 @@ void
 ServerlessCluster::resetToBaseline()
 {
     svb_assert(baseline.has_value(), "resetToBaseline before boot()");
-    nWorkBegin = nWorkEnd = nReady = 0;
-    nSlotWorkEnd[0] = nSlotWorkEnd[1] = 0;
-    workBeginCycle = workEndCycle = 0;
-    stopAtWorkEnds = ~uint64_t(0);
-    stopSlot = -1;
-    resetOnBegin = false;
-    resetOnBeginSlot = -1;
-    beginSnap.clear();
     buildSystem();
     machine->restoreCheckpoint(*baseline);
 }
@@ -117,14 +120,6 @@ ServerlessCluster::savePrepared() const
 void
 ServerlessCluster::beginRestore()
 {
-    nWorkBegin = nWorkEnd = nReady = 0;
-    nSlotWorkEnd[0] = nSlotWorkEnd[1] = 0;
-    workBeginCycle = workEndCycle = 0;
-    stopAtWorkEnds = ~uint64_t(0);
-    stopSlot = -1;
-    resetOnBegin = false;
-    resetOnBeginSlot = -1;
-    beginSnap.clear();
     buildSystem();
 }
 
@@ -146,30 +141,28 @@ ServerlessCluster::Deployment
 ServerlessCluster::deploy(const FunctionSpec &spec,
                           const WorkloadImpl &impl, unsigned ring_slot)
 {
+    const IsaId isa = cfg.system.isa;
     Deployment dep;
-    {
-        LoadableImage image =
-            buildServerProgram(spec, impl, cfg.system.isa, ring_slot);
-        LoadedProgram lp = loadProcess(machine->kernel(), image,
-                                       spec.name + (ring_slot ? "#1" : ""),
-                                       topo::serverCore);
-        dep.serverPid = lp.pid;
-        mapSharedInto(machine->kernel(), dep.serverPid, layout::sharedBase,
-                      ringsPhys, topo::sharedRegionBytes);
-    }
-    {
-        LoadableImage image =
-            buildClientProgram(spec, impl, cfg.system.isa, ring_slot);
-        LoadedProgram lp = loadProcess(machine->kernel(), image,
-                                       spec.name + "-client" +
-                                           (ring_slot ? "#1" : ""),
-                                       topo::clientCore);
-        dep.clientPid = lp.pid;
-        mapSharedInto(machine->kernel(), dep.clientPid, layout::sharedBase,
-                      ringsPhys, topo::sharedRegionBytes);
-    }
+    dep.serverPid =
+        loadContainer(buildServerProgram(spec, impl, isa, ring_slot),
+                      processName(spec, ring_slot, false), topo::serverCore);
+    dep.clientPid =
+        loadContainer(buildClientProgram(spec, impl, isa, ring_slot),
+                      processName(spec, ring_slot, true), topo::clientCore);
     resetFunctionRings();
     machine->scheduleIdleCores();
+    return dep;
+}
+
+ServerlessCluster::Deployment
+ServerlessCluster::deployed(const FunctionSpec &spec, unsigned ring_slot)
+{
+    const GuestKernel &kernel = machine->kernel();
+    Deployment dep;
+    dep.serverPid = kernel.findProcess(processName(spec, ring_slot, false));
+    dep.clientPid = kernel.findProcess(processName(spec, ring_slot, true));
+    svb_assert(dep.serverPid >= 0 && dep.clientPid >= 0, spec.name,
+               " is not deployed in ring slot ", ring_slot);
     return dep;
 }
 

@@ -56,8 +56,8 @@ class ServerlessCluster : public M5Listener
     const ClusterConfig &config() const { return cfg; }
 
     /**
-     * Boot the platform: create store containers, run their
-     * bootstrap to readiness (Atomic CPU), save the baseline
+     * Boot the platform on a fresh System: create store containers,
+     * run their bootstrap to readiness (Atomic CPU), save the baseline
      * checkpoint. Idempotent.
      */
     void boot();
@@ -83,10 +83,9 @@ class ServerlessCluster : public M5Listener
 
     /**
      * First half of a prepared-state restore: rebuild the System from
-     * scratch and zero the run-control counters. The caller then
-     * re-issues the same deploy() calls (the kernel restore checks
-     * that the process table matches the checkpointed one) and
-     * finishes with finishRestore().
+     * scratch. finishRestore() then restores every process, found
+     * after by deployed(). A deploy() between the halves must match
+     * the checkpointed process table (the kernel restore checks it).
      */
     void beginRestore();
 
@@ -112,6 +111,9 @@ class ServerlessCluster : public M5Listener
      */
     Deployment deploy(const FunctionSpec &spec, const WorkloadImpl &impl,
                       unsigned ring_slot = 0);
+
+    /** The pids deploy() gave @p spec in @p ring_slot, found by name. */
+    Deployment deployed(const FunctionSpec &spec, unsigned ring_slot = 0);
 
     /** Release the client's start gate. */
     void openClientGate(const Deployment &deployment);
@@ -155,6 +157,9 @@ class ServerlessCluster : public M5Listener
         resetOnBeginSlot = slot;
     }
 
+    /** Is an armed stat reset still waiting for its workBegin? */
+    bool statResetArmed() const { return resetOnBegin; }
+
     /** The stat snapshot captured at the last armed workBegin. */
     const obs::StatSnapshot &workBeginSnapshot() const { return beginSnap; }
 
@@ -168,8 +173,14 @@ class ServerlessCluster : public M5Listener
     void m5Op(int core_id, uint64_t op, uint64_t arg) override;
 
   private:
+    /** Zero the run-control counters and build an empty System plus
+     *  the ring region: boot(), reset and restore all start here. */
     void buildSystem();
     void createStoreContainers();
+
+    /** Load @p image as process @p name with the rings mapped. */
+    int loadContainer(const LoadableImage &image, const std::string &name,
+                      int core);
 
     /** Run in phaseCycleLimit chunks until @p count (a counter the m5
      *  plumbing advances) reaches @p target. @return false when a
@@ -180,9 +191,6 @@ class ServerlessCluster : public M5Listener
     std::unique_ptr<System> machine;
     std::optional<Checkpoint> baseline;
     Addr ringsPhys = 0;
-
-    int dbPid = -1;
-    int mcPid = -1;
 
     uint64_t nWorkBegin = 0;
     uint64_t nWorkEnd = 0;

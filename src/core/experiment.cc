@@ -90,50 +90,25 @@ ExperimentRunner::span(const std::string &name, const std::string &cat,
                                      end - start);
 }
 
-ServerlessCluster::Deployment
-ExperimentRunner::prepareFresh(const FunctionSpec &spec,
-                               const WorkloadImpl &impl, bool &ok)
-{
-    ServerlessCluster &cl = *clusterPtr;
-    // A runner reused across experiments keeps its booted baseline;
-    // only record a boot span when the bootstrap actually runs.
-    const bool fresh_boot = !cl.booted();
-    cl.boot();
-    if (fresh_boot)
-        span("boot", "phase", 0, cl.system().cycle());
-    cl.resetToBaseline();
-    auto dep = cl.deploy(spec, impl);
-    // Container boot on the Atomic CPU, up to the readiness report.
-    const uint64_t start_begin = cl.system().cycle();
-    ok = cl.runUntilReady(1);
-    span("container-start", "phase", start_begin, cl.system().cycle());
-    // Let the server settle into its receive loop.
-    const uint64_t settle_begin = cl.system().cycle();
-    cl.system().run(5'000);
-    span("settle", "phase", settle_begin, cl.system().cycle());
-    return dep;
-}
-
-ServerlessCluster::Deployment
-ExperimentRunner::prepare(const FunctionSpec &spec,
-                          const WorkloadImpl &impl, bool &ok)
+std::vector<ServerlessCluster::Deployment>
+ExperimentRunner::prepare(const FunctionSpec &spec, const WorkloadImpl &impl,
+                          const FunctionSpec *interferer,
+                          const WorkloadImpl *interferer_impl)
 {
     ServerlessCluster &cl = *clusterPtr;
     CheckpointStore &store = CheckpointStore::global();
     pendingWsFp.clear();
-    if (!store.enabled())
-        return prepareFresh(spec, impl, ok);
-
-    const std::string fp = CheckpointStore::fingerprint(cfg, spec);
+    const std::string fp =
+        CheckpointStore::fingerprint(cfg, spec, interferer);
     bool claimed = false;
-    if (auto cp = store.acquire(fp, &claimed)) {
-        // Restore-many: rebuild the platform, re-issue the same
-        // deployments (the kernel restore checks the process table),
-        // then overwrite everything with the prepared snapshot —
-        // working-set-aware when the REAP gate is on and the snapshot
+    std::shared_ptr<const Checkpoint> cp;
+    if (store.enabled())
+        cp = store.acquire(fp, &claimed);
+    if (cp != nullptr) {
+        // Restore-many: the snapshot holds the deployed processes too.
+        // Working-set aware when the REAP gate is on and the snapshot
         // carries a page table.
         cl.beginRestore();
-        auto dep = cl.deploy(spec, impl);
         std::shared_ptr<const PageImage> img;
         if (cl.system().reapEnabled())
             img = store.imageFor(fp, *cp);
@@ -150,19 +125,43 @@ ExperimentRunner::prepare(const FunctionSpec &spec,
                   std::to_string(phys.residentImagePages())}});
         }
         armWorkingSetCapture(fp, cp.get());
-        ok = true;
-        return dep;
+        std::vector<ServerlessCluster::Deployment> deps = {
+            cl.deployed(spec, 0)};
+        if (interferer != nullptr)
+            deps.push_back(cl.deployed(*interferer, 1));
+        return deps;
     }
-    // First preparation of this tuple anywhere: do the real work once
-    // and publish the settle-point snapshot for everyone else.
-    auto dep = prepareFresh(spec, impl, ok);
-    if (ok) {
+
+    // First preparation of this tuple anywhere, or no store: do the
+    // real work once and publish the settle-point snapshot. A reused
+    // runner keeps its booted baseline and records no boot span.
+    const bool fresh_boot = !cl.booted();
+    cl.boot();
+    if (fresh_boot)
+        span("boot", "phase", 0, cl.system().cycle());
+    cl.resetToBaseline();
+    std::vector<ServerlessCluster::Deployment> deps = {
+        cl.deploy(spec, impl, 0)};
+    if (interferer != nullptr)
+        deps.push_back(cl.deploy(*interferer, *interferer_impl, 1));
+    // Container boot on the Atomic CPU, up to the readiness reports.
+    const uint64_t start_begin = cl.system().cycle();
+    const bool ok = cl.runUntilReady(deps.size());
+    span("container-start", "phase", start_begin, cl.system().cycle());
+    if (!ok) {
+        if (claimed)
+            store.release(fp);
+        return {};
+    }
+    // Let the servers settle into their receive loops.
+    const uint64_t settle_begin = cl.system().cycle();
+    cl.system().run(5'000);
+    span("settle", "phase", settle_begin, cl.system().cycle());
+    if (claimed) {
         store.publish(fp, cl.savePrepared());
         armWorkingSetCapture(fp, nullptr);
-    } else {
-        store.release(fp);
     }
-    return dep;
+    return deps;
 }
 
 void
@@ -201,6 +200,8 @@ RequestStats
 ExperimentRunner::measureServerCore(const char *phase) const
 {
     ServerlessCluster &cl = *clusterPtr;
+    svb_assert(!cl.statResetArmed(),
+               "measured request began before its stat reset was armed");
     const obs::StatSnapshot now = obs::snapshot(cl.system().stats());
     const obs::StatSnapshot delta =
         obs::delta(cl.workBeginSnapshot(), now);
@@ -224,10 +225,9 @@ ExperimentRunner::runFunction(const FunctionSpec &spec,
     result.name = spec.name;
     beginTrace(spec, runModeName(RunMode::Detailed));
 
-    bool ok = false;
     ServerlessCluster &cl = *clusterPtr;
-    auto dep = prepare(spec, impl, ok);
-    if (!ok) {
+    const auto deps = prepare(spec, impl);
+    if (deps.empty()) {
         warn(spec.name, ": container failed to boot");
         return result;
     }
@@ -240,7 +240,7 @@ ExperimentRunner::runFunction(const FunctionSpec &spec,
     // caches, TLBs and branch predictors, exactly as in gem5.
     m.flushMicroarchState();
     cl.armStatResetOnWorkBegin();
-    cl.openClientGate(dep);
+    cl.openClientGate(deps[0]);
     if (!cl.runUntilWorkEnds(1)) {
         warn(spec.name, ": cold request did not complete");
         return result;
@@ -291,57 +291,22 @@ ExperimentRunner::runLukewarm(const FunctionSpec &spec,
 
     beginTrace(spec, runModeName(RunMode::Lukewarm));
 
-    // Interleaved run: both functions share the server core. The
-    // two-function settle point gets its own checkpoint, keyed by the
-    // (function, interferer) pair.
-    ServerlessCluster &cl = *clusterPtr;
-    CheckpointStore &store = CheckpointStore::global();
-    const std::string fp =
-        CheckpointStore::fingerprint(cfg, spec, &interferer);
-    bool claimed = false;
-    std::shared_ptr<const Checkpoint> cp;
-    if (store.enabled())
-        cp = store.acquire(fp, &claimed);
-
-    ServerlessCluster::Deployment dep;
-    ServerlessCluster::Deployment dep2;
-    pendingWsFp.clear();
-    if (cp) {
-        cl.beginRestore();
-        dep = cl.deploy(spec, impl, /*ring_slot=*/0);
-        dep2 = cl.deploy(interferer, interferer_impl, /*ring_slot=*/1);
-        std::shared_ptr<const PageImage> img;
-        if (cl.system().reapEnabled())
-            img = store.imageFor(fp, *cp);
-        cl.finishRestore(*cp, img);
-        span("restore", "phase", cl.system().cycle(), cl.system().cycle());
-        armWorkingSetCapture(fp, cp.get());
-    } else {
-        cl.boot();
-        cl.resetToBaseline();
-        dep = cl.deploy(spec, impl, /*ring_slot=*/0);
-        dep2 = cl.deploy(interferer, interferer_impl, /*ring_slot=*/1);
-        const uint64_t start_begin = cl.system().cycle();
-        if (!cl.runUntilReady(2)) {
-            if (claimed)
-                store.release(fp);
-            warn(spec.name, ": lukewarm containers failed to boot");
-            return result;
-        }
-        span("container-start", "phase", start_begin, cl.system().cycle());
-        cl.system().run(5'000);
-        if (claimed) {
-            store.publish(fp, cl.savePrepared());
-            armWorkingSetCapture(fp, nullptr);
-        }
+    // Interleaved run: both functions share the server core, the
+    // interferer in ring slot 1. The two-function settle point gets
+    // its own checkpoint, keyed by the (function, interferer) pair.
+    const auto deps = prepare(spec, impl, &interferer, &interferer_impl);
+    if (deps.empty()) {
+        warn(spec.name, ": lukewarm containers failed to boot");
+        return result;
     }
 
+    ServerlessCluster &cl = *clusterPtr;
     System &m = cl.system();
     // Warm both functions on the Atomic CPU with their requests
     // interleaving freely through the cooperative scheduler. Both
     // clients start through the explicit per-deployment gate.
-    cl.openClientGate(dep);
-    cl.openClientGate(dep2);
+    cl.openClientGate(deps[0]);
+    cl.openClientGate(deps[1]);
     const uint64_t warming_begin = cl.system().cycle();
     if (!cl.runUntilSlotWorkEnds(0, 9) ||
         !cl.runUntilSlotWorkEnds(1, 9)) {
@@ -354,15 +319,19 @@ ExperimentRunner::runLukewarm(const FunctionSpec &spec,
     noteColdRequestDone();
     span("warming", "phase", warming_begin, cl.lastWorkEndCycle());
 
-    // Measure the next request of the function under test, detailed.
+    // Measure, detailed, the first request of the function under test
+    // that begins after the switch. Warming the interferer may run
+    // past slot 0's next workBegin; that request then ends with the
+    // reset still armed, and the measurement runs on to the next one.
     m.switchCpu(topo::clientCore, CpuModel::O3);
     m.switchCpu(topo::serverCore, CpuModel::O3);
     cl.armStatResetOnWorkBegin(/*slot=*/0);
-    const uint64_t done = cl.slotWorkEnds(0);
-    if (!cl.runUntilSlotWorkEnds(0, done + 1)) {
-        warn(spec.name, ": lukewarm measurement did not complete");
-        return result;
-    }
+    do {
+        if (!cl.runUntilSlotWorkEnds(0, cl.slotWorkEnds(0) + 1)) {
+            warn(spec.name, ": lukewarm measurement did not complete");
+            return result;
+        }
+    } while (cl.statResetArmed());
     result.lukewarm = measureServerCore("lukewarm");
     span("lukewarm", "measure", cl.lastWorkBeginCycle(),
          cl.lastWorkEndCycle());
@@ -378,15 +347,14 @@ ExperimentRunner::runLoadCalibration(const FunctionSpec &spec,
     result.name = spec.name;
     beginTrace(spec, runModeName(RunMode::LoadCal));
 
-    bool ok = false;
     ServerlessCluster &cl = *clusterPtr;
-    auto dep = prepare(spec, impl, ok);
-    if (!ok) {
+    const auto deps = prepare(spec, impl);
+    if (deps.empty()) {
         warn(spec.name, ": load calibration failed to prepare");
         return result;
     }
 
-    cl.openClientGate(dep);
+    cl.openClientGate(deps[0]);
     if (!cl.runUntilWorkEnds(1))
         return result;
     noteColdRequestDone();
@@ -415,13 +383,12 @@ ExperimentRunner::runFunctionEmu(const FunctionSpec &spec,
     result.name = spec.name;
     beginTrace(spec, runModeName(RunMode::Emu));
 
-    bool ok = false;
     ServerlessCluster &cl = *clusterPtr;
-    auto dep = prepare(spec, impl, ok);
-    if (!ok)
+    const auto deps = prepare(spec, impl);
+    if (deps.empty())
         return result;
 
-    cl.openClientGate(dep);
+    cl.openClientGate(deps[0]);
     if (!cl.runUntilWorkEnds(1))
         return result;
     noteColdRequestDone();

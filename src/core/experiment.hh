@@ -31,6 +31,7 @@
 #include <memory>
 #include <string>
 #include <variant>
+#include <vector>
 
 #include "cluster.hh"
 #include "cpu/stall_cause.hh"
@@ -193,9 +194,10 @@ class ExperimentRunner
     /**
      * The lukewarm study (paper Section 2.1): co-locate @p interferer
      * on the same server core and interleave its invocations with
-     * @p spec's, then measure spec's request 10. Its microarchitectural
-     * state has been thrashed between invocations, so it lands between
-     * cold and warm — "behaving as if called for the first time".
+     * @p spec's, then measure spec's first request that begins after
+     * warming. Its microarchitectural state has been thrashed between
+     * invocations, so it lands between cold and warm — "behaving as if
+     * called for the first time".
      */
     LukewarmResult runLukewarm(const FunctionSpec &spec,
                                const WorkloadImpl &impl,
@@ -226,19 +228,18 @@ class ExperimentRunner
                                        const WorkloadImpl &impl);
 
     /**
-     * Prepare a deployment: restore the prepared-state checkpoint for
-     * this (function, config) tuple when the CheckpointStore has one,
-     * else boot/settle from scratch and publish the snapshot.
+     * Prepare a platform with @p spec deployed in ring slot 0 and, for
+     * the lukewarm study, @p interferer in slot 1. Restore the
+     * prepared-state checkpoint of this tuple when the CheckpointStore
+     * has one, else boot, start and settle from scratch and publish
+     * the snapshot.
+     * @return the deployments by ring slot; empty when a container
+     *         failed to boot
      */
-    ServerlessCluster::Deployment prepare(const FunctionSpec &spec,
-                                          const WorkloadImpl &impl,
-                                          bool &ok);
-
-    /** The checkpoint-free preparation path: reset, deploy, boot the
-     *  container to readiness, settle. */
-    ServerlessCluster::Deployment prepareFresh(const FunctionSpec &spec,
-                                               const WorkloadImpl &impl,
-                                               bool &ok);
+    std::vector<ServerlessCluster::Deployment>
+    prepare(const FunctionSpec &spec, const WorkloadImpl &impl,
+            const FunctionSpec *interferer = nullptr,
+            const WorkloadImpl *interferer_impl = nullptr);
 
     /**
      * Arm cold-request working-set capture for fingerprint @p fp when

@@ -53,6 +53,10 @@ class AddressSpace
      */
     AddressSpace(PhysMemory &phys, FrameAllocator &frames);
 
+    /** Adopt the page table at @p root; allocates nothing. */
+    AddressSpace(PhysMemory &phys_mem, FrameAllocator &frame_alloc, Addr root)
+        : phys(phys_mem), frames(frame_alloc), rootTable(root) {}
+
     /** @return the page-table root physical address (for ptRoot). */
     Addr root() const { return rootTable; }
 

@@ -204,6 +204,9 @@ GuestKernel::serializeState(const std::string &prefix, Checkpoint &cp) const
     cp.setScalar(prefix + "numProcs", procs.size());
     cp.setScalar(prefix + "trapCounter", trapCounter);
     for (const auto &proc : procs) {
+        // A restore adopts the saved root as the address space's.
+        svb_assert(proc->saved.ptRoot == proc->space->root(), "process ",
+                   proc->pid, " saved ptRoot is not its root");
         const std::string pp =
             prefix + "proc" + std::to_string(proc->pid) + ".";
         cp.setString(pp + "name", proc->name);
@@ -231,18 +234,32 @@ void
 GuestKernel::unserializeState(const std::string &prefix,
                               const Checkpoint &cp)
 {
-    svb_assert(cp.getScalar(prefix + "numProcs") == procs.size(),
+    // The table grows one checkpointed process at a time, so a
+    // doctored numProcs fails on its first missing key.
+    const uint64_t num_procs = cp.getScalar(prefix + "numProcs");
+    svb_assert(num_procs >= procs.size(),
                "checkpoint process-table mismatch");
     trapCounter = cp.getScalar(prefix + "trapCounter");
-    for (auto &proc : procs) {
-        const std::string pp =
-            prefix + "proc" + std::to_string(proc->pid) + ".";
-        svb_assert(cp.getString(pp + "name") == proc->name,
-                   "checkpoint process name mismatch");
+    for (size_t pid = 0; pid < num_procs; ++pid) {
+        const std::string pp = prefix + "proc" + std::to_string(pid) + ".";
+        const std::string &name = cp.getString(pp + "name");
+        const Addr root = cp.getScalar(pp + "ptRoot");
+        if (pid == procs.size()) {
+            auto proc = std::make_unique<Process>();
+            proc->pid = int(pid);
+            proc->name = name;
+            proc->space = std::make_unique<AddressSpace>(phys, frames, root);
+            procs.push_back(std::move(proc));
+        }
+        const auto &proc = procs[pid];
+        svb_assert(proc->name == name, "checkpoint process name mismatch",
+                   " (pid ", pid, ": ", proc->name, " vs ", name, ")");
+        svb_assert(proc->space->root() == root,
+                   "checkpoint page-table root mismatch (pid ", pid, ")");
         proc->core = int(cp.getScalar(pp + "core"));
         proc->state = ProcState(cp.getScalar(pp + "state"));
         proc->saved.pc = cp.getScalar(pp + "pc");
-        proc->saved.ptRoot = cp.getScalar(pp + "ptRoot");
+        proc->saved.ptRoot = root;
         proc->saved.halted = cp.getScalar(pp + "halted") != 0;
         proc->saved.processId = proc->pid;
         for (unsigned r = 0; r < maxArchRegs; ++r)

@@ -84,6 +84,8 @@ class GuestKernel : public TrapHandler, public Serializable
 
     void serializeState(const std::string &prefix,
                         Checkpoint &cp) const override;
+    /** Rebuild the process table from @p cp: create every process
+     *  past the current table; those that exist must match. */
     void unserializeState(const std::string &prefix,
                           const Checkpoint &cp) override;
 

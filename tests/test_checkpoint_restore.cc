@@ -258,6 +258,203 @@ TEST(CheckpointRestoreTest, CsvRowByteIdentity)
     std::remove(fileB.c_str());
 }
 
+namespace
+{
+
+/** Prepare @p spec on @p cl from scratch, as ExperimentRunner does on
+ *  a store miss, and return the settle-point checkpoint. */
+Checkpoint
+prepareSettled(ServerlessCluster &cl, const FunctionSpec &spec,
+               ServerlessCluster::Deployment &dep)
+{
+    cl.boot();
+    cl.resetToBaseline();
+    dep = cl.deploy(spec, workloads::workloadImpl(spec.workload));
+    EXPECT_TRUE(cl.runUntilReady(1));
+    cl.system().run(5'000);
+    return cl.savePrepared();
+}
+
+/** @p b's process table must equal @p a's, entry by entry. */
+void
+expectSameProcessTable(ServerlessCluster &a, ServerlessCluster &b)
+{
+    GuestKernel &ka = a.system().kernel();
+    GuestKernel &kb = b.system().kernel();
+    ASSERT_EQ(ka.numProcesses(), kb.numProcesses());
+    for (int pid = 0; pid < int(ka.numProcesses()); ++pid) {
+        SCOPED_TRACE("pid " + std::to_string(pid));
+        const Process &pa = ka.process(pid);
+        const Process &pb = kb.process(pid);
+        EXPECT_EQ(pa.name, pb.name);
+        EXPECT_EQ(pa.core, pb.core);
+        EXPECT_EQ(pa.state, pb.state);
+        EXPECT_EQ(pa.space->root(), pb.space->root());
+        EXPECT_EQ(pa.saved.pc, pb.saved.pc);
+        EXPECT_EQ(pa.saved.regs, pb.saved.regs);
+        EXPECT_EQ(pa.saved.ptRoot, pb.saved.ptRoot);
+        EXPECT_EQ(pa.saved.processId, pb.saved.processId);
+        EXPECT_EQ(pa.saved.halted, pb.saved.halted);
+    }
+}
+
+class SelfContainedRestoreTest : public ::testing::TestWithParam<IsaId>
+{
+};
+
+} // namespace
+
+TEST_P(SelfContainedRestoreTest, RestoreRebuildsTheProcessTable)
+{
+    // A prepared checkpoint restores with no deploy(): the kernel
+    // creates every process from it, adopting its page table.
+    const ClusterConfig cfg = standaloneConfig(GetParam());
+    const FunctionSpec spec = specFor("fibonacci-go");
+    ServerlessCluster saving(cfg);
+    ServerlessCluster::Deployment dep;
+    const Checkpoint cp = prepareSettled(saving, spec, dep);
+
+    ServerlessCluster restored(cfg);
+    restored.beginRestore();
+    EXPECT_EQ(restored.system().kernel().numProcesses(), 0u);
+    restored.finishRestore(cp);
+    expectSameProcessTable(saving, restored);
+    const ServerlessCluster::Deployment found = restored.deployed(spec);
+    EXPECT_EQ(found.serverPid, dep.serverPid);
+    EXPECT_EQ(found.clientPid, dep.clientPid);
+    const AddressSpace &as =
+        *saving.system().kernel().process(dep.clientPid).space;
+    const AddressSpace &bs =
+        *restored.system().kernel().process(found.clientPid).space;
+    for (const Addr va : {layout::codeBase, layout::heapBase})
+        EXPECT_EQ(as.translate(va), bs.translate(va)) << va;
+
+    // The restored platform saves back to the same checkpoint file.
+    const std::string stem =
+        std::string("ckpt_selfcontained_") + isaName(GetParam());
+    cp.saveToFile(stem + ".saved");
+    restored.savePrepared().saveToFile(stem + ".restored");
+    EXPECT_TRUE(slurp(stem + ".saved") == slurp(stem + ".restored"));
+    std::remove((stem + ".saved").c_str());
+    std::remove((stem + ".restored").c_str());
+}
+
+TEST_P(SelfContainedRestoreTest, DeployBetweenTheHalvesMustMatch)
+{
+    // The sequence a caller may still use: beginRestore(), the same
+    // deploy(), finishRestore(). The kernel keeps the deployed
+    // processes, which must match the checkpoint.
+    const ClusterConfig cfg = standaloneConfig(GetParam());
+    const FunctionSpec spec = specFor("fibonacci-go");
+    const WorkloadImpl &impl = workloads::workloadImpl(spec.workload);
+    ServerlessCluster saving(cfg);
+    ServerlessCluster::Deployment dep;
+    const Checkpoint cp = prepareSettled(saving, spec, dep);
+
+    ServerlessCluster redeployed(cfg);
+    redeployed.beginRestore();
+    const ServerlessCluster::Deployment again = redeployed.deploy(spec, impl);
+    redeployed.finishRestore(cp);
+    expectSameProcessTable(saving, redeployed);
+    EXPECT_EQ(again.serverPid, dep.serverPid);
+    EXPECT_EQ(again.clientPid, dep.clientPid);
+
+    const FunctionSpec other = specFor("aes-go");
+    ServerlessCluster wrong(cfg);
+    wrong.beginRestore();
+    wrong.deploy(other, workloads::workloadImpl(other.workload));
+    EXPECT_DEATH(wrong.finishRestore(cp),
+                 "checkpoint process name mismatch");
+}
+
+TEST_P(SelfContainedRestoreTest, DoctoredProcessCountFailsOnAMissingKey)
+{
+    // The table grows one checkpointed process at a time, so a huge
+    // numProcs ends at the first process the checkpoint lacks.
+    const ClusterConfig cfg = standaloneConfig(GetParam());
+    ServerlessCluster saving(cfg);
+    ServerlessCluster::Deployment dep;
+    Checkpoint cp = prepareSettled(saving, specFor("fibonacci-go"), dep);
+    cp.setScalar("kernel.numProcs", ~uint64_t(0));
+    ServerlessCluster restored(cfg);
+    restored.beginRestore();
+    EXPECT_DEATH(restored.finishRestore(cp),
+                 "checkpoint missing string 'kernel.proc2.name'");
+}
+
+INSTANTIATE_TEST_SUITE_P(Isas, SelfContainedRestoreTest,
+                         ::testing::Values(IsaId::Riscv, IsaId::Cx86),
+                         [](const auto &info) {
+                             return info.param == IsaId::Riscv ? "Riscv"
+                                                               : "Cx86";
+                         });
+
+TEST(CheckpointRestoreTest, LukewarmRestoreMatchesFreshRun)
+{
+    // aes-go's next request begins while fibonacci-nodejs still warms,
+    // so the measured request is the one after it; a restored runner
+    // must measure the same request with the same stats.
+    TempCheckpointDir ckpts("ckpt_rt_lukewarm");
+    const FunctionSpec spec = specFor("aes-go");
+    const FunctionSpec other = specFor("fibonacci-nodejs");
+    const ClusterConfig cfg = standaloneConfig(IsaId::Riscv);
+    auto run = [&](LukewarmResult &res) {
+        ExperimentRunner runner(cfg);
+        res = runner.runLukewarm(spec, workloads::workloadImpl(spec.workload),
+                                 other,
+                                 workloads::workloadImpl(other.workload));
+        return runner.cluster().system().stats().snapshotAll();
+    };
+    LukewarmResult fresh;
+    LukewarmResult restored;
+    const auto snapFresh = run(fresh);
+    const auto snapRestored = run(restored);
+    ASSERT_TRUE(fresh.ok);
+    ASSERT_TRUE(restored.ok);
+    expectSameStats(fresh.warm, restored.warm, "warm");
+    expectSameStats(fresh.lukewarm, restored.lukewarm, "lukewarm");
+    EXPECT_EQ(snapFresh, snapRestored);
+}
+
+TEST(CheckpointRestoreTest, BootAfterARestoreMatchesAFreshBoot)
+{
+    // A runner whose first experiment restored boots its stores only
+    // when a later experiment misses the store. That boot must start
+    // from a fresh machine and fresh run-control counters, exactly as
+    // on a new runner.
+    ClusterConfig cfg = standaloneConfig(IsaId::Riscv);
+    cfg.startMemcached = true;
+    const FunctionSpec first = specFor("fibonacci-go");
+    const FunctionSpec second = specFor("aes-go");
+    const WorkloadImpl &firstImpl = workloads::workloadImpl(first.workload);
+    const WorkloadImpl &secondImpl =
+        workloads::workloadImpl(second.workload);
+    const std::string fp = CheckpointStore::fingerprint(cfg, second);
+    EmuResult expected;
+    std::string expectedFile;
+    {
+        TempCheckpointDir ckpts("ckpt_rt_boot_fresh");
+        ExperimentRunner fresh(cfg);
+        expected = fresh.runFunctionEmu(second, secondImpl);
+        ASSERT_TRUE(expected.ok);
+        expectedFile = slurp(CheckpointStore::global().pathFor(fp));
+    }
+    TempCheckpointDir ckpts("ckpt_rt_boot_mixed");
+    {
+        ExperimentRunner prep(cfg);
+        ASSERT_TRUE(prep.runFunctionEmu(first, firstImpl).ok);
+    }
+    ExperimentRunner mixed(cfg);
+    ASSERT_TRUE(mixed.runFunctionEmu(first, firstImpl).ok);
+    ASSERT_FALSE(mixed.cluster().booted()) << "the first run restored";
+    const EmuResult got = mixed.runFunctionEmu(second, secondImpl);
+    ASSERT_TRUE(got.ok);
+    EXPECT_EQ(got.coldNs, expected.coldNs);
+    EXPECT_EQ(got.warmNs, expected.warmNs);
+    EXPECT_TRUE(slurp(CheckpointStore::global().pathFor(fp)) == expectedFile)
+        << "the second function's snapshot differs from a fresh one";
+}
+
 TEST(CheckpointNegativeTest, LoaderRejectsCorruptFiles)
 {
     TempCheckpointDir ckpts("ckpt_neg_files");
@@ -625,7 +822,6 @@ TEST(CheckpointNegativeTest, MutatedMemoryImageIsAMissOrRestores)
         EXPECT_FALSE(claimed);
         for (const bool reap : {false, true}) {
             cl.beginRestore();
-            cl.deploy(spec, impl);
             std::shared_ptr<const PageImage> img;
             if (reap)
                 img = store.imageFor(fp, *got);

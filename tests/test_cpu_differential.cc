@@ -538,9 +538,9 @@ checkpointFastResume(IsaId isa)
     const uint64_t resultRef = ref.readResult();
 
     for (const bool fast : {true, false}) {
-        // Restore requires an identically built machine: same config,
-        // same loaded processes (the cluster's restore path rebuilds
-        // the workload first, then restores over it).
+        // Restore into an identically built machine with the same
+        // process loaded; the kernel restore checks that it matches
+        // the checkpoint.
         LiveRun resumed = startRun(prog, isa, fast, result);
         System &sys = *resumed.sys;
         sys.restoreCheckpoint(cp);
