@@ -1,6 +1,9 @@
 #include "parallel.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <numeric>
 #include <type_traits>
@@ -46,9 +49,13 @@ unsigned
 ThreadPool::defaultJobs()
 {
     if (const char *env = std::getenv("SVBENCH_JOBS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v > 0)
-            return unsigned(v);
+        // The whole value must be one unsigned: no sign, space, suffix
+        // or wrap-around past 2^32.
+        const char *end = env + std::strlen(env);
+        unsigned v = 0;
+        const auto [stop, ec] = std::from_chars(env, end, v);
+        if (ec == std::errc() && stop == end && v > 0)
+            return v;
         warn("ignoring SVBENCH_JOBS='", env, "' (want a positive integer)");
     }
     const unsigned hw = std::thread::hardware_concurrency();
@@ -124,7 +131,10 @@ runGroups(const std::vector<std::vector<size_t>> &groups,
 {
     if (groups.empty())
         return;
-    ThreadPool pool(jobs_override);
+    // Each group is one task, so more workers than groups only idle.
+    const unsigned jobs =
+        jobs_override ? jobs_override : ThreadPool::defaultJobs();
+    ThreadPool pool(unsigned(std::min<size_t>(jobs, groups.size())));
     for (const std::vector<size_t> &members : groups) {
         pool.submit([&compute, &members] {
             for (size_t i : members)

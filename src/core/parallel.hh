@@ -58,9 +58,10 @@ class ThreadPool
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     /**
-     * Worker count implied by the environment: SVBENCH_JOBS if set to
-     * a positive integer, otherwise std::thread::hardware_concurrency
-     * (or 1 when that reports 0).
+     * Worker count implied by the environment: SVBENCH_JOBS if its
+     * whole value is a positive integer that fits an unsigned,
+     * otherwise (with a warning for a set but malformed value)
+     * std::thread::hardware_concurrency, or 1 when that reports 0.
      */
     static unsigned defaultJobs();
 

@@ -49,8 +49,10 @@ System::System(const SystemConfig &config)
         o3s.push_back(std::make_unique<O3Cpu>(
             cfg.o3, int(c), cfg.isa, *physMem, *coreMems[c], *decoder,
             *guestKernel, core_group));
+        o3s.back()->setPreTrap([this, c] { settleQuietCores(c); });
         models.push_back(CpuModel::Atomic);
     }
+    creditedTo.assign(cfg.numCores, actingCore);
 }
 
 BaseCpu &
@@ -137,41 +139,53 @@ System::tickCore(unsigned c)
 uint64_t
 System::step(uint64_t limit)
 {
-    // The quiet-core rule. A core is quiet while it is halted or
-    // burning stallCycles(): ticking it is pure bookkeeping. While
-    // every core is an untraced fast-tier Atomic core and at most one
-    // can act, that core runs chained and the quiet ones are credited
-    // in bulk, up to the earliest of the run limit, the next event and
-    // the end of every other core's stall. A trap handler changes only
+    // The quiet-core rule. A core is quiet while its next ticks can
+    // only count cycles (quietCycles() > 0): it is halted, burning an
+    // Atomic trap stall, or an O3 core with an empty window waiting for
+    // fetch to resume. Every core is classified once, as quiet with a
+    // window or as acting, and the step covers at most the earliest of
+    // the run limit, every quiet window and the next event:
+    //  - no core acts: jump, crediting every core;
+    //  - one untraced Atomic core acts: it runs chained;
+    //  - only O3 cores act: they tick, and no other core does.
+    // The quiet cores are credited in bulk. A trap handler changes only
     // its own core's context, so quiet cores stay quiet through the
-    // batch, which ends at the trap; the next step checks again.
-    bool chained = fastWarm;
-    unsigned actor = cfg.numCores; // none
-    uint64_t quiet_end = ~uint64_t(0); // cycles to the next stall end or event
-    for (unsigned c = 0; c < cfg.numCores && chained; ++c) {
-        const AtomicCpu &core = *atomics[c];
-        if (models[c] != CpuModel::Atomic || core.tracing())
-            chained = false;
-        else if (core.halted())
-            continue;
-        else if (core.stallCycles() > 0)
-            quiet_end = std::min<uint64_t>(quiet_end, core.stallCycles());
-        else if (actor == cfg.numCores)
-            actor = c;
+    // step, which ends at a trap; the next step classifies again.
+    const unsigned none = cfg.numCores;
+    const uint64_t g0 = globalCycle;
+    bool tick_all = !fastWarm;
+    unsigned atomic_actor = none;
+    bool o3_acts = false;
+    uint64_t quiet_end = ~uint64_t(0); // cycles to the next window end or event
+    for (unsigned c = 0; c < cfg.numCores && !tick_all; ++c) {
+        const bool atomic = models[c] == CpuModel::Atomic;
+        const uint64_t window =
+            atomic ? atomics[c]->quietCycles() : o3s[c]->quietCycles();
+        creditedTo[c] = window > 0 ? g0 : actingCore;
+        if (atomic ? atomics[c]->tracing() : o3s[c]->tracing())
+            tick_all = true;
+        else if (window > 0)
+            quiet_end = std::min(quiet_end, window);
+        else if (!atomic)
+            o3_acts = true;
+        else if (atomic_actor == none)
+            atomic_actor = c;
         else
-            chained = false;
+            tick_all = true; // a second acting Atomic core
     }
-    if (chained && eventq.pending() > 0) {
+    if (!tick_all && eventq.pending() > 0) {
         const Tick next_ev = eventq.nextEventTick();
         svb_assert(next_ev > globalCycle, "overdue event");
         quiet_end = std::min<uint64_t>(quiet_end, next_ev - globalCycle);
     }
 
-    // Every other case ticks one cycle, every core in core order:
-    // detailed or traced cores present, several Atomic cores able to
-    // act at once (shared-ring polling needs their exact interleaving),
-    // or the final drain, where every core is halted with no event due.
-    if (!chained || (actor == cfg.numCores && quiet_end == ~uint64_t(0))) {
+    // Every other case ticks one cycle, every core in core order: the
+    // per-cycle oracle, traced cores, several Atomic cores able to act
+    // at once or an Atomic core acting beside an O3 one (shared-ring
+    // polling needs their exact interleaving), or the final drain,
+    // where every core is halted with no event due.
+    if (tick_all || (atomic_actor != none && o3_acts) ||
+        (atomic_actor == none && !o3_acts && quiet_end == ~uint64_t(0))) {
         ++globalCycle;
         for (unsigned c = 0; c < cfg.numCores; ++c)
             tickCore(c);
@@ -179,34 +193,75 @@ System::step(uint64_t limit)
     }
 
     uint64_t n = std::min(limit, quiet_end);
-    const uint64_t g0 = globalCycle;
-    if (actor < cfg.numCores) {
+    crediting = true;
+    if (atomic_actor != none) {
         // Two words of captures fit std::function's small buffer, so a
         // batch allocates nothing on the host heap (an allocation per
         // batch raised detailed-fresh's peak RSS by up to 13 MiB).
-        const AtomicCpu::PreTrap pre_trap = [this, actor](uint64_t batch) {
-            // On the per-cycle path, the trapping cycle ticks the cores
-            // below the actor before it traps and the cores above it
-            // only after; the handler may observe either.
+        const AtomicCpu::PreTrap pre_trap = [this, atomic_actor](
+                                                uint64_t batch) {
             globalCycle += batch;
-            for (unsigned c = 0; c < cfg.numCores; ++c) {
-                if (c != actor)
-                    atomics[c]->addQuietCycles(c < actor ? batch
-                                                         : batch - 1);
-            }
+            settleQuietCores(atomic_actor);
         };
-        n = atomics[actor]->runFast(n, &pre_trap);
+        n = atomics[atomic_actor]->runFast(n, &pre_trap);
+    } else if (o3_acts) {
+        n = tickActingO3(n);
     }
-    // pre_trap moved the cycle to the trapping one: then only the cores
-    // above the actor still owe that cycle. Otherwise every quiet core
-    // owes the whole batch.
-    const bool trapped = globalCycle != g0;
+    crediting = false;
     globalCycle = g0 + n;
     for (unsigned c = 0; c < cfg.numCores; ++c) {
-        if (c != actor && (!trapped || c > actor))
-            atomics[c]->addQuietCycles(trapped ? 1 : n);
+        if (creditedTo[c] != actingCore)
+            creditQuietCore(c, globalCycle);
     }
     return n;
+}
+
+uint64_t
+System::tickActingO3(uint64_t n)
+{
+    trapped = false;
+    for (uint64_t done = 1;; ++done) {
+        ++globalCycle;
+        bool went_quiet = false;
+        for (unsigned c = 0; c < cfg.numCores; ++c) {
+            if (creditedTo[c] != actingCore)
+                continue;
+            O3Cpu &core = *o3s[c];
+            core.tick();
+            went_quiet = went_quiet || core.quietCycles() > 0;
+        }
+        // After a trap the handler may have scheduled an event or
+        // requested a stop; a core that went quiet may let the next
+        // step jump.
+        if (done == n || trapped || went_quiet)
+            return done;
+    }
+}
+
+void
+System::creditQuietCore(unsigned c, uint64_t to)
+{
+    const uint64_t n = to - creditedTo[c];
+    creditedTo[c] = to;
+    if (models[c] == CpuModel::Atomic)
+        atomics[c]->addQuietCycles(n);
+    else
+        o3s[c]->addQuietCycles(n);
+}
+
+void
+System::settleQuietCores(unsigned trapper)
+{
+    if (!crediting)
+        return; // every core ticks this cycle
+    trapped = true;
+    // On the per-cycle path, the trapping cycle ticks the cores below
+    // the trapper before it traps and the cores above it only after;
+    // the handler may observe either.
+    for (unsigned c = 0; c < cfg.numCores; ++c) {
+        if (creditedTo[c] != actingCore)
+            creditQuietCore(c, c < trapper ? globalCycle : globalCycle - 1);
+    }
 }
 
 uint64_t

@@ -148,10 +148,24 @@ class System : public M5Listener
     /** One cycle for core @p c through its concrete CPU model. */
     void tickCore(unsigned c);
 
-    /** One step of run(), at most @p limit cycles: a chained batch
-     *  under the quiet-core rule, or one cycle of every core.
+    /** One step of run(), at most @p limit cycles, under the
+     *  quiet-core rule: a jump, a chained batch, an O3 step, or one
+     *  cycle of every core.
      *  @return cycles advanced (>= 1) */
     uint64_t step(uint64_t limit);
+
+    /** The O3 step: tick the acting cores cycle by cycle for at most
+     *  @p n cycles, ending early after a trap cycle or a cycle in
+     *  which an acting core went quiet. @return cycles advanced */
+    uint64_t tickActingO3(uint64_t n);
+
+    /** Credit quiet core @p c through global cycle @p to. */
+    void creditQuietCore(unsigned c, uint64_t to);
+
+    /** Called just before a trap handler of core @p trapper runs:
+     *  bring the quiet cores' statistics to what the per-cycle loop
+     *  shows that handler. */
+    void settleQuietCores(unsigned trapper);
 
     SystemConfig cfg;
     StatGroup rootStats{"system"};
@@ -171,6 +185,13 @@ class System : public M5Listener
     std::vector<CpuModel> models;
 
     uint64_t globalCycle = 0;
+    /** Marks a core that the current step runs instead of crediting. */
+    static constexpr uint64_t actingCore = ~uint64_t(0);
+    /** Per core, while a step credits quiet cores: the global cycle
+     *  through which a quiet core's statistics stand, or actingCore. */
+    std::vector<uint64_t> creditedTo;
+    bool crediting = false; ///< the current step credits quiet cores
+    bool trapped = false;   ///< a trap was settled in this step
     bool fastWarm = true;
     bool reapRestore = true;
     bool stopRequested = false;

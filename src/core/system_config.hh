@@ -45,11 +45,13 @@ struct SystemConfig
     uint64_t seed = 0x5eed;
 
     /**
-     * Route boot/warming (Atomic-model) execution through the
-     * superblock fast path (cpu/superblock.hh). Byte-identical to the
-     * per-instruction path; disable to force the oracle interpreter.
-     * ANDed with the SVBENCH_FASTWARM environment override ("0"
-     * disables), so either side can force the slow path.
+     * Route Atomic-model execution through the superblock fast path
+     * (cpu/superblock.hh), and let the run loop credit quiet cores of
+     * either model in bulk instead of ticking them (System::run()).
+     * Byte-identical to the per-instruction, per-cycle path; disable
+     * to force that oracle. ANDed with the SVBENCH_FASTWARM
+     * environment override ("0" disables), so either side can force
+     * the slow path.
      */
     bool fastWarm = true;
 

@@ -112,6 +112,14 @@ class AtomicCpu final : public BaseCpu
         curVpage = 0;
     }
 
+    /** The number of coming ticks that can only count a cycle: ~0
+     *  while halted, else the stallCycles() left to burn. */
+    uint64_t
+    quietCycles() const
+    {
+        return ctx.halted ? ~uint64_t(0) : pendingStall;
+    }
+
     /**
      * Credit @p n cycles in which this core cannot act — it is halted,
      * or burning stallCycles() — exactly as @p n calls of tick() would.

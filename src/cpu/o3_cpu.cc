@@ -151,6 +151,27 @@ O3Cpu::tick()
 }
 
 void
+O3Cpu::addQuietCycles(uint64_t n)
+{
+    if (ctx.halted) {
+        statIdleCycles += n;
+        return;
+    }
+    svb_assert(n <= quietCycles(), "core ", coreId, " credited ", n,
+               " quiet cycles with ", quietCycles(), " left");
+    // Ticks cycle + 1 .. cycle + n: commit is trap-blocked before
+    // commitStallUntil and finds the ROB and frontend empty after it.
+    const uint64_t trap_cycles =
+        commitStallUntil > cycle + 1
+            ? std::min<uint64_t>(n, commitStallUntil - cycle - 1)
+            : 0;
+    *statStallCycles[unsigned(StallCause::Trap)] += trap_cycles;
+    *statStallCycles[unsigned(StallCause::FetchStarved)] += n - trap_cycles;
+    statCycles += n;
+    cycle += n;
+}
+
+void
 O3Cpu::accountCycle()
 {
     // Exactly one cause per counted cycle; cpu/stall_cause.hh
@@ -772,6 +793,8 @@ O3Cpu::deliverTrap(DynInst &d)
         trap_ctx.regs[i] = physRegs[size_t(committedMap[i])];
 
     const Addr old_root = trap_ctx.ptRoot;
+    if (preTrap)
+        preTrap();
     const Cycles cost = d.uop.isSyscall()
                             ? trap.handleSyscall(coreId, trap_ctx)
                             : trap.handleHalt(coreId, trap_ctx);

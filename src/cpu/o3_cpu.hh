@@ -17,6 +17,7 @@
 #define SVB_CPU_O3_CPU_HH
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "base_cpu.hh"
@@ -118,6 +119,39 @@ class O3Cpu final : public BaseCpu
     uint64_t instCount() const { return statInsts.value(); }
     BranchPredictor &branchPredictor() { return bp; }
 
+    /**
+     * The number of coming ticks that can only count a cycle and one
+     * stall cause: ~0 while halted (each tick counts an idle cycle);
+     * with the ROB, fetch queue and wakeup heap empty, the ticks before
+     * fetch resumes at fetchStallUntil (a trap stall, or an I-cache or
+     * ITLB miss); otherwise 0. See DESIGN.md, "Quiet cores".
+     */
+    uint64_t
+    quietCycles() const
+    {
+        if (ctx.halted)
+            return ~uint64_t(0);
+        if (!rob.empty() || !fetchQueue.empty() || !wakeups.empty() ||
+            !fetchEnabled || fetchStallUntil <= cycle + 1)
+            return 0;
+        return fetchStallUntil - cycle - 1;
+    }
+
+    /**
+     * Credit @p n cycles exactly as @p n calls of tick() would, with
+     * @p n at most quietCycles(). The run loop credits its quiet cores
+     * this way instead of ticking them (see System::run()).
+     */
+    void addQuietCycles(uint64_t n);
+
+    /**
+     * Invoked just before every trap handler runs. The system uses it
+     * to bring the quiet cores' statistics up to date, because trap
+     * handlers can observe them (m5 stat dumps and resets).
+     */
+    using PreTrap = std::function<void()>;
+    void setPreTrap(PreTrap hook) { preTrap = std::move(hook); }
+
   private:
     /** One in-flight micro-op, living in its ROB slot. */
     struct DynInst
@@ -217,6 +251,7 @@ class O3Cpu final : public BaseCpu
 
     O3Params p;
     BranchPredictor bp;
+    PreTrap preTrap;
 
     // Rename state.
     std::vector<int> renameMap;

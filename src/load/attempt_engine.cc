@@ -40,6 +40,23 @@ calibrate(ResultCache &cache, const ReplayScenario &s,
 namespace
 {
 
+/** Longest service time a scaling can produce (~104 days): every
+ *  integer below it is exact as a double, and event times built from
+ *  it stay far inside uint64_t. */
+constexpr uint64_t maxServiceNs = uint64_t(1) << 53;
+
+/**
+ * @p service_ns times @p factor, truncated as uint64_t(double(...) *
+ * factor) truncates it, but saturating at maxServiceNs: a product past
+ * uint64_t's range (a straggler factor of 1e30) would be undefined.
+ */
+uint64_t
+scaledService(uint64_t service_ns, double factor)
+{
+    const double ns = double(service_ns) * factor;
+    return ns < double(maxServiceNs) ? uint64_t(ns) : maxServiceNs;
+}
+
 /** The integer ReplayResult fields and their row names (the two
  *  fractions and the ok flag are scaled by hand). */
 const std::pair<const char *, uint64_t ReplayResult::*> kReplayFields[] = {
@@ -295,11 +312,11 @@ AttemptEngine::serve(const AttemptEvent &ev, uint32_t fn, unsigned node,
         // The restored snapshot came up corrupt: the platform falls
         // back to booting from scratch — the start still succeeds but
         // pays the boot penalty.
-        service = uint64_t(double(service) * s.fault.restoreBootFactor);
+        service = scaledService(service, s.fault.restoreBootFactor);
         ++res.corruptRestores;
     }
     if (dice.straggler) {
-        service = uint64_t(double(service) * s.fault.stragglerFactor);
+        service = scaledService(service, s.fault.stragglerFactor);
         ++res.stragglers;
     }
     // Heterogeneous fleets scale the calibrated service time by the
@@ -307,7 +324,7 @@ AttemptEngine::serve(const AttemptEvent &ev, uint32_t fn, unsigned node,
     // the value bit-untouched.
     const double speed = fleet.speedFactor(node);
     if (speed != 1.0)
-        service = uint64_t(double(service) * speed);
+        service = scaledService(service, speed);
     service = std::max<uint64_t>(1, service);
     const uint64_t end = pl.startNs + service;
 

@@ -1,6 +1,8 @@
 #include "fault.hh"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -16,6 +18,15 @@ double
 clampProb(double p)
 {
     return std::min(1.0, std::max(0.0, p));
+}
+
+/** Parse the whole of @p text as a finite double into @p out. */
+bool
+parseFinite(const std::string &text, double &out)
+{
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, out);
+    return ec == std::errc() && stop == end && std::isfinite(out);
 }
 
 } // namespace
@@ -62,7 +73,11 @@ faultsFromEnv()
             continue;
         }
         const std::string key = item.substr(0, eq);
-        const double val = std::atof(item.c_str() + eq + 1);
+        double val = 0.0;
+        if (!parseFinite(item.substr(eq + 1), val)) {
+            warn("SVBENCH_FAULTS: ignoring malformed entry '", item, "'");
+            continue;
+        }
         if (key == "cold")
             cfg.coldStartFailProb = clampProb(val);
         else if (key == "crash")

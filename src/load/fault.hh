@@ -78,7 +78,8 @@ struct FaultConfig
  * default preset (cold=0.05, crash=0.02, straggler=0.05,
  * restore=0.02); anything else is a comma-separated key=value list
  * over {cold, crash, straggler, straggler-factor, restore,
- * restore-boot}. Unknown keys warn and are ignored.
+ * restore-boot}. An entry whose value is not wholly one finite
+ * number, and an unknown key, warn and are ignored.
  */
 FaultConfig faultsFromEnv();
 

@@ -324,17 +324,20 @@ expectSameSnapshots(const std::map<std::string, double> &a,
 
 /**
  * Run the fast-tier and slow-tier systems in cycle lockstep, program i
- * on core i: after every @p chunk cycles each core's architectural
- * context, the global cycle, and the whole guest-visible stats tree
- * (host-only groups are excluded by snapshotAll()) must agree exactly.
- * Chunk boundaries deliberately fall mid-block, mid-stall, and between
- * a syscall and its resumption, so the fast path's cursor save/restore
- * is exercised too.
+ * on core i, every core on CPU model @p model: after every @p chunk
+ * cycles each core's architectural context, the global cycle, and the
+ * whole guest-visible stats tree (host-only groups are excluded by
+ * snapshotAll()) must agree exactly. Chunk boundaries deliberately
+ * fall mid-block, mid-stall, and between a syscall and its resumption,
+ * so the fast path's cursor save/restore is exercised too. The slow
+ * tier ticks every core every cycle, so on O3 the pair also checks the
+ * run loop's bulk crediting of quiet O3 cores.
  */
 void
 lockstepFastSlow(const std::vector<gen::Program> &progs,
                  const std::vector<Addr> &results, IsaId isa,
-                 const std::string &what, uint64_t chunk = 2048)
+                 const std::string &what, uint64_t chunk = 2048,
+                 CpuModel model = CpuModel::Atomic)
 {
     std::unique_ptr<System> tiers[2]; // fast, slow
     std::vector<int> pids;
@@ -351,6 +354,8 @@ lockstepFastSlow(const std::vector<gen::Program> &progs,
                                .pid);
         }
         sys->scheduleIdleCores();
+        for (unsigned c = 0; c < progs.size(); ++c)
+            sys->switchCpu(c, model);
         tiers[fast_warm ? 0 : 1] = std::move(sys);
     }
     System &fast = *tiers[0];
@@ -489,6 +494,40 @@ TEST_P(FastSlowLockstepTest, TwoCoresMatchOnBothIsas)
         lockstepFastSlow({a, b}, {ra, rb}, isa, what, 331);
         lockstepFastSlow({b, a}, {rb, ra}, isa, what + " swapped", 331);
     }
+}
+
+// The same two programs on two O3 cores. Each yield squashes its
+// core's window into a trap stall and every I-cache or ITLB miss on an
+// empty window stalls fetch: the run loop credits those quiet cycles
+// in bulk, jumps while both cores are quiet and ticks only the acting
+// core otherwise. The stat resets observe a settled partner below and
+// above the trapping core.
+TEST_P(FastSlowLockstepTest, TwoO3CoresMatchOnBothIsas)
+{
+    const uint64_t seed = GetParam();
+    Addr ra = 0, rb = 0;
+    const gen::Program a = randomProgram(seed, ra, LoopTrap::Yield);
+    const gen::Program b =
+        randomProgram(seed + 8, rb, LoopTrap::YieldAndResetStats);
+    const std::string what = "o3 seeds " + std::to_string(seed) + "+" +
+                             std::to_string(seed + 8);
+    for (const IsaId isa : {IsaId::Riscv, IsaId::Cx86}) {
+        lockstepFastSlow({a, b}, {ra, rb}, isa, what, 331, CpuModel::O3);
+        lockstepFastSlow({b, a}, {rb, ra}, isa, what + " swapped", 331,
+                         CpuModel::O3);
+    }
+}
+
+// One O3 core, yielding every loop iteration, runs to halt: its trap
+// stalls and empty-window fetch stalls are jumped over.
+TEST_P(FastSlowLockstepTest, OneO3CoreMatchesOnBothIsas)
+{
+    const uint64_t seed = GetParam();
+    Addr result = 0;
+    const gen::Program prog = randomProgram(seed, result, LoopTrap::Yield);
+    const std::string what = "o3 seed " + std::to_string(seed);
+    for (const IsaId isa : {IsaId::Riscv, IsaId::Cx86})
+        lockstepFastSlow({prog}, {result}, isa, what, 331, CpuModel::O3);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FastSlowLockstepTest,

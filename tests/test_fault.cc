@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -408,6 +409,127 @@ TEST(FaultConfigEnv, ParsesPresetListAndGarbage)
     const FaultConfig preset = defaultFaultPreset();
     EXPECT_FALSE(preset.scaled(0.0).any());
     EXPECT_DOUBLE_EQ(preset.scaled(100.0).coldStartFailProb, 1.0);
+}
+
+namespace
+{
+
+/** The FaultConfig field each SVBENCH_FAULTS key sets, and whether it
+ *  is a probability (clamped into [0, 1]) or a factor (at least 1). */
+struct FaultKey
+{
+    const char *name;
+    double FaultConfig::*field;
+    bool prob;
+};
+
+const FaultKey kFaultKeys[] = {
+    {"cold", &FaultConfig::coldStartFailProb, true},
+    {"crash", &FaultConfig::crashProb, true},
+    {"straggler", &FaultConfig::stragglerProb, true},
+    {"straggler-factor", &FaultConfig::stragglerFactor, false},
+    {"restore", &FaultConfig::restoreCorruptProb, true},
+    {"restore-boot", &FaultConfig::restoreBootFactor, false},
+};
+
+} // namespace
+
+// Seeded mutations of key=value lists. A value is either a number
+// printed in shortest round-trip form, which must apply exactly
+// (clamped), or that number spoilt so that it is no longer wholly one
+// finite number: a trailing or embedded letter, a leading space or
+// plus sign, trailing points, an empty value, an infinity or a NaN.
+// A spoilt entry warns and leaves its field as it was, where std::atof
+// used to read "0.5x" as 0.5 and "abc" as 0.
+TEST(FaultConfigEnv, SeededMutationsApplyExactlyOrLeaveTheFieldAlone)
+{
+    Rng rng(4242);
+    for (int round = 0; round < 400; ++round) {
+        FaultConfig want;
+        std::string env;
+        for (uint64_t n = 1 + rng.nextBounded(4); n > 0; --n) {
+            const FaultKey &key = kFaultKeys[rng.nextBounded(6)];
+            const double v = rng.nextBounded(3) == 0
+                                 ? rng.nextDouble() * 1e6
+                                 : rng.nextDouble() * 4.0 - 1.0;
+            char buf[64];
+            const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+            std::string text(buf, res.ptr);
+            bool spoilt = true;
+            switch (rng.nextBounded(10)) {
+              case 0: text += "x"; break;
+              case 1:
+                text.insert(rng.nextBounded(text.size() + 1), 1, 'q');
+                break;
+              case 2: text = " " + text; break;
+              case 3: text = "+" + text; break;
+              case 4: text += ".."; break;
+              case 5: text.clear(); break;
+              case 6: text = rng.nextBounded(2) ? "inf" : "-inf"; break;
+              case 7: text = "nan"; break;
+              default: spoilt = false; break;
+            }
+            if (!spoilt)
+                want.*key.field = key.prob ? std::min(1.0, std::max(0.0, v))
+                                           : std::max(1.0, v);
+            env += std::string(env.empty() ? "" : ",") + key.name + "=" +
+                   text;
+        }
+        ScopedFaultsEnv scoped(env.c_str());
+        const FaultConfig got = faultsFromEnv();
+        for (const FaultKey &key : kFaultKeys) {
+            ASSERT_EQ(got.*key.field, want.*key.field)
+                << key.name << " from SVBENCH_FAULTS='" << env << "'";
+        }
+    }
+}
+
+// Every attempt straggles, at a factor whose product with the service
+// time leaves uint64_t's range. The scaling saturates, so no straggler
+// finishes faster than an unscaled attempt; the unchecked conversion it
+// replaced is undefined behaviour and read 0 (an instant straggler) with
+// GCC on x86-64. The service times are a fixed calibration, so only the
+// replay engine runs.
+TEST(FaultReplay, HugeStragglerFactorIsNeverFasterThanUnscaled)
+{
+    TempCacheFile file("test_fault_straggler.csv");
+    ResultCache cache(file.path);
+    const FunctionSpec spec = specFor("fibonacci-go");
+    LoadScenario s;
+    s.name = "t-fault-straggler";
+    s.cluster.system = SystemConfig::paperConfig(IsaId::Riscv);
+    s.cluster.startDb = false;
+    s.cluster.startMemcached = false;
+    s.mix = {{spec, &workloads::workloadImpl(spec.workload), 1.0}};
+    s.arrival.ratePerSec = 1000.0;
+    s.pool.maxInstances = 4;
+    s.invocations = 64;
+    s.seed = 9;
+    LoadCalibration cal;
+    cal.name = spec.name;
+    cal.coldNs = 4'000'000;
+    for (unsigned k = 0; k < loadWarmSamples; ++k)
+        cal.warmNs[k] = 300'000 + 50'000 * k;
+    cal.ok = true;
+    cache.recordRow(cache.rowKey(s.cluster, spec, RunMode::LoadCal),
+                    packRunResult(cal));
+
+    LoadResult plain, huge;
+    {
+        ScopedFaultsEnv env("straggler=1,straggler-factor=1");
+        s.fault = faultsFromEnv();
+        plain = LoadRunner(cache).run(s);
+    }
+    {
+        ScopedFaultsEnv env("straggler=1,straggler-factor=1e30");
+        s.fault = faultsFromEnv();
+        ASSERT_EQ(s.fault.stragglerFactor, 1e30);
+        huge = LoadRunner(cache).run(s);
+    }
+    ASSERT_TRUE(plain.ok && huge.ok);
+    EXPECT_EQ(huge.stragglers, huge.invocations);
+    EXPECT_EQ(huge.succeeded, huge.invocations);
+    EXPECT_GE(huge.latency.minValue(), plain.latency.maxValue());
 }
 
 // --------------------------------------------------------------------------

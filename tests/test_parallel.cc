@@ -17,6 +17,7 @@
 #include <thread>
 
 #include "core/parallel.hh"
+#include "sim/rng.hh"
 #include "workloads/workloads.hh"
 
 using namespace svb;
@@ -148,6 +149,85 @@ TEST(ThreadPool, DefaultJobsHonoursEnvVar)
     EXPECT_EQ(ThreadPool::defaultJobs(), 3u);
     unsetenv("SVBENCH_JOBS");
     EXPECT_GE(ThreadPool::defaultJobs(), 1u);
+}
+
+namespace
+{
+
+/** The reference reading of an SVBENCH_JOBS value: only a non-empty
+ *  run of digits whose value lies in [1, 2^32) counts; 0 = fall back. */
+unsigned
+referenceJobs(const std::string &value)
+{
+    if (value.empty())
+        return 0;
+    uint64_t v = 0;
+    for (const char c : value) {
+        if (c < '0' || c > '9')
+            return 0;
+        v = v * 10 + uint64_t(c - '0');
+        if (v > 0xffffffffull)
+            return 0;
+    }
+    return unsigned(v);
+}
+
+} // namespace
+
+// Seeded mutations of SVBENCH_JOBS values: digits past 2^32, signs,
+// spaces, letters and the empty string. Only defaultJobs() reads them;
+// no pool is ever built from a mutated value, since a wrapped or huge
+// count would start that many threads.
+TEST(ThreadPool, DefaultJobsParsesTheWholeValueOrFallsBack)
+{
+    const char *prev = std::getenv("SVBENCH_JOBS");
+    const std::string saved = prev != nullptr ? prev : "";
+    unsetenv("SVBENCH_JOBS");
+    const unsigned fallback = ThreadPool::defaultJobs();
+
+    auto check = [fallback](const std::string &value) {
+        setenv("SVBENCH_JOBS", value.c_str(), 1);
+        const unsigned want = referenceJobs(value);
+        EXPECT_EQ(ThreadPool::defaultJobs(), want ? want : fallback)
+            << "SVBENCH_JOBS='" << value << "'";
+    };
+    for (const char *value :
+         {"4", "007", "4294967295", "4294967296", "4294967297",
+          "99999999999", "0", "", "4x", "x4", " 4", "4 ", "+4", "-4",
+          "-0", "4.0", "0x10", "1e3", "abc"})
+        check(value);
+
+    const std::string alphabet = "0123456789 +-.xe\t";
+    Rng rng(2024);
+    for (int i = 0; i < 3000; ++i) {
+        std::string value = std::to_string(rng.nextBounded(1 << 20));
+        for (uint64_t k = rng.nextBounded(4); k > 0; --k) {
+            const size_t at = rng.nextBounded(value.size() + 1);
+            const char c = alphabet[rng.nextBounded(alphabet.size())];
+            switch (rng.nextBounded(4)) {
+              case 0: value.insert(at, 1, c); break;
+              case 1:
+                if (at < value.size())
+                    value[at] = c;
+                break;
+              case 2:
+                if (at < value.size())
+                    value.erase(at, 1);
+                break;
+              default: // grow towards and past 2^32
+                value.insert(at, std::to_string(rng.nextBounded(100000)));
+                break;
+            }
+        }
+        check(value);
+        if (::testing::Test::HasFailure())
+            break; // the first mismatch names the value
+    }
+
+    if (prev != nullptr)
+        setenv("SVBENCH_JOBS", saved.c_str(), 1);
+    else
+        unsetenv("SVBENCH_JOBS");
 }
 
 TEST(ParallelSweep, MatchesSerialResultsAndCacheBytes)
