@@ -1,9 +1,10 @@
 /**
  * @file
- * One place for the SVBENCH_* environment knobs the figure/table
- * binaries read directly (the library-level knobs — SVBENCH_JOBS,
- * SVBENCH_FRESH, SVBENCH_RESULTS, ... — are parsed where they are
- * consumed, in src/core and src/load).
+ * One place for the SVBENCH_* token knobs the figure/table binaries
+ * read directly (on/off switches go through envFlag() in
+ * src/sim/env.hh; the library-level knobs — SVBENCH_JOBS,
+ * SVBENCH_RESULTS, ... — are parsed where they are consumed, in
+ * src/core and src/load).
  *
  * Benches splice env-provided tokens into scenario names, and
  * scenario names are ResultCache row-key components where ',', '|',
@@ -24,16 +25,6 @@
 
 namespace svb::benchenv
 {
-
-/** True when @p name is set to a non-empty value other than "0";
- *  "FLAG=0" reads as an explicit off, matching SVBENCH_FASTWARM. */
-inline bool
-flag(const char *name)
-{
-    const char *env = std::getenv(name);
-    return env != nullptr && env[0] != '\0' &&
-           !(env[0] == '0' && env[1] == '\0');
-}
 
 /** The raw value of @p name, or @p fallback when unset/empty. */
 inline std::string

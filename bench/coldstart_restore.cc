@@ -18,29 +18,24 @@
  *      working-set-aware, as SystemConfig::reapRestore selects — and
  *      re-measures the cold and warm request.
  *
- * Reported per cell: the guest-visible cold/warm latencies (which
- * MUST be byte-identical across restore modes — a lazy restore is
- * architecturally invisible; the footer asserts it) and the page
- * accounting that is the point of the exercise: image pages vs
+ * Reported per cell: the guest-visible cold/warm latencies and the
+ * page accounting that is the point of the exercise: image pages vs
  * unique (CoW-deduplicated) pages vs working-set pages vs pages
- * actually resident after the run.
+ * actually resident after the run. The latencies MUST be
+ * byte-identical across restore modes (a lazy restore is
+ * architecturally invisible; the footer asserts it) and across
+ * emulation tiers (the fast tier is exact; a mismatch is reported on
+ * stderr), or the bench exits 1.
  *
  * Rows are cached under the "coldrs" schema; every table is printed
  * from rows only, so output is byte-identical at any SVBENCH_JOBS
  * value, fresh or cached.
- *
- * SVBENCH_HOSTTIME=1 appends a host wall-clock restore-latency
- * section (mean finishRestore() time over repeated restores). It is
- * real time, not simulated time — excluded from the deterministic
- * surface and from CI diffs.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <map>
 
 #include "bench_common.hh"
-#include "bench_env.hh"
 #include "core/checkpoint_store.hh"
 
 using namespace svb;
@@ -137,42 +132,6 @@ measureCell(const Cell &cell)
             {"ok", res.ok ? 1u : 0u}};
 }
 
-/**
- * Host wall-clock restore timing (SVBENCH_HOSTTIME=1 only): mean
- * finishRestore() time over @p iters repeated restores of the cell's
- * snapshot. Non-deterministic by nature; never cached.
- */
-double
-hostRestoreMicros(const Cell &cell, unsigned iters)
-{
-    const ClusterConfig cfg = cellConfig(cell);
-    CheckpointStore &store = CheckpointStore::global();
-    const std::string fp = CheckpointStore::fingerprint(cfg, cell.spec);
-    bool claimed = false;
-    auto cp = store.acquire(fp, &claimed);
-    if (!cp) {
-        if (claimed)
-            store.release(fp);
-        return 0.0;
-    }
-
-    ExperimentRunner runner(cfg);
-    ServerlessCluster &cl = runner.cluster();
-    double total_us = 0.0;
-    for (unsigned i = 0; i < iters; ++i) {
-        cl.beginRestore();
-        std::shared_ptr<const PageImage> img;
-        if (cl.system().reapEnabled())
-            img = store.imageFor(fp, *cp);
-        const auto t0 = std::chrono::steady_clock::now();
-        cl.finishRestore(*cp, img);
-        const auto t1 = std::chrono::steady_clock::now();
-        total_us +=
-            std::chrono::duration<double, std::micro>(t1 - t0).count();
-    }
-    return total_us / iters;
-}
-
 } // namespace
 
 int
@@ -240,22 +199,28 @@ main()
                       table_rows);
     }
 
-    // The byte-identity gate: a lazy restore must be architecturally
-    // invisible, so the guest-visible latencies of the full and reap
-    // rows of one (isa, tier, function) cell must match exactly.
+    // The byte-identity gates: a lazy restore must be architecturally
+    // invisible and the fast tier exact, so the guest-visible
+    // latencies of rows differing only in restore mode, or only in
+    // tier, must match exactly.
+    const auto same_latency = [&](size_t i, size_t j) {
+        return rows[i].at("coldNs") == rows[j].at("coldNs") &&
+               rows[i].at("warmNs") == rows[j].at("warmNs");
+    };
+    const auto partners = [&](size_t i, size_t j) {
+        return cells[i].isa == cells[j].isa &&
+               cells[i].spec.name == cells[j].spec.name;
+    };
     bool identical = true;
     std::printf("\nRestore-mode identity (full vs reap, guest time):\n");
     for (size_t i = 0; i < cells.size(); ++i) {
         if (cells[i].reap)
             continue;
         for (size_t j = 0; j < cells.size(); ++j) {
-            if (!cells[j].reap || cells[j].isa != cells[i].isa ||
-                cells[j].fastWarm != cells[i].fastWarm ||
-                cells[j].spec.name != cells[i].spec.name)
+            if (!cells[j].reap || !partners(i, j) ||
+                cells[j].fastWarm != cells[i].fastWarm)
                 continue;
-            const bool same =
-                rows[i].at("coldNs") == rows[j].at("coldNs") &&
-                rows[i].at("warmNs") == rows[j].at("warmNs");
+            const bool same = same_latency(i, j);
             identical &= same;
             std::printf("  %-10s %-28s cold=%lu warm=%lu  %s\n",
                         isaName(cells[i].isa),
@@ -272,15 +237,20 @@ main()
                              "leaked into guest-visible state\n");
         return 1;
     }
-
-    if (benchenv::flag("SVBENCH_HOSTTIME")) {
-        std::printf("\nHost restore latency (mean of 10 restores; wall "
-                    "clock, not deterministic):\n");
-        for (const Cell &cell : cells) {
-            if (cell.isa != IsaId::Riscv || !cell.fastWarm)
-                continue;
-            std::printf("  %-28s %8.1f us\n", scenarioName(cell).c_str(),
-                        hostRestoreMicros(cell, 10));
+    // The tier gate prints only a mismatch, on stderr, so stdout
+    // carries no section for it.
+    for (size_t i = 0; i < cells.size(); ++i) {
+        for (size_t j = 0; j < cells.size(); ++j) {
+            if (cells[i].fastWarm && !cells[j].fastWarm &&
+                cells[i].reap == cells[j].reap && partners(i, j) &&
+                !same_latency(i, j)) {
+                std::fprintf(stderr,
+                             "emulation tiers diverged on %s %s: the fast "
+                             "tier leaked into guest-visible state\n",
+                             isaName(cells[i].isa),
+                             scenarioName(cells[i]).c_str());
+                return 1;
+            }
         }
     }
     return 0;

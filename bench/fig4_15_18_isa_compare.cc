@@ -9,7 +9,7 @@
  */
 
 #include "bench_common.hh"
-#include "bench_env.hh"
+#include "sim/env.hh"
 
 using namespace svb;
 
@@ -72,7 +72,7 @@ main()
 
     // Opt-in extra panel (off by default so the figure output above
     // stays byte-identical): per-request stall-cause attribution.
-    if (benchenv::flag("SVBENCH_STALLS")) {
+    if (envFlag("SVBENCH_STALLS", false)) {
         report::figureHeader("Stall panel",
                              "O3 stall-cause breakdown, cold + warm, "
                              "RISC-V vs x86 (percent of cycles)",

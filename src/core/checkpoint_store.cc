@@ -6,6 +6,7 @@
 
 #include "db/store_gen.hh"
 #include "mem/phys_memory.hh"
+#include "sim/env.hh"
 #include "sim/logging.hh"
 
 namespace svb
@@ -47,8 +48,7 @@ CheckpointStore::CheckpointStore()
     // never lands at the repo root (the pre-PR-3 "svbench_ckpts"
     // location is stale and gitignored).
     dir = (d != nullptr && d[0] != '\0') ? d : "build/svbench_ckpts";
-    const char *off = std::getenv("SVBENCH_NO_CKPT");
-    disabled = off != nullptr && off[0] == '1';
+    disabled = envFlag("SVBENCH_NO_CKPT", false);
 }
 
 CheckpointStore &

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "db/store_gen.hh"
+#include "sim/env.hh"
 #include "sim/logging.hh"
 
 namespace svb
@@ -366,8 +367,7 @@ defaultResultPath()
 ResultCache::ResultCache(std::string path_arg)
     : path(path_arg.empty() ? defaultResultPath() : std::move(path_arg))
 {
-    const char *env = std::getenv("SVBENCH_FRESH");
-    fresh = env != nullptr && env[0] == '1';
+    fresh = envFlag("SVBENCH_FRESH", false);
     if (!fresh)
         load();
 }

@@ -1,6 +1,7 @@
 #include "system.hh"
 
 #include "guest/syscall_abi.hh"
+#include "sim/env.hh"
 #include "sim/logging.hh"
 
 namespace svb
@@ -28,8 +29,8 @@ System::System(const SystemConfig &config)
     StatGroup &sblock_grp = rootStats.childGroup("superblock");
     sblock_grp.markHostOnly();
     sblocks->attachStats(sblock_grp);
-    fastWarm = cfg.fastWarm && SuperblockCache::envEnabled();
-    reapRestore = cfg.reapRestore && reapEnvEnabled();
+    fastWarm = cfg.fastWarm && envFlag("SVBENCH_FASTWARM", true);
+    reapRestore = cfg.reapRestore && envFlag("SVBENCH_REAP", true);
     // Page/restore accounting is simulator work (restore mode changes
     // it, guest-visible behavior doesn't), so it stays host-only like
     // the decode and superblock groups.
@@ -49,7 +50,11 @@ System::System(const SystemConfig &config)
         o3s.push_back(std::make_unique<O3Cpu>(
             cfg.o3, int(c), cfg.isa, *physMem, *coreMems[c], *decoder,
             *guestKernel, core_group));
-        o3s.back()->setPreTrap([this, c] { settleQuietCores(c); });
+        const BaseCpu::PreTrap pre_trap = [this, c](uint64_t call_cycles) {
+            settleQuietCores(c, call_cycles);
+        };
+        atomics.back()->setPreTrap(pre_trap);
+        o3s.back()->setPreTrap(pre_trap);
         models.push_back(CpuModel::Atomic);
     }
     creditedTo.assign(cfg.numCores, actingCore);
@@ -118,24 +123,6 @@ System::decodedCodeMismatches() const
     return decoder->staleEntries() + sblocks->staleBlocks();
 }
 
-void
-System::tickCore(unsigned c)
-{
-    // Atomic-model cores step through the superblock engine when the
-    // fast tier is enabled and no trace sink needs per-retirement
-    // callbacks; tickFast() is cycle-for-cycle identical to tick().
-    // Both models are final, so these are direct calls.
-    if (models[c] == CpuModel::O3) {
-        o3s[c]->tick();
-        return;
-    }
-    AtomicCpu &atomic = *atomics[c];
-    if (fastWarm && !atomic.tracing())
-        atomic.tickFast();
-    else
-        atomic.tick();
-}
-
 uint64_t
 System::step(uint64_t limit)
 {
@@ -146,68 +133,51 @@ System::step(uint64_t limit)
     // window or as acting, and the step covers at most the earliest of
     // the run limit, every quiet window and the next event:
     //  - no core acts: jump, crediting every core;
-    //  - one untraced Atomic core acts: it runs chained;
-    //  - only O3 cores act: they tick, and no other core does.
+    //  - the only acting core is an untraced fast-tier Atomic core: it
+    //    runs chained;
+    //  - otherwise the acting cores tick in lockstep, in core order,
+    //    which keeps shared-memory spin protocols such as the RPC
+    //    rings exactly interleaved.
     // The quiet cores are credited in bulk. A trap handler changes only
     // its own core's context, so quiet cores stay quiet through the
-    // step, which ends at a trap; the next step classifies again.
-    const unsigned none = cfg.numCores;
+    // step, which ends at a trap; the next step classifies again. The
+    // per-cycle oracle (SVBENCH_FASTWARM=0) counts every core as
+    // acting and steps one cycle.
     const uint64_t g0 = globalCycle;
-    bool tick_all = !fastWarm;
-    unsigned atomic_actor = none;
-    bool o3_acts = false;
+    unsigned acting = 0;
+    unsigned actor = 0; // the last acting core
     uint64_t quiet_end = ~uint64_t(0); // cycles to the next window end or event
-    for (unsigned c = 0; c < cfg.numCores && !tick_all; ++c) {
-        const bool atomic = models[c] == CpuModel::Atomic;
-        const uint64_t window =
-            atomic ? atomics[c]->quietCycles() : o3s[c]->quietCycles();
+    for (unsigned c = 0; c < cfg.numCores; ++c) {
+        const uint64_t window = !fastWarm ? 0
+                                : models[c] == CpuModel::Atomic
+                                    ? atomics[c]->quietCycles()
+                                    : o3s[c]->quietCycles();
         creditedTo[c] = window > 0 ? g0 : actingCore;
-        if (atomic ? atomics[c]->tracing() : o3s[c]->tracing())
-            tick_all = true;
-        else if (window > 0)
+        if (window > 0) {
             quiet_end = std::min(quiet_end, window);
-        else if (!atomic)
-            o3_acts = true;
-        else if (atomic_actor == none)
-            atomic_actor = c;
-        else
-            tick_all = true; // a second acting Atomic core
+        } else {
+            ++acting;
+            actor = c;
+        }
     }
-    if (!tick_all && eventq.pending() > 0) {
+    if (eventq.pending() > 0) {
         const Tick next_ev = eventq.nextEventTick();
         svb_assert(next_ev > globalCycle, "overdue event");
         quiet_end = std::min<uint64_t>(quiet_end, next_ev - globalCycle);
     }
 
-    // Every other case ticks one cycle, every core in core order: the
-    // per-cycle oracle, traced cores, several Atomic cores able to act
-    // at once or an Atomic core acting beside an O3 one (shared-ring
-    // polling needs their exact interleaving), or the final drain,
-    // where every core is halted with no event due.
-    if (tick_all || (atomic_actor != none && o3_acts) ||
-        (atomic_actor == none && !o3_acts && quiet_end == ~uint64_t(0))) {
-        ++globalCycle;
-        for (unsigned c = 0; c < cfg.numCores; ++c)
-            tickCore(c);
-        return 1;
-    }
-
+    // The final drain, every core halted with no event due, is a
+    // one-cycle jump: run() ends after it, as after one oracle cycle.
     uint64_t n = std::min(limit, quiet_end);
-    crediting = true;
-    if (atomic_actor != none) {
-        // Two words of captures fit std::function's small buffer, so a
-        // batch allocates nothing on the host heap (an allocation per
-        // batch raised detailed-fresh's peak RSS by up to 13 MiB).
-        const AtomicCpu::PreTrap pre_trap = [this, atomic_actor](
-                                                uint64_t batch) {
-            globalCycle += batch;
-            settleQuietCores(atomic_actor);
-        };
-        n = atomics[atomic_actor]->runFast(n, &pre_trap);
-    } else if (o3_acts) {
-        n = tickActingO3(n);
+    if (!fastWarm || (acting == 0 && quiet_end == ~uint64_t(0)))
+        n = 1;
+    if (acting == 1 && models[actor] == CpuModel::Atomic &&
+        runsFast(actor)) {
+        callStart = g0;
+        n = atomics[actor]->runFast(n);
+    } else if (acting > 0) {
+        n = tickActing(n);
     }
-    crediting = false;
     globalCycle = g0 + n;
     for (unsigned c = 0; c < cfg.numCores; ++c) {
         if (creditedTo[c] != actingCore)
@@ -217,23 +187,33 @@ System::step(uint64_t limit)
 }
 
 uint64_t
-System::tickActingO3(uint64_t n)
+System::tickActing(uint64_t n)
 {
+    const uint64_t g0 = globalCycle;
     trapped = false;
-    for (uint64_t done = 1;; ++done) {
-        ++globalCycle;
+    for (uint64_t done = 0;;) {
+        callStart = g0 + done;
         bool went_quiet = false;
         for (unsigned c = 0; c < cfg.numCores; ++c) {
             if (creditedTo[c] != actingCore)
                 continue;
-            O3Cpu &core = *o3s[c];
-            core.tick();
+            // Both models are final, so these are direct calls.
+            if (models[c] == CpuModel::O3) {
+                o3s[c]->tick();
+                went_quiet = went_quiet || o3s[c]->quietCycles() > 0;
+                continue;
+            }
+            AtomicCpu &core = *atomics[c];
+            if (runsFast(c))
+                core.runFast(1);
+            else
+                core.tick();
             went_quiet = went_quiet || core.quietCycles() > 0;
         }
         // After a trap the handler may have scheduled an event or
         // requested a stop; a core that went quiet may let the next
-        // step jump.
-        if (done == n || trapped || went_quiet)
+        // step jump or chain.
+        if (++done == n || trapped || went_quiet)
             return done;
     }
 }
@@ -250,14 +230,13 @@ System::creditQuietCore(unsigned c, uint64_t to)
 }
 
 void
-System::settleQuietCores(unsigned trapper)
+System::settleQuietCores(unsigned trapper, uint64_t call_cycles)
 {
-    if (!crediting)
-        return; // every core ticks this cycle
+    globalCycle = callStart + call_cycles;
     trapped = true;
-    // On the per-cycle path, the trapping cycle ticks the cores below
-    // the trapper before it traps and the cores above it only after;
-    // the handler may observe either.
+    // The per-cycle oracle ticks the cores below the trapper in the
+    // trapping cycle before it traps and the cores above it only
+    // after; the handler may observe either.
     for (unsigned c = 0; c < cfg.numCores; ++c) {
         if (creditedTo[c] != actingCore)
             creditQuietCore(c, c < trapper ? globalCycle : globalCycle - 1);

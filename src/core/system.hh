@@ -145,27 +145,32 @@ class System : public M5Listener
                            std::shared_ptr<const PageImage> image = nullptr);
 
   private:
-    /** One cycle for core @p c through its concrete CPU model. */
-    void tickCore(unsigned c);
-
     /** One step of run(), at most @p limit cycles, under the
-     *  quiet-core rule: a jump, a chained batch, an O3 step, or one
-     *  cycle of every core.
+     *  quiet-core rule: a jump, a chained batch or a lockstep.
      *  @return cycles advanced (>= 1) */
     uint64_t step(uint64_t limit);
 
-    /** The O3 step: tick the acting cores cycle by cycle for at most
-     *  @p n cycles, ending early after a trap cycle or a cycle in
-     *  which an acting core went quiet. @return cycles advanced */
-    uint64_t tickActingO3(uint64_t n);
+    /** The lockstep: tick the acting cores, in core order, cycle by
+     *  cycle for at most @p n cycles, ending early after a trap cycle
+     *  or a cycle in which an acting core went quiet.
+     *  @return cycles advanced */
+    uint64_t tickActing(uint64_t n);
+
+    /** True when Atomic core @p c runs through the superblock engine:
+     *  the fast tier is on and no trace sink needs tick(). */
+    bool runsFast(unsigned c) const
+    {
+        return fastWarm && !atomics[c]->tracing();
+    }
 
     /** Credit quiet core @p c through global cycle @p to. */
     void creditQuietCore(unsigned c, uint64_t to);
 
-    /** Called just before a trap handler of core @p trapper runs:
-     *  bring the quiet cores' statistics to what the per-cycle loop
-     *  shows that handler. */
-    void settleQuietCores(unsigned trapper);
+    /** The pre-trap hook of core @p trapper, whose current call has
+     *  consumed @p call_cycles: set the global cycle to the trapping
+     *  one and bring the quiet cores' statistics to what the
+     *  per-cycle oracle shows that handler. */
+    void settleQuietCores(unsigned trapper, uint64_t call_cycles);
 
     SystemConfig cfg;
     StatGroup rootStats{"system"};
@@ -185,13 +190,14 @@ class System : public M5Listener
     std::vector<CpuModel> models;
 
     uint64_t globalCycle = 0;
+    /** The global cycle before the current call into a core. */
+    uint64_t callStart = 0;
     /** Marks a core that the current step runs instead of crediting. */
     static constexpr uint64_t actingCore = ~uint64_t(0);
-    /** Per core, while a step credits quiet cores: the global cycle
-     *  through which a quiet core's statistics stand, or actingCore. */
+    /** Per core, in the current step: the global cycle through which a
+     *  quiet core's statistics stand, or actingCore. */
     std::vector<uint64_t> creditedTo;
-    bool crediting = false; ///< the current step credits quiet cores
-    bool trapped = false;   ///< a trap was settled in this step
+    bool trapped = false; ///< a trap was settled in this step
     bool fastWarm = true;
     bool reapRestore = true;
     bool stopRequested = false;

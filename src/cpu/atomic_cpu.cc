@@ -1,6 +1,5 @@
 #include "atomic_cpu.hh"
 
-#include <algorithm>
 #include <sstream>
 
 #include "paging.hh"
@@ -150,23 +149,8 @@ AtomicCpu::tick()
                 redirected = true;
                 redirect = ev.target;
             }
-        } else if (uop.isSyscall()) {
-            ctx.pc = next_pc;
-            const Addr old_root = ctx.ptRoot;
-            pendingStall += trap.handleSyscall(coreId, ctx);
-            if (ctx.ptRoot != old_root) {
-                itlbUnit.flush();
-                dtlbUnit.flush();
-            }
-            return;
-        } else if (uop.isHalt()) {
-            ctx.pc = next_pc;
-            const Addr old_root = ctx.ptRoot;
-            pendingStall += trap.handleHalt(coreId, ctx);
-            if (ctx.ptRoot != old_root) {
-                itlbUnit.flush();
-                dtlbUnit.flush();
-            }
+        } else if (uop.isSyscall() || uop.isHalt()) {
+            takeTrap(uop.isSyscall(), next_pc, 1);
             return;
         } else if (uop.op == UopOp::Nop) {
             // nothing
@@ -182,9 +166,18 @@ AtomicCpu::tick()
 }
 
 void
-AtomicCpu::tickFast()
+AtomicCpu::takeTrap(bool syscall, Addr next_pc, uint64_t call_cycles)
 {
-    runFast(1, nullptr);
+    ctx.pc = next_pc;
+    if (preTrap)
+        preTrap(call_cycles);
+    const Addr old_root = ctx.ptRoot;
+    pendingStall += syscall ? trap.handleSyscall(coreId, ctx)
+                            : trap.handleHalt(coreId, ctx);
+    if (ctx.ptRoot != old_root) {
+        itlbUnit.flush();
+        dtlbUnit.flush();
+    }
 }
 
 /*
@@ -198,26 +191,13 @@ AtomicCpu::tickFast()
  * (or the portable switch below) over pre-classified SbKinds.
  */
 uint64_t
-AtomicCpu::runFast(uint64_t budget, const PreTrap *pre_trap)
+AtomicCpu::runFast(uint64_t budget)
 {
-    svb_assert(!traceSink,
-               "runFast() cannot deliver trace callbacks (core ", coreId,
-               ")");
-    if (ctx.halted) {
-        // Reached from the per-cycle path only: burn one idle cycle,
-        // exactly like tick().
-        ++statIdleCycles;
-        return 1;
-    }
+    // The run loop credits a quiet core instead of running it, so an
+    // acting core has no idle or stall cycle to count here.
+    svb_assert(!traceSink && quietCycles() == 0, "runFast() on core ",
+               coreId, ", which is traced or quiet");
     uint64_t consumed = 0;
-    if (pendingStall > 0) {
-        const uint64_t burn = std::min<uint64_t>(pendingStall, budget);
-        pendingStall -= Cycles(burn);
-        statCycles += burn;
-        consumed = burn;
-        if (consumed == budget)
-            return consumed;
-    }
 
     // Per-batch accumulators. Flushed before any trap handler runs and
     // on every return, so the StatGroup tree is never stale at a point
@@ -450,36 +430,12 @@ AtomicCpu::runFast(uint64_t budget, const PreTrap *pre_trap)
         SVB_NEXT();
 
         SVB_CASE(Syscall)
-        {
-            d_uops += uint64_t(u - ubase) + 1;
-            ctx.pc = next_pc;
-            resetFastPath();
-            flush_stats();
-            if (pre_trap != nullptr)
-                (*pre_trap)(consumed);
-            const Addr old_root = ctx.ptRoot;
-            pendingStall += trap.handleSyscall(coreId, ctx);
-            if (ctx.ptRoot != old_root) {
-                itlbUnit.flush();
-                dtlbUnit.flush();
-            }
-            return consumed;
-        }
-
         SVB_CASE(Halt)
         {
             d_uops += uint64_t(u - ubase) + 1;
-            ctx.pc = next_pc;
             resetFastPath();
             flush_stats();
-            if (pre_trap != nullptr)
-                (*pre_trap)(consumed);
-            const Addr old_root = ctx.ptRoot;
-            pendingStall += trap.handleHalt(coreId, ctx);
-            if (ctx.ptRoot != old_root) {
-                itlbUnit.flush();
-                dtlbUnit.flush();
-            }
+            takeTrap(u->kind == SbKind::Syscall, next_pc, consumed);
             return consumed;
         }
 

@@ -9,19 +9,20 @@
  * Two execution engines share the architectural semantics:
  *  - tick(): the per-instruction oracle (fetch, translate, decode
  *    cache lookup, uop interpretation) — one cycle per call.
- *  - runFast()/tickFast(): the superblock fast path, a
- *    threaded-dispatch interpreter over pre-lowered uop arrays
- *    (cpu/superblock.hh) that caches the instruction-page translation
- *    and batches statistic updates. Architectural state, warming
- *    traffic, TLB/trap behavior and every StatGroup value stay
- *    byte-identical to tick(); only host speed differs.
+ *  - runFast(): the superblock fast path, a threaded-dispatch
+ *    interpreter over pre-lowered uop arrays (cpu/superblock.hh) that
+ *    caches the instruction-page translation and batches statistic
+ *    updates. The run loop calls it for a chained batch of many
+ *    cycles when this is the only acting core, and for one cycle at a
+ *    time when it acts in lockstep with other cores. Architectural
+ *    state, warming traffic, TLB/trap behavior and every StatGroup
+ *    value stay byte-identical to tick(); only host speed differs.
  */
 
 #ifndef SVB_CPU_ATOMIC_CPU_HH
 #define SVB_CPU_ATOMIC_CPU_HH
 
 #include <array>
-#include <functional>
 
 #include "base_cpu.hh"
 #include "sim/logging.hh"
@@ -45,33 +46,19 @@ class AtomicCpu final : public BaseCpu
     void tick() override;
 
     /**
-     * One cycle through the superblock engine. Byte-identical to
-     * tick(); statistics are flushed before returning, so callers may
-     * interleave it freely with tick() and with other cores.
-     */
-    void tickFast();
-
-    /**
-     * Invoked just before a trap handler runs inside a chained batch,
-     * with the number of cycles consumed so far (including the
-     * trapping one). The system uses it to bring the global cycle and
-     * the quiet cores' statistics up to date, because trap handlers
-     * can observe both (m5 stat dumps, work-begin/end marks).
-     */
-    using PreTrap = std::function<void(uint64_t batch_cycles)>;
-
-    /**
-     * Chained superblock execution: run up to @p budget cycles without
-     * returning to the event loop, ending early at any trap (syscall /
-     * halt, after whose handler the caller must re-evaluate scheduling
-     * and events) or when the core is halted. Nothing executed here
-     * schedules events or changes another core, so the caller bounds
-     * @p budget by the next pending event tick and by the end of every
-     * other core's stall.
+     * Superblock execution of an acting core (quietCycles() == 0): run
+     * up to @p budget cycles without returning to the event loop,
+     * ending early at any trap (syscall / halt, after whose handler
+     * the caller must re-evaluate scheduling and events). Nothing
+     * executed here schedules events or changes another core, so the
+     * caller bounds @p budget by the next pending event tick and by
+     * the end of every other core's stall. Statistics are flushed
+     * before returning, so callers may interleave one-cycle calls
+     * freely with tick() and with other cores.
      *
      * @return cycles consumed (>= 1 when budget >= 1)
      */
-    uint64_t runFast(uint64_t budget, const PreTrap *pre_trap);
+    uint64_t runFast(uint64_t budget);
 
     /** When false, skip cache/TLB warming entirely (fast boot). */
     void setWarmingEnabled(bool enabled) { warming = enabled; }
@@ -141,6 +128,11 @@ class AtomicCpu final : public BaseCpu
 
   private:
     void recordPc(Addr pc);
+
+    /** Leave for the trap handler of a syscall (@p syscall) or halt
+     *  at the current instruction, resuming at @p next_pc; the current
+     *  call into the core has consumed @p call_cycles. */
+    void takeTrap(bool syscall, Addr next_pc, uint64_t call_cycles);
 
     SuperblockCache &sblocks;
 

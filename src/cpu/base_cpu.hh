@@ -86,6 +86,17 @@ class BaseCpu
      *  fast path is bypassed so every retirement is observed). */
     bool tracing() const { return static_cast<bool>(traceSink); }
 
+    /**
+     * Invoked just before every trap handler runs, with the number of
+     * cycles the current call into the core has consumed, the trapping
+     * one included. The system uses it to bring the global cycle and
+     * the quiet cores' statistics up to date, because trap handlers
+     * can observe both (m5 stat dumps and resets, work-begin/end
+     * marks).
+     */
+    using PreTrap = std::function<void(uint64_t call_cycles)>;
+    void setPreTrap(PreTrap hook) { preTrap = std::move(hook); }
+
   protected:
     int coreId;
     IsaId isa;
@@ -99,6 +110,7 @@ class BaseCpu
     Tlb dtlbUnit;
     HwContext ctx;
     TraceSink traceSink;
+    PreTrap preTrap;
 };
 
 } // namespace svb

@@ -794,7 +794,7 @@ O3Cpu::deliverTrap(DynInst &d)
 
     const Addr old_root = trap_ctx.ptRoot;
     if (preTrap)
-        preTrap();
+        preTrap(1);
     const Cycles cost = d.uop.isSyscall()
                             ? trap.handleSyscall(coreId, trap_ctx)
                             : trap.handleHalt(coreId, trap_ctx);

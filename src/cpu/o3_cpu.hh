@@ -17,7 +17,6 @@
 #define SVB_CPU_O3_CPU_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "base_cpu.hh"
@@ -144,14 +143,6 @@ class O3Cpu final : public BaseCpu
      */
     void addQuietCycles(uint64_t n);
 
-    /**
-     * Invoked just before every trap handler runs. The system uses it
-     * to bring the quiet cores' statistics up to date, because trap
-     * handlers can observe them (m5 stat dumps and resets).
-     */
-    using PreTrap = std::function<void()>;
-    void setPreTrap(PreTrap hook) { preTrap = std::move(hook); }
-
   private:
     /** One in-flight micro-op, living in its ROB slot. */
     struct DynInst
@@ -251,7 +242,6 @@ class O3Cpu final : public BaseCpu
 
     O3Params p;
     BranchPredictor bp;
-    PreTrap preTrap;
 
     // Rename state.
     std::vector<int> renameMap;

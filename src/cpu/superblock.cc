@@ -1,7 +1,5 @@
 #include "superblock.hh"
 
-#include <cstdlib>
-
 #include "paging.hh"
 
 namespace svb
@@ -136,13 +134,6 @@ SuperblockCache::attachStats(StatGroup &g)
                      return nBlocks ? double(nInsts) / double(nBlocks)
                                     : 0.0;
                  });
-}
-
-bool
-SuperblockCache::envEnabled()
-{
-    const char *v = std::getenv("SVBENCH_FASTWARM");
-    return v == nullptr || v[0] != '0';
 }
 
 } // namespace svb

@@ -153,9 +153,6 @@ class SuperblockCache
     /** Register the coverage counters as derived stats under @p g. */
     void attachStats(StatGroup &g);
 
-    /** @return false iff SVBENCH_FASTWARM=0 disables the fast tier. */
-    static bool envEnabled();
-
   private:
     Superblock build(Addr anchor);
 

@@ -1,7 +1,6 @@
 #include "page_store.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 namespace svb
@@ -96,13 +95,6 @@ PageStore::resetForTest()
     index.clear();
     hits = 0;
     misses = 0;
-}
-
-bool
-reapEnvEnabled()
-{
-    const char *env = std::getenv("SVBENCH_REAP");
-    return env == nullptr || env[0] != '0';
 }
 
 } // namespace svb

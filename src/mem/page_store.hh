@@ -109,11 +109,6 @@ struct PageImage
     size_t imagePages() const { return pages.size(); }
 };
 
-/** SVBENCH_REAP environment gate: set to "0" to force full restores
- *  (default on, mirroring SVBENCH_FASTWARM). ANDed with
- *  SystemConfig::reapRestore. */
-bool reapEnvEnabled();
-
 } // namespace svb
 
 #endif // SVB_MEM_PAGE_STORE_HH

@@ -28,6 +28,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,9 @@ enum class LoopTrap
     /** A yield, then an m5 stat reset: a trap handler that observes
      *  (and zeroes) every core's statistics mid-cycle. */
     YieldAndResetStats,
+    /** A yield, then an m5 exit: a stop request in every iteration,
+     *  which ends System::run() at the end of the trapping cycle. */
+    YieldAndExit,
 };
 
 /**
@@ -104,8 +108,11 @@ randomProgram(uint64_t seed, Addr &result_addr,
     f.label(loop);
     if (loop_trap != LoopTrap::None)
         f.syscall(sys::sysYield, {});
-    if (loop_trap == LoopTrap::YieldAndResetStats) {
-        const int op = f.imm(int64_t(sys::m5ResetStats));
+    if (loop_trap == LoopTrap::YieldAndResetStats ||
+        loop_trap == LoopTrap::YieldAndExit) {
+        const int op = f.imm(int64_t(loop_trap == LoopTrap::YieldAndExit
+                                         ? sys::m5ExitSim
+                                         : sys::m5ResetStats));
         const int arg = f.imm(0);
         f.syscall(sys::sysM5, {op, arg});
     }
@@ -324,21 +331,26 @@ expectSameSnapshots(const std::map<std::string, double> &a,
 
 /**
  * Run the fast-tier and slow-tier systems in cycle lockstep, program i
- * on core i, every core on CPU model @p model: after every @p chunk
- * cycles each core's architectural context, the global cycle, and the
- * whole guest-visible stats tree (host-only groups are excluded by
- * snapshotAll()) must agree exactly. Chunk boundaries deliberately
- * fall mid-block, mid-stall, and between a syscall and its resumption,
- * so the fast path's cursor save/restore is exercised too. The slow
- * tier ticks every core every cycle, so on O3 the pair also checks the
- * run loop's bulk crediting of quiet O3 cores.
+ * on core i, core i on CPU model @p models[i] (Atomic past the end of
+ * @p models): after every @p chunk cycles each core's architectural
+ * context, the global cycle, and the whole guest-visible stats tree
+ * (host-only groups are excluded by snapshotAll()) must agree exactly.
+ * Chunk boundaries deliberately fall mid-block, mid-stall, and between
+ * a syscall and its resumption, so the fast path's cursor save/restore
+ * is exercised too. The slow tier ticks every core every cycle, so the
+ * pair also checks the run loop's bulk crediting of quiet cores. With
+ * @p traced set, a trace sink on that core records every retired pc on
+ * both tiers, and the two sequences must be the same.
  */
 void
 lockstepFastSlow(const std::vector<gen::Program> &progs,
                  const std::vector<Addr> &results, IsaId isa,
                  const std::string &what, uint64_t chunk = 2048,
-                 CpuModel model = CpuModel::Atomic)
+                 std::vector<CpuModel> models = {},
+                 std::optional<unsigned> traced = std::nullopt)
 {
+    models.resize(progs.size(), CpuModel::Atomic);
+    std::vector<Addr> retired[2];     // the traced core's pcs, per tier
     std::unique_ptr<System> tiers[2]; // fast, slow
     std::vector<int> pids;
     for (const bool fast_warm : {true, false}) {
@@ -355,7 +367,12 @@ lockstepFastSlow(const std::vector<gen::Program> &progs,
         }
         sys->scheduleIdleCores();
         for (unsigned c = 0; c < progs.size(); ++c)
-            sys->switchCpu(c, model);
+            sys->switchCpu(c, models[c]);
+        std::vector<Addr> &pcs = retired[fast_warm ? 0 : 1];
+        if (traced) {
+            sys->cpu(*traced).setTraceSink(
+                [&pcs](Addr pc, const StaticInst &) { pcs.push_back(pc); });
+        }
         tiers[fast_warm ? 0 : 1] = std::move(sys);
     }
     System &fast = *tiers[0];
@@ -381,6 +398,13 @@ lockstepFastSlow(const std::vector<gen::Program> &progs,
     }
     ASSERT_TRUE(slow.allHalted()) << what << ": program hung";
     ASSERT_TRUE(fast.allHalted()) << what << ": fast tier hung";
+    if (traced) {
+        EXPECT_FALSE(retired[0].empty()) << what << ": nothing traced";
+        EXPECT_TRUE(retired[0] == retired[1])
+            << what << ": the traced core retired different pcs ("
+            << retired[0].size() << " fast, " << retired[1].size()
+            << " slow)";
+    }
     for (unsigned c = 0; c < progs.size(); ++c) {
         EXPECT_EQ(fast.kernel().process(pids[c]).space->read(results[c], 8),
                   slow.kernel().process(pids[c]).space->read(results[c], 8))
@@ -512,9 +536,10 @@ TEST_P(FastSlowLockstepTest, TwoO3CoresMatchOnBothIsas)
     const std::string what = "o3 seeds " + std::to_string(seed) + "+" +
                              std::to_string(seed + 8);
     for (const IsaId isa : {IsaId::Riscv, IsaId::Cx86}) {
-        lockstepFastSlow({a, b}, {ra, rb}, isa, what, 331, CpuModel::O3);
+        lockstepFastSlow({a, b}, {ra, rb}, isa, what, 331,
+                         {CpuModel::O3, CpuModel::O3});
         lockstepFastSlow({b, a}, {rb, ra}, isa, what + " swapped", 331,
-                         CpuModel::O3);
+                         {CpuModel::O3, CpuModel::O3});
     }
 }
 
@@ -527,7 +552,84 @@ TEST_P(FastSlowLockstepTest, OneO3CoreMatchesOnBothIsas)
     const gen::Program prog = randomProgram(seed, result, LoopTrap::Yield);
     const std::string what = "o3 seed " + std::to_string(seed);
     for (const IsaId isa : {IsaId::Riscv, IsaId::Cx86})
-        lockstepFastSlow({prog}, {result}, isa, what, 331, CpuModel::O3);
+        lockstepFastSlow({prog}, {result}, isa, what, 331, {CpuModel::O3});
+}
+
+// An Atomic core beside an O3 core, each model as core 0 and as core
+// 1, each with either program: the run loop ticks them in lockstep
+// while both act, and each model's traps settle the other while it is
+// quiet, below and above the trapping core.
+TEST_P(FastSlowLockstepTest, AtomicBesideO3MatchesOnBothIsas)
+{
+    const uint64_t seed = GetParam();
+    Addr ra = 0, rb = 0;
+    const gen::Program a = randomProgram(seed, ra, LoopTrap::Yield);
+    const gen::Program b =
+        randomProgram(seed + 8, rb, LoopTrap::YieldAndResetStats);
+    const std::string what = "atomic+o3 seeds " + std::to_string(seed) +
+                             "+" + std::to_string(seed + 8);
+    for (const IsaId isa : {IsaId::Riscv, IsaId::Cx86}) {
+        for (const std::vector<CpuModel> &models :
+             {std::vector<CpuModel>{CpuModel::Atomic, CpuModel::O3},
+              std::vector<CpuModel>{CpuModel::O3, CpuModel::Atomic}}) {
+            const std::string order =
+                models[0] == CpuModel::O3 ? " o3 first" : "";
+            lockstepFastSlow({a, b}, {ra, rb}, isa, what + order, 331,
+                             models);
+            lockstepFastSlow({b, a}, {rb, ra}, isa,
+                             what + order + " swapped", 331, models);
+        }
+    }
+}
+
+// A traced Atomic core, as core 0 and as core 1, beside an untraced
+// one: the traced core ticks through the per-instruction path in
+// lockstep with its partner's superblock engine, and both tiers' trace
+// sinks must see the same retired pcs.
+TEST_P(FastSlowLockstepTest, TracedAtomicCoreMatchesOnBothIsas)
+{
+    const uint64_t seed = GetParam();
+    Addr ra = 0, rb = 0;
+    const gen::Program a = randomProgram(seed, ra, LoopTrap::Yield);
+    const gen::Program b =
+        randomProgram(seed + 8, rb, LoopTrap::YieldAndResetStats);
+    const std::string what = "traced seeds " + std::to_string(seed) +
+                             "+" + std::to_string(seed + 8) + " core ";
+    for (const IsaId isa : {IsaId::Riscv, IsaId::Cx86}) {
+        for (const unsigned traced : {0u, 1u}) {
+            lockstepFastSlow({a, b}, {ra, rb}, isa,
+                             what + std::to_string(traced), 331, {},
+                             traced);
+        }
+    }
+}
+
+// A stop request in every loop iteration, on all four model pairs and
+// in both core orders: each m5 exit ends run() at the end of its
+// trapping cycle, inside a chained batch, a lockstep or a one-cycle
+// oracle step, and both tiers must stop on the same cycle.
+TEST_P(FastSlowLockstepTest, StopRequestsMatchOnAllModelPairs)
+{
+    const uint64_t seed = GetParam();
+    Addr ra = 0, rb = 0;
+    const gen::Program a = randomProgram(seed, ra, LoopTrap::YieldAndExit);
+    const gen::Program b =
+        randomProgram(seed + 8, rb, LoopTrap::YieldAndResetStats);
+    const std::string what = "exit seeds " + std::to_string(seed) + "+" +
+                             std::to_string(seed + 8) + " ";
+    for (const IsaId isa : {IsaId::Riscv, IsaId::Cx86}) {
+        for (const CpuModel m0 : {CpuModel::Atomic, CpuModel::O3}) {
+            for (const CpuModel m1 : {CpuModel::Atomic, CpuModel::O3}) {
+                const std::string pair =
+                    what + (m0 == CpuModel::O3 ? "o3+" : "atomic+") +
+                    (m1 == CpuModel::O3 ? "o3" : "atomic");
+                lockstepFastSlow({a, b}, {ra, rb}, isa, pair, 331,
+                                 {m0, m1});
+                lockstepFastSlow({b, a}, {rb, ra}, isa, pair + " swapped",
+                                 331, {m0, m1});
+            }
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FastSlowLockstepTest,

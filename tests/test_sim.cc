@@ -1,14 +1,17 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue, RNG, statistics,
- * checkpoints.
+ * checkpoints, on/off environment switches.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
+#include <string>
 
+#include "sim/env.hh"
 #include "sim/eventq.hh"
 #include "sim/rng.hh"
 #include "sim/serialize.hh"
@@ -205,4 +208,75 @@ TEST(Checkpoint, FileRoundtrip)
     ASSERT_EQ(blob.size(), 4096u);
     EXPECT_EQ(blob[1000], uint8_t(1000 * 7));
     std::remove(path.c_str());
+}
+
+// Seeded mutations of on/off switch values: only exactly "0" and "1"
+// switch; unset and empty read as the fallback, and anything else
+// ("false", "yes", " 1", "01") warns and reads as the fallback too.
+// Every switch the simulator and the benches read goes through
+// envFlag(), so each name is tried with both fallbacks.
+TEST(EnvFlag, SeededMutationsReadExactlyZeroOrOneOrFallBack)
+{
+    for (const char *name : {"SVBENCH_FASTWARM", "SVBENCH_REAP",
+                             "SVBENCH_NO_CKPT", "SVBENCH_FRESH",
+                             "SVBENCH_STALLS"}) {
+        const char *prev = std::getenv(name);
+        const std::string saved = prev != nullptr ? prev : "";
+        for (const bool fallback : {false, true}) {
+            unsetenv(name);
+            EXPECT_EQ(envFlag(name, fallback), fallback) << name;
+            const auto check = [&](const std::string &value) {
+                setenv(name, value.c_str(), 1);
+                const bool want = value == "0"   ? false
+                                  : value == "1" ? true
+                                                 : fallback;
+                EXPECT_EQ(envFlag(name, fallback), want)
+                    << name << "='" << value << "'";
+            };
+            for (const char *value :
+                 {"0", "1", "", "00", "01", "10", " 1", "1 ", "0\t", "+1",
+                  "-0", "true", "false", "yes", "no", "on", "off", "2"})
+                check(value);
+
+            const std::string alphabet = "01 +-tfyn\t";
+            Rng rng(fallback ? 2025 : 2024);
+            for (int i = 0; i < 500; ++i) {
+                std::string value = rng.nextBounded(2) ? "1" : "0";
+                for (uint64_t k = rng.nextBounded(3); k > 0; --k) {
+                    const size_t at = rng.nextBounded(value.size() + 1);
+                    const char c =
+                        alphabet[rng.nextBounded(alphabet.size())];
+                    switch (rng.nextBounded(3)) {
+                      case 0: value.insert(at, 1, c); break;
+                      case 1:
+                        if (at < value.size())
+                            value[at] = c;
+                        break;
+                      default:
+                        if (at < value.size())
+                            value.erase(at, 1);
+                        break;
+                    }
+                }
+                check(value);
+                if (::testing::Test::HasFailure())
+                    break; // the first mismatch names the value
+            }
+        }
+
+        // A rejected value is reported, not dropped silently.
+        setenv(name, "true", 1);
+        ::testing::internal::CaptureStderr();
+        EXPECT_FALSE(envFlag(name, false));
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("warn: ignoring " + std::string(name) +
+                           "='true'"),
+                  std::string::npos)
+            << err;
+
+        if (prev != nullptr)
+            setenv(name, saved.c_str(), 1);
+        else
+            unsetenv(name);
+    }
 }

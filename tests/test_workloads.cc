@@ -174,10 +174,12 @@ TEST(Workloads, RegistryIsComplete)
         ASSERT_TRUE(workloads::hasWorkload(spec.workload)) << spec.name;
         const WorkloadImpl &impl = workloads::workloadImpl(spec.workload);
         EXPECT_FALSE(impl.requestTemplate.empty()) << spec.name;
-        if (spec.tier != RuntimeTier::Go)
+        if (spec.tier != RuntimeTier::Go) {
             EXPECT_TRUE(bool(impl.makeBytecode)) << spec.name;
-        if (spec.tier != RuntimeTier::Python)
+        }
+        if (spec.tier != RuntimeTier::Python) {
             EXPECT_TRUE(bool(impl.emitCompiled)) << spec.name;
+        }
     }
     EXPECT_EQ(workloads::standaloneSuite().size(), 9u);
     EXPECT_EQ(workloads::onlineShopSuite().size(), 6u);
