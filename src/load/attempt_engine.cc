@@ -139,7 +139,7 @@ calibrateAll(ResultCache &cache, const std::vector<CalibrationNeed> &needs,
 
 AttemptEngine::AttemptEngine(const ReplayScenario &scenario, size_t num_fns,
                              uint32_t tasks_per_unit,
-                             const std::vector<uint32_t> &source_tasks,
+                             std::vector<uint32_t> source_tasks,
                              const CalibrationMatrix &cals_arg,
                              ReplayResult &res_arg, const char *track_kind)
     : s(scenario), cals(cals_arg), res(res_arg),
@@ -151,11 +151,13 @@ AttemptEngine::AttemptEngine(const ReplayScenario &scenario, size_t num_fns,
       routeRng(Rng(scenario.seed).split(kStreamRoute)),
       faults(scenario.fault, Rng(scenario.seed).split(kStreamFault)),
       fleet(scenario.fleet, scenario.pool, unsigned(num_fns)),
-      breakers(num_fns, CircuitBreaker(scenario.breaker))
+      breakers(num_fns, CircuitBreaker(scenario.breaker)),
+      sources(std::move(source_tasks))
 {
     svb_assert(cals.size() == fleet.groupCount(),
                "calibration matrix does not match the fleet's classes");
     svb_assert(s.retry.maxAttempts >= 1, "retry policy needs >= 1 attempt");
+    svb_assert(!sources.empty(), "a unit needs a source task");
     res.scenario = s.name;
     res.invocations = s.invocations;
     res.policyId = uint64_t(s.fleet.routing);
@@ -189,11 +191,8 @@ AttemptEngine::AttemptEngine(const ReplayScenario &scenario, size_t num_fns,
                         BackoffSchedule(s.retry));
     pending.resize(fleet.nodeCount());
 
-    // Source tasks enter the timeline unit-major (unit i's before unit
-    // i+1's), node faults after them.
-    for (uint32_t u = 0; u < s.invocations; ++u)
-        for (const uint32_t t : source_tasks)
-            pushStart(arrivals[u], u, t);
+    // Source tasks start from the arrival cursor (next()); only the
+    // node faults enter the heap before the first attempt.
     for (size_t f = 0; f < s.fleet.nodeFaults.size(); ++f)
         push({.timeNs = s.fleet.nodeFaults[f].atNs,
               .unit = uint32_t(f),

@@ -26,8 +26,11 @@
  *
  * A *unit* is what the client submits and the histograms count: an
  * invocation, or a workflow instance. Unit and task state lives in
- * flat arrays indexed by unit (times task), and one event is 40 bytes,
- * so a long stream costs a few words per invocation plus its event.
+ * flat arrays indexed by unit (times task), a few bytes per
+ * invocation. Each unit's source tasks start from an arrival cursor,
+ * not the event heap, so the heap holds only what is in flight: node
+ * faults, Ends, retries, scale-waits and a workflow's consumer Starts,
+ * 40 bytes each.
  */
 
 #ifndef SVB_LOAD_ATTEMPT_ENGINE_HH
@@ -160,8 +163,9 @@ enum class EvKind : uint8_t
 /**
  * One timeline event. Events are processed in (time, seq) order — seq
  * is the push order, so ties resolve deterministically at any
- * SVBENCH_JOBS value. NodeFault events reuse `unit` as the index into
- * the scenario's nodeFaults list.
+ * SVBENCH_JOBS value; a source Start from the arrival cursor comes
+ * before every heap event of the same time. NodeFault events reuse
+ * `unit` as the index into the scenario's nodeFaults list.
  */
 struct AttemptEvent
 {
@@ -179,7 +183,7 @@ struct AttemptEvent
     bool synthetic = false;
 };
 static_assert(sizeof(AttemptEvent) <= 40,
-              "a stream holds one event per invocation");
+              "the heap holds one event per attempt in flight");
 
 /**
  * The replay timeline of one scenario. Deterministic in (scenario,
@@ -192,8 +196,9 @@ class AttemptEngine
 {
   public:
     /**
-     * Draw every unit's arrival and schedule the @p source_tasks of
-     * each unit, unit-major, then the scenario's node faults.
+     * Draw every unit's arrival and schedule the scenario's node
+     * faults. The @p source_tasks of each unit start from the arrival
+     * cursor at the unit's arrival, unit-major.
      *
      * @param num_fns        functions the tasks index (one breaker each)
      * @param tasks_per_unit tasks of one unit (1 for an invocation)
@@ -202,7 +207,7 @@ class AttemptEngine
      */
     AttemptEngine(const ReplayScenario &scenario, size_t num_fns,
                   uint32_t tasks_per_unit,
-                  const std::vector<uint32_t> &source_tasks,
+                  std::vector<uint32_t> source_tasks,
                   const CalibrationMatrix &cals, ReplayResult &res,
                   const char *track_kind);
 
@@ -258,6 +263,9 @@ class AttemptEngine
     /** Record @p unit's client-visible end in the histograms. */
     void finish(uint64_t end_ns, uint32_t unit, bool good);
     void push(const AttemptEvent &ev);
+    /** Take the next event in (time, seq) order into @p ev. @return
+     *  false when the timeline is done. */
+    bool next(AttemptEvent &ev);
     size_t taskIndex(uint32_t unit, uint32_t task) const
     {
         return size_t(unit) * tasksPerUnit + task;
@@ -303,6 +311,11 @@ class AttemptEngine
     obs::TrackId track = obs::badTrack;
 
     std::vector<uint64_t> arrivals;
+    /** The arrival cursor: the source Start it serves next is
+     *  sources[nextSource] of unit nextUnit, at that unit's arrival. */
+    const std::vector<uint32_t> sources;
+    uint32_t nextUnit = 0;
+    uint32_t nextSource = 0;
     std::vector<uint8_t> ended;
     /** Per task; empty when no attempt can be retried. */
     std::vector<BackoffSchedule> backoffs;
@@ -319,9 +332,8 @@ template <class Policy>
 void
 AttemptEngine::run(Policy &policy)
 {
-    while (!events.empty()) {
-        const AttemptEvent ev = events.top();
-        events.pop();
+    AttemptEvent ev;
+    while (next(ev)) {
         if (ev.kind == EvKind::NodeFault)
             nodeFault(ev);
         else if (ev.kind == EvKind::Start)
@@ -330,6 +342,29 @@ AttemptEngine::run(Policy &policy)
             end(policy, ev);
     }
     aggregate();
+}
+
+inline bool
+AttemptEngine::next(AttemptEvent &ev)
+{
+    // A source Start orders as if pushed before every other event, so
+    // the cursor wins ties: the (time, seq) order of one heap.
+    if (nextUnit < s.invocations &&
+        (events.empty() || arrivals[nextUnit] <= events.top().timeNs)) {
+        ev = {.timeNs = arrivals[nextUnit],
+              .unit = nextUnit,
+              .task = sources[nextSource]};
+        if (++nextSource == sources.size()) {
+            nextSource = 0;
+            ++nextUnit;
+        }
+        return true;
+    }
+    if (events.empty())
+        return false;
+    ev = events.top();
+    events.pop();
+    return true;
 }
 
 template <class Policy>

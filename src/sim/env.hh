@@ -14,8 +14,9 @@ namespace svb
 /**
  * The on/off value of environment variable @p name: exactly "0" is
  * off and exactly "1" is on. Unset or empty gives @p fallback; any
- * other value warns and gives @p fallback too, so "false", "yes" or
- * " 1" never switch anything silently.
+ * other value gives @p fallback too, with a warning the first time
+ * the process reads that value of @p name, so "false", "yes" or " 1"
+ * never switch anything silently. Thread-safe.
  */
 bool envFlag(const char *name, bool fallback);
 

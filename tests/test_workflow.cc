@@ -620,3 +620,215 @@ TEST(WorkflowSweep, RowsSurviveTheCacheRoundTrip)
     EXPECT_EQ(cached[0].latency.count(), 0u);
     EXPECT_GT(fresh[0].latency.count(), 0u);
 }
+
+// --------------------------------------------------------------------------
+// Same-nanosecond event order
+// --------------------------------------------------------------------------
+
+namespace
+{
+
+/** A scenario whose arrivals, Ends, retries and node crash share
+ *  nanoseconds, and what its replay must read. */
+struct TieCase
+{
+    const char *name;
+    unsigned nodes;
+    /** First-stage parallelism of a two-stage workflow; 0 replays a
+     *  load stream instead. */
+    unsigned sources;
+    /** Every retry's backoff (0: retry at the failure instant). */
+    uint64_t backoffNs;
+    const char *expected;
+};
+
+const TieCase kTieCases[] = {
+    {"t-tie-n1-load-b0", 1, 0, 0,
+     "fp=9472961898083364495 good=14847148336813869201"
+     " crit=0 ok=18 failed=6 sheds=176"
+     " retries=89 timeouts=93 crashes=3 cold=61 warm=52"},
+    {"t-tie-n1-load-b1", 1, 0, 1'000'000,
+     "fp=4011403479462131549 good=6557338454512102877"
+     " crit=0 ok=22 failed=3 sheds=175"
+     " retries=97 timeouts=98 crashes=2 cold=68 warm=54"},
+    {"t-tie-n2-load-b0", 2, 0, 0,
+     "fp=16376919214183503585 good=14101478126404776775"
+     " crit=0 ok=136 failed=3 sheds=61"
+     " retries=56 timeouts=51 crashes=3 cold=95 warm=100"},
+    {"t-tie-n2-load-b1", 2, 0, 1'000'000,
+     "fp=9620258765638659049 good=15163891977714784475"
+     " crit=0 ok=129 failed=4 sheds=67"
+     " retries=53 timeouts=51 crashes=2 cold=87 warm=99"},
+    {"t-tie-n3-load-b0", 3, 0, 0,
+     "fp=8686842390305171935 good=8686842390305171935"
+     " crit=0 ok=200 failed=0 sheds=0"
+     " retries=20 timeouts=2 crashes=1 cold=124 warm=96"},
+    {"t-tie-n3-load-b1", 3, 0, 1'000'000,
+     "fp=908081555914781137 good=908081555914781137"
+     " crit=0 ok=200 failed=0 sheds=0"
+     " retries=9 timeouts=0 crashes=0 cold=107 warm=102"},
+    {"t-tie-n1-par2-b0", 1, 2, 0,
+     "fp=17135764428573677649 good=4712192114953218501"
+     " crit=10017002007989796321 ok=0 failed=2 sheds=58"
+     " retries=37 timeouts=48 crashes=2 cold=17 warm=44"},
+    {"t-tie-n1-par2-b1", 1, 2, 1'000'000,
+     "fp=4223913147459888273 good=4712192114953218501"
+     " crit=10017002007989796321 ok=0 failed=3 sheds=57"
+     " retries=33 timeouts=45 crashes=2 cold=18 warm=40"},
+    {"t-tie-n2-par2-b0", 2, 2, 0,
+     "fp=6212019024120593937 good=4712192114953218501"
+     " crit=10017002007989796321 ok=0 failed=1 sheds=59"
+     " retries=35 timeouts=45 crashes=2 cold=27 warm=36"},
+    {"t-tie-n2-par2-b1", 2, 2, 1'000'000,
+     "fp=5871670495785090617 good=15136673363724813957"
+     " crit=7001612259517382599 ok=1 failed=1 sheds=58"
+     " retries=32 timeouts=42 crashes=1 cold=27 warm=42"},
+    {"t-tie-n3-par2-b0", 3, 2, 0,
+     "fp=2396596530227781195 good=4727865302736121409"
+     " crit=16924039958983112952 ok=4 failed=5 sheds=51"
+     " retries=51 timeouts=60 crashes=1 cold=41 warm=73"},
+    {"t-tie-n3-par2-b1", 3, 2, 1'000'000,
+     "fp=13436371276375878743 good=11904057894666393987"
+     " crit=10002086051611975974 ok=4 failed=1 sheds=55"
+     " retries=54 timeouts=59 crashes=0 cold=27 warm=74"},
+    {"t-tie-n1-par3-b0", 1, 3, 0,
+     "fp=579283678205899129 good=7000516840794886469"
+     " crit=15047408042691210383 ok=2 failed=1 sheds=57"
+     " retries=31 timeouts=42 crashes=3 cold=10 warm=47"},
+    {"t-tie-n1-par3-b1", 1, 3, 1'000'000,
+     "fp=1451939367245512567 good=4712192114953218501"
+     " crit=10017002007989796321 ok=0 failed=2 sheds=58"
+     " retries=38 timeouts=50 crashes=3 cold=12 warm=50"},
+    {"t-tie-n2-par3-b0", 2, 3, 0,
+     "fp=2145559641309541171 good=4712192114953218501"
+     " crit=10017002007989796321 ok=0 failed=3 sheds=57"
+     " retries=54 timeouts=65 crashes=1 cold=16 warm=76"},
+    {"t-tie-n2-par3-b1", 2, 3, 1'000'000,
+     "fp=11720641772492455539 good=4712192114953218501"
+     " crit=10017002007989796321 ok=0 failed=2 sheds=58"
+     " retries=52 timeouts=63 crashes=1 cold=19 warm=72"},
+    {"t-tie-n3-par3-b0", 3, 3, 0,
+     "fp=13715162904143074481 good=12791401788887160325"
+     " crit=8897743339056340170 ok=1 failed=1 sheds=58"
+     " retries=61 timeouts=69 crashes=0 cold=19 warm=88"},
+    {"t-tie-n3-par3-b1", 3, 3, 1'000'000,
+     "fp=17032557755758425047 good=7288082074309381667"
+     " crit=12425642972279573905 ok=4 failed=2 sheds=54"
+     " retries=59 timeouts=62 crashes=2 cold=19 warm=95"},
+};
+
+/** Record a hand-written ldcal row (whole milliseconds), so replaying
+ *  @p spec on @p cluster simulates no CPU. */
+void
+recordCalibration(ResultCache &cache, const ClusterConfig &cluster,
+                  const FunctionSpec &spec, uint64_t cold_ms,
+                  const uint64_t (&warm_ms)[loadWarmSamples])
+{
+    LoadCalibration cal;
+    cal.name = spec.name;
+    cal.coldNs = cold_ms * 1'000'000;
+    for (unsigned k = 0; k < loadWarmSamples; ++k)
+        cal.warmNs[k] = warm_ms[k] * 1'000'000;
+    cal.ok = true;
+    cache.recordRow(cache.rowKey(cluster, spec, RunMode::LoadCal),
+                    packRunResult(cal));
+}
+
+/** Uniform arrivals every millisecond onto one-slot least-loaded
+ *  nodes, whole-millisecond timeouts and backoffs, the breaker, and a
+ *  node crash on an arrival instant. */
+void
+tieKnobs(ReplayScenario &s, const TieCase &tc)
+{
+    s.name = tc.name;
+    s.cluster = standaloneConfig(IsaId::Riscv);
+    s.arrival.kind = ArrivalKind::Uniform;
+    s.arrival.ratePerSec = 1000.0;
+    s.pool.policy = KeepAlivePolicy::FixedTtl;
+    s.pool.maxInstances = 1;
+    s.pool.keepAliveNs = 10'000'000;
+    s.fault.coldStartFailProb = 0.1;
+    s.fault.stragglerProb = 0.1;
+    s.fault.stragglerFactor = 2.0;
+    s.retry.maxAttempts = 3;
+    s.retry.timeoutNs = 6'000'000;
+    // Base == cap: every backoff is exactly backoffNs.
+    s.retry.backoffBaseNs = tc.backoffNs;
+    s.retry.backoffCapNs = tc.backoffNs;
+    s.breaker.enabled = true;
+    s.breaker.failureThreshold = 5;
+    s.breaker.openCooldownNs = 3'000'000;
+    s.breaker.degradedNs = 1'000'000;
+    s.fleet.nodes = tc.nodes;
+    s.fleet.routing = RoutingPolicy::LeastLoaded;
+    s.fleet.nodeFaults.push_back(
+        {NodeFaultEvent::Kind::Crash, tc.nodes - 1, 40'000'000, 10'000'000});
+    s.invocations = tc.sources == 0 ? 200 : 60;
+    s.seed = 7;
+}
+
+/** One replay's outcome as a line that names every value. */
+std::string
+tieOutcome(const ReplayResult &r, uint64_t failed, uint64_t crit_fp)
+{
+    std::ostringstream os;
+    os << "fp=" << r.histoFingerprint << " good=" << r.goodFingerprint
+       << " crit=" << crit_fp << " ok=" << r.succeeded
+       << " failed=" << failed << " sheds=" << r.sheds
+       << " retries=" << r.retries << " timeouts=" << r.timeouts
+       << " crashes=" << r.crashes << " cold=" << r.coldStarts
+       << " warm=" << r.warmHits;
+    return os.str();
+}
+
+} // namespace
+
+/**
+ * Arrivals, Ends, retries, scale-waits and a node crash land on the
+ * same nanoseconds, and a workflow starts two or three source tasks
+ * per instance at its arrival. Each unit's source Starts precede
+ * every other event of their time, in unit then task order; any other
+ * tie order moves these outcomes.
+ */
+TEST(AttemptEngineOrder, SameNanosecondEventsKeepTheirOrder)
+{
+    TempCacheFile file("test_wf_ties.csv");
+    ResultCache cache(file.path);
+    const FunctionSpec fib = specFor("fibonacci-go");
+    const FunctionSpec aes = specFor("aes-go");
+    const ClusterConfig cluster = standaloneConfig(IsaId::Riscv);
+    recordCalibration(cache, cluster, fib, 3, {1, 1, 2, 1});
+    recordCalibration(cache, cluster, aes, 2, {1, 1, 1, 1});
+    const std::vector<LoadMixEntry> fns = {
+        {fib, &workloads::workloadImpl(fib.workload), 1.0},
+        {aes, &workloads::workloadImpl(aes.workload), 1.0}};
+
+    for (const TieCase &tc : kTieCases) {
+        SCOPED_TRACE(tc.name);
+        std::string observed;
+        if (tc.sources == 0) {
+            LoadScenario s;
+            tieKnobs(s, tc);
+            s.mix = fns;
+            const LoadResult r = LoadRunner(cache).run(s);
+            ASSERT_TRUE(r.ok);
+            EXPECT_EQ(r.succeeded + r.failedInvocations + r.sheds,
+                      r.invocations);
+            observed = tieOutcome(r, r.failedInvocations, 0);
+        } else {
+            WorkflowScenario s;
+            tieKnobs(s, tc);
+            s.functions = fns;
+            s.dag.name = "ties";
+            s.dag.stages = {{"src", 0, tc.sources, 0, StagePlacement::Inherit},
+                            {"join", 1, 1, 0, StagePlacement::Inherit}};
+            s.dag.edges = {{0, 1}};
+            const WorkflowResult r = WorkflowRunner(cache).run(s);
+            ASSERT_TRUE(r.ok);
+            EXPECT_EQ(r.succeeded + r.failedWorkflows + r.sheds,
+                      r.invocations);
+            observed = tieOutcome(r, r.failedWorkflows, r.critFingerprint);
+        }
+        EXPECT_EQ(observed, tc.expected);
+    }
+}
