@@ -16,6 +16,7 @@
 #include "core/parallel.hh"
 #include "core/report.hh"
 #include "core/result_cache.hh"
+#include "load/load_runner.hh"
 #include "workloads/workloads.hh"
 
 namespace svb::benchutil
@@ -105,6 +106,21 @@ standalonePlusShop()
     for (const FunctionSpec &spec : workloads::onlineShopSuite())
         specs.push_back(spec);
     return specs;
+}
+
+/** The three Go functions at equal weight: the load benches' mix. */
+inline std::vector<load::LoadMixEntry>
+goMix()
+{
+    std::vector<load::LoadMixEntry> mix;
+    for (const char *fn : {"fibonacci-go", "aes-go", "auth-go"}) {
+        for (const FunctionSpec &spec : workloads::standaloneSuite()) {
+            if (spec.name == fn)
+                mix.push_back(
+                    {spec, &workloads::workloadImpl(spec.workload), 1.0});
+        }
+    }
+    return mix;
 }
 
 } // namespace svb::benchutil

@@ -50,15 +50,9 @@ main()
         ClusterConfig cfg = benchutil::chapter4Config(IsaId::Riscv, false);
         ExperimentRunner runner(cfg);
         const FunctionSpec spec = pick(fn), other = pick(interferer);
-        RunSpec rs;
-        rs.mode = RunMode::Lukewarm;
-        rs.spec = spec;
-        rs.impl = &workloads::workloadImpl(spec.workload);
-        rs.platform = cfg;
-        rs.options.interferer = &other;
-        rs.options.interfererImpl =
-            &workloads::workloadImpl(other.workload);
-        const LukewarmResult res = std::get<LukewarmResult>(runner.run(rs));
+        const LukewarmResult res = runner.runLukewarm(
+            spec, workloads::workloadImpl(spec.workload), other,
+            workloads::workloadImpl(other.workload));
         if (!res.ok) {
             std::printf("%-18s %-18s FAILED\n", fn, interferer);
             continue;

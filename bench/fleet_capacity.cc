@@ -38,20 +38,6 @@ using namespace svb;
 namespace
 {
 
-std::vector<load::LoadMixEntry>
-goMix()
-{
-    std::vector<load::LoadMixEntry> mix;
-    for (const char *fn : {"fibonacci-go", "aes-go", "auth-go"}) {
-        for (const FunctionSpec &spec : workloads::standaloneSuite()) {
-            if (spec.name == fn)
-                mix.push_back(
-                    {spec, &workloads::workloadImpl(spec.workload), 1.0});
-        }
-    }
-    return mix;
-}
-
 const std::vector<unsigned> nodeCounts = {1, 2, 4};
 const std::vector<load::RoutingPolicy> policies = {
     load::RoutingPolicy::LeastLoaded,
@@ -72,7 +58,7 @@ baseScenario(IsaId isa)
 {
     load::LoadScenario s;
     s.cluster = benchutil::chapter4Config(isa, false);
-    s.mix = goMix();
+    s.mix = benchutil::goMix();
     s.arrival.kind = load::ArrivalKind::Poisson;
     // Two slots per node: capacity comes from the fleet, not from one
     // big host, so the node-count axis actually bites.

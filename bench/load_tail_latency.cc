@@ -34,20 +34,6 @@ struct PolicyPoint
     load::PoolConfig pool;
 };
 
-std::vector<load::LoadMixEntry>
-goMix()
-{
-    std::vector<load::LoadMixEntry> mix;
-    for (const char *fn : {"fibonacci-go", "aes-go", "auth-go"}) {
-        for (const FunctionSpec &spec : workloads::standaloneSuite()) {
-            if (spec.name == fn)
-                mix.push_back(
-                    {spec, &workloads::workloadImpl(spec.workload), 1.0});
-        }
-    }
-    return mix;
-}
-
 } // namespace
 
 int
@@ -79,7 +65,7 @@ main()
                      << pp.label << ";n2000;seed29";
                 s.name = name.str();
                 s.cluster = benchutil::chapter4Config(isa, false);
-                s.mix = goMix();
+                s.mix = benchutil::goMix();
                 s.arrival.kind = load::ArrivalKind::Poisson;
                 s.arrival.ratePerSec = rate;
                 s.pool = pp.pool;

@@ -38,20 +38,6 @@ struct PolicyPoint
     load::BreakerConfig breaker;
 };
 
-std::vector<load::LoadMixEntry>
-goMix()
-{
-    std::vector<load::LoadMixEntry> mix;
-    for (const char *fn : {"fibonacci-go", "aes-go", "auth-go"}) {
-        for (const FunctionSpec &spec : workloads::standaloneSuite()) {
-            if (spec.name == fn)
-                mix.push_back(
-                    {spec, &workloads::workloadImpl(spec.workload), 1.0});
-        }
-    }
-    return mix;
-}
-
 std::vector<PolicyPoint>
 policyPoints()
 {
@@ -112,7 +98,7 @@ main()
                      << ";n1500;seed43";
                 s.name = name.str();
                 s.cluster = benchutil::chapter4Config(isa, false);
-                s.mix = goMix();
+                s.mix = benchutil::goMix();
                 s.arrival.kind = load::ArrivalKind::Poisson;
                 s.arrival.ratePerSec = 400.0;
                 s.pool = {load::KeepAlivePolicy::FixedTtl, 4, 50'000'000};

@@ -34,20 +34,6 @@ using namespace svb;
 namespace
 {
 
-std::vector<load::LoadMixEntry>
-goMix()
-{
-    std::vector<load::LoadMixEntry> mix;
-    for (const char *fn : {"fibonacci-go", "aes-go", "auth-go"}) {
-        for (const FunctionSpec &spec : workloads::standaloneSuite()) {
-            if (spec.name == fn)
-                mix.push_back(
-                    {spec, &workloads::workloadImpl(spec.workload), 1.0});
-        }
-    }
-    return mix;
-}
-
 /** 64 KiB inter-stage payloads: big enough that a cross-node hop
  *  (60 us base + 20 us copy) rivals a warm service time, so placement
  *  actually moves the tables. */
@@ -81,7 +67,7 @@ baseScenario(IsaId isa)
 {
     load::WorkflowScenario s;
     s.cluster = benchutil::chapter4Config(isa, false);
-    s.functions = goMix();
+    s.functions = benchutil::goMix();
     s.arrival.kind = load::ArrivalKind::Poisson;
     // 500 workflows/s of multi-task DAGs: thousands of stage tasks
     // per second against 2 slots per node, so queueing and placement

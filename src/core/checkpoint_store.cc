@@ -113,8 +113,6 @@ CheckpointStore::acquire(const std::string &fp, bool *claimed)
         pendingCv.wait(lk);
     }
     pending.insert(fp);
-    const std::function<bool(const std::string &)> faultHook =
-        restoreFaultHook;
     lk.unlock();
 
     // Disk probe outside the lock: loading a checkpoint is slow and
@@ -144,19 +142,7 @@ CheckpointStore::acquire(const std::string &fp, bool *claimed)
         warn("ignoring corrupt checkpoint ", pathFor(fp), ": ", err);
     }
 
-    bool faultInjected = false;
-    if (from_disk.has_value() && faultHook && faultHook(fp)) {
-        // Injected restore corruption: behave exactly like a corrupt
-        // file — drop the snapshot and make the caller re-prepare.
-        warn("fault injection: discarding restored checkpoint ",
-             pathFor(fp), "; re-preparing");
-        from_disk.reset();
-        faultInjected = true;
-    }
-
     lk.lock();
-    if (faultInjected)
-        ++restoreFaults;
     if (!from_disk.has_value()) {
         *claimed = true; // caller prepares, then publish()/release()
         return nullptr;
@@ -242,21 +228,6 @@ CheckpointStore::release(const std::string &fp)
 }
 
 void
-CheckpointStore::setRestoreFaultHook(
-    std::function<bool(const std::string &)> hook)
-{
-    std::lock_guard<std::mutex> lk(mtx);
-    restoreFaultHook = std::move(hook);
-}
-
-uint64_t
-CheckpointStore::restoreFaultsInjected() const
-{
-    std::lock_guard<std::mutex> lk(mtx);
-    return restoreFaults;
-}
-
-void
 CheckpointStore::resetForTest(const std::string &test_dir)
 {
     std::lock_guard<std::mutex> lk(mtx);
@@ -265,8 +236,6 @@ CheckpointStore::resetForTest(const std::string &test_dir)
     images.clear();
     dir = test_dir;
     disabled = false;
-    restoreFaultHook = nullptr;
-    restoreFaults = 0;
 }
 
 } // namespace svb

@@ -32,7 +32,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -94,9 +93,9 @@ class CheckpointStore
      * The shared page-granular image of @p cp (the checkpoint
      * acquire() returned for @p fp): built once per fingerprint,
      * cached weakly (pages live exactly as long as some restored
-     * instance or pool lease holds them) and interned into the global
-     * CoW PageStore. Returns nullptr when @p cp predates the
-     * page-table format — the caller then restores fully.
+     * instance holds them) and interned into the global CoW
+     * PageStore. Returns nullptr when @p cp predates the page-table
+     * format — the caller then restores fully.
      */
     std::shared_ptr<const PageImage> imageFor(const std::string &fp,
                                               const Checkpoint &cp);
@@ -115,22 +114,9 @@ class CheckpointStore
     /** Drop a claim whose preparation failed; waiters re-claim. */
     void release(const std::string &fp);
 
-    /** Test hook: forget all state (fault hook included) and redirect
-     *  the store to @p dir (re-enabling it regardless of
-     *  SVBENCH_NO_CKPT). */
+    /** Test hook: forget all state and redirect the store to @p dir
+     *  (re-enabling it regardless of SVBENCH_NO_CKPT). */
     void resetForTest(const std::string &dir);
-
-    /**
-     * Fault injection (resilience tests): when set, a checkpoint
-     * successfully loaded from disk for which @p hook returns true is
-     * discarded as if the file were corrupt — the caller re-prepares
-     * from scratch, exercising the restore-failure recovery path
-     * deterministically. Pass nullptr to clear.
-     */
-    void setRestoreFaultHook(std::function<bool(const std::string &)> hook);
-
-    /** Disk restores discarded by the fault hook so far. */
-    uint64_t restoreFaultsInjected() const;
 
     /** On-disk path for a fingerprint (hash-named .ckpt file). */
     std::string pathFor(const std::string &fp) const;
@@ -141,17 +127,13 @@ class CheckpointStore
     std::string dir;
     bool disabled = false;
 
-    mutable std::mutex mtx;
-    /** Guarded by mtx. */
-    std::function<bool(const std::string &)> restoreFaultHook;
-    /** Guarded by mtx. */
-    uint64_t restoreFaults = 0;
+    std::mutex mtx;
     std::condition_variable pendingCv;
     std::set<std::string> pending;
     std::map<std::string, std::shared_ptr<const Checkpoint>> cache;
     /** Weak per-fingerprint PageImage cache (guarded by mtx): holds
-     *  no refcount of its own, so pool evictions/kills dropping the
-     *  last lease genuinely free the shared pages. */
+     *  no refcount of its own, so the last restored instance going
+     *  away genuinely frees the shared pages. */
     std::map<std::string, std::weak_ptr<const PageImage>> images;
 };
 

@@ -122,13 +122,11 @@ class ServerlessCluster : public M5Listener
     void resetFunctionRings();
 
     // --- run-control counters (fed by the m5 plumbing) ------------------
-    uint64_t workBegins() const { return nWorkBegin; }
     uint64_t workEnds() const { return nWorkEnd; }
     uint64_t slotWorkEnds(unsigned slot) const
     {
         return nSlotWorkEnd[slot & 1];
     }
-    uint64_t readyEvents() const { return nReady; }
 
     /** Cycle at which the most recent workBegin / workEnd arrived. */
     uint64_t lastWorkBeginCycle() const { return workBeginCycle; }

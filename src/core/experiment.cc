@@ -16,7 +16,6 @@ runModeName(RunMode mode)
     switch (mode) {
       case RunMode::Detailed: return "o3";
       case RunMode::Emu:      return "emu";
-      case RunMode::Lukewarm: return "lukewarm";
       case RunMode::LoadCal:  return "ldcal";
     }
     return "?";
@@ -289,7 +288,7 @@ ExperimentRunner::runLukewarm(const FunctionSpec &spec,
         return result;
     result.warm = solo.warm;
 
-    beginTrace(spec, runModeName(RunMode::Lukewarm));
+    beginTrace(spec, "lukewarm");
 
     // Interleaved run: both functions share the server core, the
     // interferer in ring slot 1. The two-function settle point gets
@@ -414,12 +413,6 @@ ExperimentRunner::run(const RunSpec &rs)
         return runFunction(rs.spec, *rs.impl);
       case RunMode::Emu:
         return runFunctionEmu(rs.spec, *rs.impl, rs.options.warmRequest);
-      case RunMode::Lukewarm:
-        svb_assert(rs.options.interferer != nullptr &&
-                       rs.options.interfererImpl != nullptr,
-                   "Lukewarm RunSpec without an interferer");
-        return runLukewarm(rs.spec, *rs.impl, *rs.options.interferer,
-                           *rs.options.interfererImpl);
       case RunMode::LoadCal:
         return runLoadCalibration(rs.spec, *rs.impl);
     }

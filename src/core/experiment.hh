@@ -9,12 +9,14 @@
  * 10 (warm). Statistics are collected from the server core, reset at
  * each measured request's workBegin and sampled at its workEnd.
  *
- * Run/Result API: every mode (detailed O3, emulation, lukewarm
- * interleaving, load calibration) flows through one entry point —
+ * Run/Result API: every cacheable mode (detailed O3, emulation, load
+ * calibration) flows through one entry point —
  * ExperimentRunner::run(RunSpec) returning a RunResult variant — so
  * callers describe *what* to measure instead of hand-wiring per-mode
  * call sequences. The per-mode methods remain as the implementations
- * behind the dispatch.
+ * behind the dispatch. The lukewarm study (runLukewarm) is called
+ * directly: its identity includes an interferer that no cache row
+ * key carries.
  *
  * Observability: each run records simulated-time spans (boot /
  * restore / container-start / settle / cold / warming / warm) onto an
@@ -130,7 +132,6 @@ enum class RunMode
 {
     Detailed, ///< Figure-4.1 cold+warm O3 measurement -> FunctionResult
     Emu,      ///< functional-emulation latencies      -> EmuResult
-    Lukewarm, ///< interleaved-interferer study        -> LukewarmResult
     LoadCal,  ///< load-subsystem calibration          -> LoadCalibration
 };
 
@@ -142,9 +143,6 @@ struct RunOptions
 {
     /** Emu: which request is reported as the warm latency. */
     unsigned warmRequest = 10;
-    /** Lukewarm: the co-located interfering function. */
-    const FunctionSpec *interferer = nullptr;
-    const WorkloadImpl *interfererImpl = nullptr;
 };
 
 /**
@@ -165,8 +163,7 @@ struct RunSpec
 };
 
 /** The per-mode outcome, tagged by the RunSpec's mode. */
-using RunResult =
-    std::variant<FunctionResult, EmuResult, LukewarmResult, LoadCalibration>;
+using RunResult = std::variant<FunctionResult, EmuResult, LoadCalibration>;
 
 /** @return the variant's ok flag, whatever the mode. */
 bool runResultOk(const RunResult &result);

@@ -190,11 +190,8 @@ std::vector<RunResult>
 parallelSweep(ResultCache &cache, const std::vector<RunSpec> &specs,
               unsigned jobs_override)
 {
-    for (const RunSpec &rs : specs) {
-        svb_assert(rs.mode != RunMode::Lukewarm,
-                   "lukewarm runs are not cacheable");
+    for (const RunSpec &rs : specs)
         svb_assert(rs.impl != nullptr, "RunSpec without a workload impl");
-    }
     return memoisedSweep(cache, specs, RunRows{cache}, jobs_override);
 }
 

@@ -280,9 +280,7 @@ packRunResult(const RunResult &res)
         return packResult(*fr);
     if (const auto *er = std::get_if<EmuResult>(&res))
         return packEmu(*er);
-    if (const auto *lc = std::get_if<LoadCalibration>(&res))
-        return packLoadCal(*lc);
-    svb_fatal("packRunResult: lukewarm results are not cacheable");
+    return packLoadCal(std::get<LoadCalibration>(res));
 }
 
 RunResult
@@ -295,10 +293,8 @@ unpackRunResult(RunMode mode, const std::string &name, const Row &fields)
         return unpackEmu(name, fields);
       case RunMode::LoadCal:
         return unpackLoadCal(name, fields);
-      case RunMode::Lukewarm:
-        break;
     }
-    svb_fatal("unpackRunResult: lukewarm rows do not exist");
+    svb_fatal("unreachable RunMode");
 }
 
 namespace
@@ -520,8 +516,6 @@ ResultCache::announce(const RunSpec &rs) const
                isaName(rs.platform.system.isa), " for load (cold + ",
                loadWarmSamples, " warm samples)...");
         break;
-      case RunMode::Lukewarm:
-        break;
     }
 }
 
@@ -535,11 +529,6 @@ ResultCache::measure(const RunSpec &rs)
 RunResult
 ResultCache::run(const RunSpec &rs)
 {
-    // Lukewarm results are keyed by an interferer the row key cannot
-    // carry; they always execute.
-    if (rs.mode == RunMode::Lukewarm)
-        return measure(rs);
-
     svb_assert(rs.impl != nullptr, "RunSpec without a workload impl");
     const std::string key = rowKey(rs.platform, rs.spec, rs.mode);
     {

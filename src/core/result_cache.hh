@@ -89,9 +89,7 @@ class ResultCache
     /**
      * The unified cache-aware entry point: fetch the row for @p rs
      * (keyed by rs.platform, rs.spec and the mode tag), or measure()
-     * it and record the row. Lukewarm runs are not cached (their
-     * identity includes the interferer, which the key does not carry)
-     * and always execute. Sweeps go through parallelSweep()
+     * it and record the row. Sweeps go through parallelSweep()
      * (core/parallel.hh), which records in submission order.
      */
     RunResult run(const RunSpec &rs);

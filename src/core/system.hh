@@ -44,11 +44,9 @@ class System : public M5Listener
     EventQueue &events() { return eventq; }
     Rng &rng() { return rngState; }
     StatGroup &stats() { return rootStats; }
-    CoreMemSystem &coreMem(unsigned core) { return *coreMems.at(core); }
     AtomicCpu &atomicCpu(unsigned core) { return *atomics.at(core); }
     O3Cpu &o3Cpu(unsigned core) { return *o3s.at(core); }
     BaseCpu &cpu(unsigned core);
-    CpuModel cpuModel(unsigned core) const { return models.at(core); }
     uint64_t cycle() const { return globalCycle; }
     SuperblockCache &superblocks() { return *sblocks; }
 

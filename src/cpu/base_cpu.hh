@@ -71,7 +71,6 @@ class BaseCpu
     int id() const { return coreId; }
     Tlb &itlb() { return itlbUnit; }
     Tlb &dtlb() { return dtlbUnit; }
-    StatGroup &statGroup() { return group; }
 
     /**
      * Committed-instruction trace callback (gem5's Exec trace

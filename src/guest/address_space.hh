@@ -28,8 +28,6 @@ class FrameAllocator : public Serializable
     /** Allocate @p count contiguous frames; fatal on exhaustion. */
     Addr allocFrames(size_t count);
 
-    Addr allocatedUpTo() const { return next; }
-
     void serializeState(const std::string &prefix,
                         Checkpoint &cp) const override;
     void unserializeState(const std::string &prefix,

@@ -84,22 +84,6 @@ class AssemblerBase
         return buf;
     }
 
-    /** Emit raw data bytes (jump tables, constants). */
-    void
-    emitBytes(const void *data, size_t len)
-    {
-        const auto *p = static_cast<const uint8_t *>(data);
-        buf.insert(buf.end(), p, p + len);
-    }
-
-    /** Pad with ISA-neutral zero bytes up to @p alignment. */
-    void
-    align(size_t alignment)
-    {
-        while (buf.size() % alignment != 0)
-            buf.push_back(0);
-    }
-
   protected:
     struct Fixup
     {

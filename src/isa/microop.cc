@@ -5,21 +5,6 @@
 namespace svb
 {
 
-const char *
-opClassName(OpClass cls)
-{
-    switch (cls) {
-      case OpClass::IntAlu: return "IntAlu";
-      case OpClass::IntMult: return "IntMult";
-      case OpClass::IntDiv: return "IntDiv";
-      case OpClass::MemRead: return "MemRead";
-      case OpClass::MemWrite: return "MemWrite";
-      case OpClass::Branch: return "Branch";
-      case OpClass::No_OpClass: return "No_OpClass";
-    }
-    return "?";
-}
-
 namespace
 {
 

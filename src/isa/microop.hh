@@ -98,8 +98,6 @@ struct MicroOp
         return (op >= UopOp::BranchEq && op <= UopOp::BranchFlags);
     }
 
-    bool isIndirectCtrl() const { return op == UopOp::JumpReg; }
-
     bool operator==(const MicroOp &) const = default;
 };
 

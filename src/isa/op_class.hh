@@ -26,9 +26,6 @@ enum class OpClass : uint8_t
     No_OpClass ///< nop / internal
 };
 
-/** @return a short printable name for @p cls. */
-const char *opClassName(OpClass cls);
-
 } // namespace svb
 
 #endif // SVB_ISA_OP_CLASS_HH

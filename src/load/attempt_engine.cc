@@ -367,7 +367,8 @@ AttemptEngine::serve(const AttemptEvent &ev, uint32_t fn, unsigned node,
             trace("timeout#" + tag, "timeout", ev.timeNs, s.retry.timeoutNs);
     }
     fleet.onAttemptStart(node, fn, pl.startNs, serverEnd);
-    pending[node].push_back({ev.unit, ev.task, ev.attempt, fn, serverEnd});
+    pending[node].list.push_back(
+        {ev.unit, ev.task, ev.attempt, fn, serverEnd});
     push({.timeNs = clientEnd,
           .unit = ev.unit,
           .task = ev.task,
@@ -382,15 +383,23 @@ AttemptEngine::retire(const AttemptEvent &ev, uint32_t fn)
 {
     // A node crash empties the node's in-flight list: an End whose
     // attempt is no longer listed was replaced by a synthetic one.
-    std::vector<Pending> &inflight = pending[ev.node];
-    const auto it = std::find_if(
-        inflight.begin(), inflight.end(), [&ev](const Pending &p) {
-            return p.unit == ev.unit && p.task == ev.task &&
-                   p.attempt == ev.attempt;
-        });
-    if (it == inflight.end())
+    InFlight &inflight = pending[ev.node];
+    std::vector<Pending> &list = inflight.list;
+    const auto first = list.begin() + std::ptrdiff_t(inflight.head);
+    const auto it = std::find_if(first, list.end(), [&ev](const Pending &p) {
+        return p.unit == ev.unit && p.task == ev.task &&
+               p.attempt == ev.attempt;
+    });
+    if (it == list.end())
         return false;
-    inflight.erase(it);
+    std::move_backward(first, it, it + 1);
+    ++inflight.head;
+    // Drop the skipped front once it is half the list, so a backlog
+    // that never drains does not keep every retired entry.
+    if (2 * inflight.head >= list.size()) {
+        list.erase(list.begin(), list.begin() + std::ptrdiff_t(inflight.head));
+        inflight.head = 0;
+    }
     fleet.onAttemptEnd(ev.node, fn);
     return true;
 }
@@ -438,7 +447,9 @@ AttemptEngine::nodeFault(const AttemptEvent &ev)
     // busy time the node will no longer serve, and let the client learn
     // of the crash right now through a synthetic end. Clearing the list
     // below makes the original ends no-ops (retire()).
-    for (const Pending &p : pending[nf.node]) {
+    InFlight &inflight = pending[nf.node];
+    for (size_t i = inflight.head; i < inflight.list.size(); ++i) {
+        const Pending &p = inflight.list[i];
         if (p.serverEndNs > ev.timeNs)
             fleet.truncateBusy(nf.node, p.serverEndNs - ev.timeNs);
         fleet.onAttemptEnd(nf.node, p.fn);
@@ -452,7 +463,8 @@ AttemptEngine::nodeFault(const AttemptEvent &ev)
               .outcome = AttemptOutcome::Crash,
               .synthetic = true});
     }
-    pending[nf.node].clear();
+    inflight.list.clear();
+    inflight.head = 0;
 }
 
 void

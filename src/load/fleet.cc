@@ -82,10 +82,8 @@ Fleet::Fleet(const FleetConfig &config, const PoolConfig &node_pool,
     nodes.reserve(cfg.nodes);
     scalers.reserve(groups.size());
     for (const Group &g : groups) {
-        const PoolConfig &pool_cfg =
-            g.klass.ownPool ? g.klass.pool : node_pool;
         for (unsigned i = 0; i < g.count; ++i)
-            nodes.emplace_back(pool_cfg);
+            nodes.emplace_back(node_pool);
         scalers.emplace_back(cfg.autoscaler, g.count);
     }
     fnInFlight.assign(std::max(1u, num_fns), 0);
@@ -448,7 +446,6 @@ Fleet::onAttemptStart(unsigned node, uint32_t fn, uint64_t start_ns,
     n.lastBusyNs = std::max(n.lastBusyNs, server_end_ns);
     ++n.inFlight;
     ++fnInFlight[fn];
-    ++totalInFlight;
 }
 
 void
@@ -457,11 +454,10 @@ Fleet::onAttemptEnd(unsigned node, uint32_t fn)
     svb_assert(node < nodes.size(), "unknown fleet node");
     svb_assert(fn < fnInFlight.size(), "attempt of unknown function");
     Node &n = nodes[node];
-    svb_assert(n.inFlight > 0 && fnInFlight[fn] > 0 && totalInFlight > 0,
+    svb_assert(n.inFlight > 0 && fnInFlight[fn] > 0,
                "attempt end without a matching start");
     --n.inFlight;
     --fnInFlight[fn];
-    --totalInFlight;
 }
 
 void

@@ -12,10 +12,11 @@
  *    NodeClass bundles one hardware/pricing tier of node — its own
  *    calibration platform (ISA + cache/DRAM budget, so a mixed
  *    RISC-V + x86 cluster calibrates each tier on its own simulated
- *    host), per-class keep-alive defaults, a residual speed factor,
- *    and cost/power weights. A FleetSpec is an ordered list of
- *    {class, count} groups; a plain node count (FleetConfig::nodes)
- *    is one default-class group of that many nodes.
+ *    host), a residual speed factor and cost/power weights. Every
+ *    node's InstancePool follows the scenario's PoolConfig. A
+ *    FleetSpec is an ordered list of {class, count} groups; a plain
+ *    node count (FleetConfig::nodes) is one default-class group of
+ *    that many nodes.
  *  - Fleet: N simulated nodes, each owning its own InstancePool (the
  *    per-node keep-alive state and concurrency limit) plus the
  *    class-derived service model over the calibrated cold/warm times;
@@ -104,9 +105,9 @@ struct NodeFaultEvent
 };
 
 /**
- * One hardware/pricing class of fleet node: the unit of calibration,
- * keep-alive defaults and cost/power accounting in a heterogeneous
- * (e.g. mixed RISC-V + x86) cluster.
+ * One hardware/pricing class of fleet node: the unit of calibration
+ * and cost/power accounting in a heterogeneous (e.g. mixed RISC-V +
+ * x86) cluster.
  */
 struct NodeClass
 {
@@ -122,11 +123,6 @@ struct NodeClass
      *  service model. */
     SystemConfig system;
     bool ownSystem = false;
-    /** Per-class InstancePool defaults (slots, keep-alive policy).
-     *  Only read when ownPool is true; otherwise the scenario's
-     *  PoolConfig applies, as it always did. */
-    PoolConfig pool;
-    bool ownPool = false;
     /** Residual service-time multiplier over the class's calibrated
      *  model; exactly 1.0 (the default) leaves service times
      *  bit-untouched. */
@@ -415,7 +411,6 @@ class Fleet
     std::vector<Node> nodes;
     /** Client-visible in-flight per function (throttle limit). */
     std::vector<unsigned> fnInFlight;
-    unsigned totalInFlight = 0;
     unsigned maxActive = 0;
     uint64_t numActivations = 0;
     uint64_t numDeactivations = 0;

@@ -24,7 +24,6 @@ InstancePool::expireIdle(uint64_t now_ns)
         if (inst.live && !inst.reserved && inst.busyUntilNs <= now_ns &&
             now_ns - inst.lastUsedNs >= cfg.keepAliveNs) {
             inst.live = false;
-            inst.lease.reset();
             ++poolStats.evictions;
         }
     }
@@ -89,7 +88,6 @@ InstancePool::acquire(uint32_t fn_id, uint64_t now_ns)
         Instance &inst = slots[unsigned(victim)];
         inst.fnId = fn_id;
         inst.live = false;
-        inst.lease.reset();
         inst.reserved = true;
         // Recycled slot: the victim's usage history must not leak
         // into the new instance's FixedTtl age, so restart its clock
@@ -131,7 +129,6 @@ InstancePool::acquire(uint32_t fn_id, uint64_t now_ns)
     if (slots[q].live)
         ++poolStats.evictions;
     slots[q].live = false;
-    slots[q].lease.reset();
     slots[q].fnId = fn_id;
     slots[q].reserved = true;
     // Same recycle reset as step 3: the new instance's age starts at
@@ -157,8 +154,6 @@ InstancePool::release(unsigned slot, uint64_t end_ns)
     // AlwaysCold tears the instance down with the request; every
     // other policy keeps it resident (until TTL/LRU eviction).
     inst.live = cfg.policy != KeepAlivePolicy::AlwaysCold;
-    if (!inst.live)
-        inst.lease.reset();
 }
 
 void
@@ -169,7 +164,6 @@ InstancePool::kill(unsigned slot, uint64_t at_ns)
     svb_assert(inst.reserved, "kill of a slot that was not acquired");
     inst.reserved = false;
     inst.live = false;
-    inst.lease.reset();
     inst.busyUntilNs = at_ns;
     inst.lastUsedNs = at_ns;
     ++poolStats.crashes;
@@ -195,7 +189,6 @@ InstancePool::crashAll(uint64_t at_ns)
         }
         inst.live = false;
         inst.reserved = false;
-        inst.lease.reset();
         inst.busyUntilNs = at_ns;
         inst.lastUsedNs = at_ns;
     }
@@ -212,7 +205,6 @@ InstancePool::evictAll(uint64_t at_ns)
             inst.live = false;
             ++poolStats.evictions;
         }
-        inst.lease.reset();
         inst.busyUntilNs = at_ns;
         inst.lastUsedNs = at_ns;
     }
@@ -230,20 +222,6 @@ InstancePool::slotBusyUntilNs(unsigned slot) const
 {
     svb_assert(slot < slots.size(), "unknown slot");
     return slots[slot].busyUntilNs;
-}
-
-void
-InstancePool::setLease(unsigned slot, std::shared_ptr<const void> lease)
-{
-    svb_assert(slot < slots.size(), "setLease of unknown slot");
-    slots[slot].lease = std::move(lease);
-}
-
-bool
-InstancePool::slotHasLease(unsigned slot) const
-{
-    svb_assert(slot < slots.size(), "unknown slot");
-    return slots[slot].lease != nullptr;
 }
 
 unsigned

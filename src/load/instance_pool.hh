@@ -30,7 +30,6 @@
 #define SVB_LOAD_INSTANCE_POOL_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace svb::load
@@ -138,22 +137,6 @@ class InstancePool
     uint64_t slotLastUsedNs(unsigned slot) const;
     uint64_t slotBusyUntilNs(unsigned slot) const;
 
-    // --- snapshot-page leases --------------------------------------------
-    /**
-     * Attach an opaque resource lease to @p slot's current instance —
-     * in practice a shared_ptr keeping the instance's snapshot
-     * PageImage (and through it the refcounted CoW pages in the
-     * PageStore) alive. The pool drops the lease at every point the
-     * instance dies: TTL expiry, LRU recycling, kill()/crashAll(),
-     * evictAll(), and AlwaysCold teardown on release(). That makes
-     * pool density observable as live page refcounts: once the last
-     * lease on an image goes, its pages become reclaimable.
-     */
-    void setLease(unsigned slot, std::shared_ptr<const void> lease);
-
-    /** Does @p slot's instance still hold a lease? (test hook) */
-    bool slotHasLease(unsigned slot) const;
-
   private:
     struct Instance
     {
@@ -163,8 +146,6 @@ class InstancePool
         uint32_t fnId = 0;
         uint64_t busyUntilNs = 0;
         uint64_t lastUsedNs = 0;
-        /** Dies with the instance (see setLease()). */
-        std::shared_ptr<const void> lease;
     };
 
     /** Apply TTL expiry to idle instances at @p now_ns. */

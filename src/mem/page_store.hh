@@ -15,7 +15,7 @@
  * copies the page into a private frame of that PhysMemory, so a write
  * never reaches the shared page. Refcounts are the shared_ptr counts
  * themselves; the store only holds weak references, so dropping the
- * last image/lease (pool eviction, instance kill) frees the host
+ * last image (the last restored instance going away) frees the host
  * memory.
  */
 
@@ -51,7 +51,7 @@ struct SnapshotPage
  * Process-wide interning store for snapshot pages.
  *
  * Thread-safe. Holds only weak references: a page lives exactly as
- * long as some PageImage / PhysMemory / InstancePool lease holds it.
+ * long as some PageImage or PhysMemory holds it.
  */
 class PageStore
 {

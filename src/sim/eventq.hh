@@ -57,9 +57,6 @@ class EventQueue
     /** @return tick of the earliest pending event, or maxTick. */
     Tick nextEventTick() const;
 
-    /** @return the queue's notion of current time. */
-    Tick curTick() const { return _curTick; }
-
     /** @return number of events still pending. */
     size_t pending() const { return events.size(); }
 

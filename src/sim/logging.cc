@@ -1,6 +1,5 @@
 #include "logging.hh"
 
-#include <atomic>
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
@@ -10,21 +9,8 @@ namespace svb
 
 namespace
 {
-std::atomic<bool> informOn{true};
 /** Serialises sink writes so concurrent workers never tear lines. */
 std::mutex sinkMtx;
-}
-
-void
-setInformEnabled(bool enabled)
-{
-    informOn.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-informEnabled()
-{
-    return informOn.load(std::memory_order_relaxed);
 }
 
 void

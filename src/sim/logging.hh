@@ -9,9 +9,9 @@
  *
  * This is the one sink shared by every simulation thread, so
  * logMessage() serialises writes under a mutex (whole lines, never
- * torn) and the inform() gate is an atomic. Everything else in
- * sim/ (EventQueue, StatGroup, Rng, serialization) is instance-scoped
- * state owned by a single System and needs no locking.
+ * torn). Everything else in sim/ (EventQueue, StatGroup, Rng,
+ * serialization) is instance-scoped state owned by a single System
+ * and needs no locking.
  */
 
 #ifndef SVB_SIM_LOGGING_HH
@@ -33,12 +33,6 @@ enum class LogLevel { Inform, Warn, Fatal, Panic };
  * @param msg   fully formatted message text
  */
 void logMessage(LogLevel level, const std::string &msg);
-
-/** Enable/disable Inform-level output (benches silence it). */
-void setInformEnabled(bool enabled);
-
-/** @return true when Inform-level output is currently enabled. */
-bool informEnabled();
 
 namespace detail
 {
@@ -92,10 +86,8 @@ template <typename... Args>
 void
 inform(Args &&...args)
 {
-    if (informEnabled()) {
-        logMessage(LogLevel::Inform,
-                   detail::concat(std::forward<Args>(args)...));
-    }
+    logMessage(LogLevel::Inform,
+               detail::concat(std::forward<Args>(args)...));
 }
 
 #define svb_panic(...) ::svb::panicAt(__FILE__, __LINE__, __VA_ARGS__)

@@ -83,9 +83,6 @@ class Checkpoint
     static std::optional<Checkpoint>
     tryLoadFromFile(const std::string &path, std::string *err = nullptr);
 
-    size_t numScalars() const { return scalars.size(); }
-    size_t numBlobs() const { return blobs.size(); }
-
   private:
     std::map<std::string, uint64_t> scalars;
     std::map<std::string, std::string> strings;

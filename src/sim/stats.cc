@@ -2,8 +2,6 @@
 
 #include <iomanip>
 
-#include "logging.hh"
-
 namespace svb
 {
 
@@ -37,52 +35,6 @@ Formula::print(const std::string &prefix, std::ostream &os) const
     os.unsetf(std::ios::fixed);
 }
 
-Distribution::Distribution(std::string name, std::string desc,
-                           uint64_t min, uint64_t max, uint64_t bucket_size)
-    : Stat(std::move(name), std::move(desc)), min(min), max(max),
-      bucketSize(bucket_size)
-{
-    svb_assert(max > min && bucket_size > 0, "bad distribution params");
-    buckets.assign((max - min + bucket_size - 1) / bucket_size, 0);
-}
-
-void
-Distribution::sample(uint64_t value)
-{
-    ++count;
-    sum += value;
-    if (value < min) {
-        ++underflow;
-    } else if (value >= max) {
-        ++overflow;
-    } else {
-        ++buckets[(value - min) / bucketSize];
-    }
-}
-
-void
-Distribution::reset()
-{
-    underflow = overflow = sum = count = 0;
-    std::fill(buckets.begin(), buckets.end(), 0);
-}
-
-void
-Distribution::snapshot(const std::string &prefix,
-                       std::map<std::string, double> &out) const
-{
-    out[prefix + name() + ".samples"] = double(count);
-    out[prefix + name() + ".mean"] = mean();
-}
-
-void
-Distribution::print(const std::string &prefix, std::ostream &os) const
-{
-    os << std::left << std::setw(48) << (prefix + name())
-       << "  samples=" << count << " mean=" << mean()
-       << "  # " << desc() << "\n";
-}
-
 Scalar &
 StatGroup::addScalar(const std::string &name, const std::string &desc)
 {
@@ -98,17 +50,6 @@ StatGroup::addFormula(const std::string &name, const std::string &desc,
 {
     auto stat = std::make_unique<Formula>(name, desc, std::move(fn));
     Formula &ref = *stat;
-    stats.push_back(std::move(stat));
-    return ref;
-}
-
-Distribution &
-StatGroup::addDistribution(const std::string &name, const std::string &desc,
-                           uint64_t min, uint64_t max, uint64_t bucket_size)
-{
-    auto stat =
-        std::make_unique<Distribution>(name, desc, min, max, bucket_size);
-    Distribution &ref = *stat;
     stats.push_back(std::move(stat));
     return ref;
 }

@@ -2,8 +2,8 @@
  * @file
  * A small gem5-flavoured statistics package.
  *
- * Components own a StatGroup; they register named Scalar counters,
- * Formula (derived) values and Distributions inside it. The
+ * Components own a StatGroup; they register named Scalar counters
+ * and Formula (derived) values inside it. The
  * experiment harness resets the whole tree at region-of-interest
  * start and snapshots it at region end, exactly like gem5's stat
  * reset / stat dump magic operations.
@@ -99,42 +99,6 @@ class Formula : public Stat
 };
 
 /**
- * A fixed-bucket histogram over [min, max) plus underflow/overflow,
- * with running sum for mean computation.
- */
-class Distribution : public Stat
-{
-  public:
-    Distribution(std::string name, std::string desc, uint64_t min,
-                 uint64_t max, uint64_t bucketSize);
-
-    /** Record one sample. */
-    void sample(uint64_t value);
-
-    uint64_t samples() const { return count; }
-    double mean() const { return count ? double(sum) / count : 0.0; }
-    uint64_t bucketCount(size_t i) const { return buckets.at(i); }
-    size_t numBuckets() const { return buckets.size(); }
-    uint64_t underflows() const { return underflow; }
-    uint64_t overflows() const { return overflow; }
-
-    void reset() override;
-    void snapshot(const std::string &prefix,
-                  std::map<std::string, double> &out) const override;
-    void print(const std::string &prefix, std::ostream &os) const override;
-
-  private:
-    uint64_t min;
-    uint64_t max;
-    uint64_t bucketSize;
-    std::vector<uint64_t> buckets;
-    uint64_t underflow = 0;
-    uint64_t overflow = 0;
-    uint64_t sum = 0;
-    uint64_t count = 0;
-};
-
-/**
  * A named tree node owning statistics and child groups.
  */
 class StatGroup
@@ -151,11 +115,6 @@ class StatGroup
     /** Create and register a derived value. */
     Formula &addFormula(const std::string &name, const std::string &desc,
                         std::function<double()> fn);
-
-    /** Create and register a histogram. */
-    Distribution &addDistribution(const std::string &name,
-                                  const std::string &desc, uint64_t min,
-                                  uint64_t max, uint64_t bucketSize);
 
     /** Create (or fetch an existing) child group. */
     StatGroup &childGroup(const std::string &name);

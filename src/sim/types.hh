@@ -23,19 +23,6 @@ using Addr = uint64_t;
 /** Largest representable tick; used as "never". */
 constexpr Tick maxTick = ~Tick(0);
 
-/** Ticks per second: 1 THz tick rate, i.e. 1 tick == 1 ps. */
-constexpr Tick ticksPerSecond = 1'000'000'000'000ULL;
-
-/**
- * A clock period helper: converts a frequency in MHz to the tick period
- * of one cycle.
- */
-constexpr Tick
-clockPeriodFromMHz(uint64_t mhz)
-{
-    return ticksPerSecond / (mhz * 1'000'000ULL);
-}
-
 } // namespace svb
 
 #endif // SVB_SIM_TYPES_HH

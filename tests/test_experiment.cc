@@ -12,6 +12,8 @@
 #include "core/experiment.hh"
 #include "workloads/workloads.hh"
 
+#include "test_support.hh"
+
 using namespace svb;
 
 namespace
@@ -25,17 +27,6 @@ smallConfig(IsaId isa, bool with_stores)
     cfg.startDb = with_stores;
     cfg.startMemcached = with_stores;
     return cfg;
-}
-
-FunctionSpec
-specFor(const std::string &name)
-{
-    for (const FunctionSpec &spec : workloads::allFunctions()) {
-        if (spec.name == name)
-            return spec;
-    }
-    ADD_FAILURE() << "unknown function " << name;
-    return {};
 }
 
 /**

@@ -14,9 +14,7 @@
  *  - the full resilience sweep (faults + retries + breaker) is
  *    byte-identical at any SVBENCH_JOBS value, conserves invocation
  *    accounting, and reports 100% availability exactly when every
- *    fault rate is zero;
- *  - CheckpointStore's restore-fault hook discards disk restores
- *    deterministically.
+ *    fault rate is zero.
  */
 
 #include <gtest/gtest.h>
@@ -34,6 +32,8 @@
 #include "sim/rng.hh"
 #include "workloads/workloads.hh"
 
+#include "test_support.hh"
+
 using namespace svb;
 using namespace svb::load;
 
@@ -48,31 +48,6 @@ slurp(const std::string &path)
     os << is.rdbuf();
     return os.str();
 }
-
-struct TempCacheFile
-{
-    explicit TempCacheFile(std::string p) : path(std::move(p))
-    {
-        std::remove(path.c_str());
-    }
-    ~TempCacheFile() { std::remove(path.c_str()); }
-    std::string path;
-};
-
-struct TempCheckpointDir
-{
-    explicit TempCheckpointDir(std::string d) : dir(std::move(d))
-    {
-        std::filesystem::remove_all(dir);
-        CheckpointStore::global().resetForTest(dir);
-    }
-    ~TempCheckpointDir()
-    {
-        std::filesystem::remove_all(dir);
-        CheckpointStore::global().resetForTest(dir);
-    }
-    std::string dir;
-};
 
 /** Set SVBENCH_FAULTS for one scope, restoring the prior value. */
 struct ScopedFaultsEnv
@@ -99,17 +74,6 @@ struct ScopedFaultsEnv
     bool had = false;
     std::string old;
 };
-
-FunctionSpec
-specFor(const std::string &name)
-{
-    for (const FunctionSpec &spec : workloads::allFunctions()) {
-        if (spec.name == name)
-            return spec;
-    }
-    ADD_FAILURE() << "unknown function " << name;
-    return {};
-}
 
 LoadScenario
 faultyScenario(const std::string &name, double fault_scale)
@@ -505,14 +469,8 @@ TEST(FaultReplay, HugeStragglerFactorIsNeverFasterThanUnscaled)
     s.pool.maxInstances = 4;
     s.invocations = 64;
     s.seed = 9;
-    LoadCalibration cal;
-    cal.name = spec.name;
-    cal.coldNs = 4'000'000;
-    for (unsigned k = 0; k < loadWarmSamples; ++k)
-        cal.warmNs[k] = 300'000 + 50'000 * k;
-    cal.ok = true;
-    cache.recordRow(cache.rowKey(s.cluster, spec, RunMode::LoadCal),
-                    packRunResult(cal));
+    recordCalibration(cache, s.cluster, spec, 4'000'000,
+                      {300'000, 350'000, 400'000, 450'000});
 
     LoadResult plain, huge;
     {
@@ -640,51 +598,4 @@ TEST(ResilienceSweep, DeterministicAcrossWorkersAndConservesAccounting)
     // Client resilience helps: retries at the same fault scale keep
     // availability at or above the bare policy's.
     EXPECT_GE(serial[2].availabilityPct(), bare.availabilityPct());
-}
-
-// --------------------------------------------------------------------------
-// CheckpointStore restore-fault hook
-// --------------------------------------------------------------------------
-
-TEST(CheckpointStoreFault, HookDiscardsDiskRestoresDeterministically)
-{
-    TempCheckpointDir ckpts("ckpt_fault_hook");
-    CheckpointStore &store = CheckpointStore::global();
-    const std::string fp = "fault-hook-test-fingerprint";
-
-    // Prepare and publish once, so a .ckpt file exists on disk.
-    bool claimed = false;
-    EXPECT_EQ(store.acquire(fp, &claimed), nullptr);
-    ASSERT_TRUE(claimed);
-    Checkpoint cp;
-    cp.setScalar("state.value", 42);
-    store.publish(fp, std::move(cp));
-
-    // Drop the in-memory copy but keep the file; inject a fault on
-    // the next disk restore of this fingerprint only.
-    store.resetForTest(ckpts.dir);
-    uint64_t hookCalls = 0;
-    store.setRestoreFaultHook([&](const std::string &f) {
-        ++hookCalls;
-        return f == fp;
-    });
-
-    // The restore is discarded as if the file were corrupt: the
-    // caller must re-prepare.
-    claimed = false;
-    EXPECT_EQ(store.acquire(fp, &claimed), nullptr);
-    EXPECT_TRUE(claimed);
-    EXPECT_EQ(hookCalls, 1u);
-    EXPECT_EQ(store.restoreFaultsInjected(), 1u);
-    store.release(fp);
-
-    // Clear the hook: the same file restores fine (it was never
-    // actually corrupt).
-    store.setRestoreFaultHook(nullptr);
-    claimed = false;
-    const auto back = store.acquire(fp, &claimed);
-    ASSERT_NE(back, nullptr);
-    EXPECT_FALSE(claimed);
-    EXPECT_EQ(back->getScalar("state.value"), 42u);
-    EXPECT_EQ(store.restoreFaultsInjected(), 1u); // unchanged by reuse
 }

@@ -28,6 +28,8 @@
 #include "load/names.hh"
 #include "workloads/workloads.hh"
 
+#include "test_support.hh"
+
 using namespace svb;
 using namespace svb::load;
 
@@ -41,42 +43,6 @@ slurp(const std::string &path)
     std::ostringstream os;
     os << is.rdbuf();
     return os.str();
-}
-
-struct TempCacheFile
-{
-    explicit TempCacheFile(std::string p) : path(std::move(p))
-    {
-        std::remove(path.c_str());
-    }
-    ~TempCacheFile() { std::remove(path.c_str()); }
-    std::string path;
-};
-
-struct TempCheckpointDir
-{
-    explicit TempCheckpointDir(std::string d) : dir(std::move(d))
-    {
-        std::filesystem::remove_all(dir);
-        CheckpointStore::global().resetForTest(dir);
-    }
-    ~TempCheckpointDir()
-    {
-        std::filesystem::remove_all(dir);
-        CheckpointStore::global().resetForTest(dir);
-    }
-    std::string dir;
-};
-
-FunctionSpec
-specFor(const std::string &name)
-{
-    for (const FunctionSpec &spec : workloads::allFunctions()) {
-        if (spec.name == name)
-            return spec;
-    }
-    ADD_FAILURE() << "unknown function " << name;
-    return {};
 }
 
 ClusterConfig

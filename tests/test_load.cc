@@ -10,6 +10,8 @@
  *  - the new ResultCache row modes ("ldcal", "load") round-trip, and
  *    rows of unknown modes or stale schema versions are skipped, not
  *    misparsed;
+ *  - overloaded streams, whose in-flight lists grow for the whole
+ *    run, replay to pinned outputs, a node crash mid-backlog included;
  *  - seeded mutations of a result CSV always end in accept or
  *    warn-and-miss.
  */
@@ -23,6 +25,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint_store.hh"
@@ -30,6 +33,8 @@
 #include "load/load_runner.hh"
 #include "sim/rng.hh"
 #include "workloads/workloads.hh"
+
+#include "test_support.hh"
 
 using namespace svb;
 using namespace svb::load;
@@ -44,42 +49,6 @@ slurp(const std::string &path)
     std::ostringstream os;
     os << is.rdbuf();
     return os.str();
-}
-
-struct TempCacheFile
-{
-    explicit TempCacheFile(std::string p) : path(std::move(p))
-    {
-        std::remove(path.c_str());
-    }
-    ~TempCacheFile() { std::remove(path.c_str()); }
-    std::string path;
-};
-
-struct TempCheckpointDir
-{
-    explicit TempCheckpointDir(std::string d) : dir(std::move(d))
-    {
-        std::filesystem::remove_all(dir);
-        CheckpointStore::global().resetForTest(dir);
-    }
-    ~TempCheckpointDir()
-    {
-        std::filesystem::remove_all(dir);
-        CheckpointStore::global().resetForTest(dir);
-    }
-    std::string dir;
-};
-
-FunctionSpec
-specFor(const std::string &name)
-{
-    for (const FunctionSpec &spec : workloads::allFunctions()) {
-        if (spec.name == name)
-            return spec;
-    }
-    ADD_FAILURE() << "unknown function " << name;
-    return {};
 }
 
 ClusterConfig
@@ -623,6 +592,92 @@ TEST(LoadResultGuards, SingleInvocationScenarioStaysFinite)
     ASSERT_EQ(res.nodeUtilisation.size(), 1u);
     EXPECT_TRUE(std::isfinite(res.nodeUtilisation[0]));
     EXPECT_GE(res.throughputRps, 0.0);
+}
+
+// --------------------------------------------------------------------------
+// Overloaded streams
+// --------------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * 20k invocations of the Go functions at 4000/s onto 4 FixedTtl slots
+ * per node, on hand-written calibrations whose cold path takes 30x the
+ * warm one. Most requests queue behind a slot running another function
+ * and pay its cold start, so the slots drain slower than requests
+ * arrive: the backlog, and with it each node's list of attempts in
+ * flight, grows for the whole stream.
+ */
+LoadScenario
+overloadedScenario(ResultCache &cache, const std::string &name)
+{
+    LoadScenario s;
+    s.name = name;
+    s.cluster = standaloneConfig(IsaId::Riscv);
+    s.arrival.kind = ArrivalKind::Poisson;
+    s.arrival.ratePerSec = 4000.0;
+    s.pool = {KeepAlivePolicy::FixedTtl, 4, 50'000'000};
+    s.invocations = 20'000;
+    s.seed = 11;
+    const std::pair<const char *, uint64_t> go[] = {
+        {"fibonacci-go", 158'000}, {"aes-go", 166'000}, {"auth-go", 159'000}};
+    for (const auto &[fn, warm_ns] : go) {
+        const FunctionSpec spec = specFor(fn);
+        recordCalibration(cache, s.cluster, spec, 30 * warm_ns,
+                          {warm_ns, warm_ns, warm_ns, warm_ns});
+        s.mix.push_back({spec, &workloads::workloadImpl(spec.workload), 1.0});
+    }
+    return s;
+}
+
+/** One replay's outcome as a line that names every value. */
+std::string
+backlogOutcome(const LoadResult &r)
+{
+    std::ostringstream os;
+    os << "fp=" << r.histoFingerprint << " good=" << r.goodFingerprint
+       << " ok=" << r.succeeded << " failed=" << r.failedInvocations
+       << " crashes=" << r.crashes << " cold=" << r.coldStarts
+       << " warm=" << r.warmHits << " evictions=" << r.evictions
+       << " p50=" << r.p50Ns << " max=" << r.maxNs;
+    return os.str();
+}
+
+} // namespace
+
+/**
+ * Overloaded streams keep their outputs, on one node and on two nodes
+ * where node 1 crashes halfway through with 1850 attempts in flight
+ * on it. How the engine stores its in-flight attempts must not move
+ * any of these values.
+ */
+TEST(LoadBacklog, OverloadedStreamsKeepTheirOutputs)
+{
+    TempCacheFile file("test_load_backlog.csv");
+    ResultCache cache(file.path);
+
+    const LoadScenario one = overloadedScenario(cache, "t-backlog-n1");
+    const LoadResult r1 = LoadRunner(cache).run(one);
+    ASSERT_TRUE(r1.ok);
+    EXPECT_EQ(r1.invocations, 20'000u);
+    EXPECT_EQ(backlogOutcome(r1),
+              "fp=5334916347426001835 good=5334916347426001835 ok=20000"
+              " failed=0 crashes=0 cold=13401 warm=6599 evictions=13397"
+              " p50=5771362303 max=11441984073");
+
+    LoadScenario two = overloadedScenario(cache, "t-backlog-n2-crash");
+    two.fleet.nodes = 2;
+    two.fleet.nodeFaults.push_back(
+        {NodeFaultEvent::Kind::Crash, 1, 2'500'000'000, 500'000'000});
+    const LoadResult r2 = LoadRunner(cache).run(two);
+    ASSERT_TRUE(r2.ok);
+    EXPECT_EQ(r2.succeeded + r2.failedInvocations + r2.sheds,
+              r2.invocations);
+    EXPECT_EQ(backlogOutcome(r2),
+              "fp=15694787912189425061 good=13091370108023382009"
+              " ok=18150 failed=1850 crashes=1850 cold=13357 warm=6643"
+              " evictions=13349 p50=1006632959 max=2718918732");
 }
 
 // --------------------------------------------------------------------------

@@ -20,21 +20,12 @@
 #include "sim/rng.hh"
 #include "workloads/workloads.hh"
 
+#include "test_support.hh"
+
 using namespace svb;
 
 namespace
 {
-
-FunctionSpec
-specFor(const std::string &name)
-{
-    for (const FunctionSpec &spec : workloads::allFunctions()) {
-        if (spec.name == name)
-            return spec;
-    }
-    ADD_FAILURE() << "unknown function " << name;
-    return {};
-}
 
 ClusterConfig
 config(IsaId isa)
@@ -76,17 +67,6 @@ slurp(const std::string &path)
     os << is.rdbuf();
     return os.str();
 }
-
-/** RAII cache backing file that never collides with the shared one. */
-struct TempCacheFile
-{
-    explicit TempCacheFile(std::string p) : path(std::move(p))
-    {
-        std::remove(path.c_str());
-    }
-    ~TempCacheFile() { std::remove(path.c_str()); }
-    std::string path;
-};
 
 void
 expectSameResult(const FunctionResult &a, const FunctionResult &b)

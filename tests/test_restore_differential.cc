@@ -9,9 +9,7 @@
  * and =1 — on both ISAs and both emulation tiers — and asserting
  * byte-identity of the guest-visible latencies, the full guest stats
  * snapshot, and a re-taken checkpoint of the final system state.
- * Plus: CoW sharing across concurrently restored runners, and the
- * instance-pool lease contract that makes pool density observable as
- * live page refcounts.
+ * Plus: CoW sharing across concurrently restored runners.
  */
 
 #include <gtest/gtest.h>
@@ -23,24 +21,14 @@
 
 #include "core/checkpoint_store.hh"
 #include "core/experiment.hh"
-#include "load/instance_pool.hh"
 #include "workloads/workloads.hh"
+
+#include "test_support.hh"
 
 using namespace svb;
 
 namespace
 {
-
-FunctionSpec
-specFor(const std::string &name)
-{
-    for (const FunctionSpec &spec : workloads::allFunctions()) {
-        if (spec.name == name)
-            return spec;
-    }
-    ADD_FAILURE() << "unknown function " << name;
-    return {};
-}
 
 ClusterConfig
 standaloneConfig(IsaId isa, bool fast_warm)
@@ -61,23 +49,6 @@ slurp(const std::string &path)
     os << is.rdbuf();
     return os.str();
 }
-
-/** Redirect the global CheckpointStore to a private directory for the
- *  duration of one test, deleting it (and any snapshots) afterwards. */
-struct TempCheckpointDir
-{
-    explicit TempCheckpointDir(std::string d) : dir(std::move(d))
-    {
-        std::filesystem::remove_all(dir);
-        CheckpointStore::global().resetForTest(dir);
-    }
-    ~TempCheckpointDir()
-    {
-        std::filesystem::remove_all(dir);
-        CheckpointStore::global().resetForTest(dir);
-    }
-    std::string dir;
-};
 
 /** Pin SVBENCH_REAP for one scope and restore the prior value after.
  *  The gate is latched at System construction, so it must be set
@@ -230,89 +201,4 @@ TEST(RestoreDifferential, ConcurrentRestoredRunnersShareButDoNotLeak)
     EXPECT_EQ(ra.warmNs, rb.warmNs);
     EXPECT_EQ(a.cluster().system().stats().snapshotAll(),
               b.cluster().system().stats().snapshotAll());
-}
-
-TEST(RestoreDifferential, PoolLeaseReleasesPagesWithInstance)
-{
-    // The pool-density story: an instance's snapshot pages live
-    // exactly as long as its pool slot. The lease is dropped at TTL
-    // expiry, kill() and evictAll(); each drop must make the pages
-    // reclaimable (observable via PageStore::liveUniquePages()).
-    PageStore &pages = PageStore::global();
-    pages.resetForTest();
-
-    // A small image with two distinct non-zero pages.
-    PhysMemory src(4 * snapshotPageBytes);
-    src.write64(0, 0x11);
-    src.write64(2 * snapshotPageBytes, 0x22);
-    Checkpoint cp;
-    src.serializeState("m.", cp);
-
-    load::PoolConfig pc;
-    pc.policy = load::KeepAlivePolicy::FixedTtl;
-    pc.maxInstances = 4;
-    pc.keepAliveNs = 1000;
-    load::InstancePool pool(pc);
-
-    // TTL expiry drops the lease.
-    {
-        auto img = PhysMemory::buildImage("m.", cp);
-        EXPECT_EQ(pages.liveUniquePages(), 2u);
-        const auto p = pool.acquire(1, 0);
-        EXPECT_TRUE(p.cold);
-        pool.setLease(p.slot, img);
-        pool.release(p.slot, 100);
-        img.reset(); // the pool lease is now the only holder
-        EXPECT_TRUE(pool.slotHasLease(p.slot));
-        EXPECT_EQ(pages.liveUniquePages(), 2u);
-        // Idle for exactly keepAliveNs: the boundary expires (the TTL
-        // is inclusive), and the pages die with the instance.
-        const auto probe = pool.acquire(2, 100 + pc.keepAliveNs);
-        EXPECT_EQ(pages.liveUniquePages(), 0u);
-        pool.release(probe.slot, 100 + pc.keepAliveNs + 50);
-    }
-
-    // kill() (instance crash, in place of release()) drops the lease
-    // immediately.
-    {
-        auto img = PhysMemory::buildImage("m.", cp);
-        const auto p = pool.acquire(3, 5000);
-        pool.setLease(p.slot, img);
-        img.reset();
-        EXPECT_EQ(pages.liveUniquePages(), 2u);
-        pool.kill(p.slot, 5100);
-        EXPECT_EQ(pages.liveUniquePages(), 0u);
-    }
-
-    // evictAll() (scale-to-zero) drops every lease.
-    {
-        auto img = PhysMemory::buildImage("m.", cp);
-        const auto p1 = pool.acquire(4, 10000);
-        const auto p2 = pool.acquire(5, 10000);
-        pool.setLease(p1.slot, img);
-        pool.setLease(p2.slot, img);
-        pool.release(p1.slot, 10100);
-        pool.release(p2.slot, 10100);
-        img.reset();
-        EXPECT_EQ(pages.liveUniquePages(), 2u);
-        pool.evictAll(10200);
-        EXPECT_EQ(pages.liveUniquePages(), 0u);
-    }
-
-    // Two instances of the same image share pages: dropping one lease
-    // keeps them alive, dropping the last frees them.
-    {
-        auto img = PhysMemory::buildImage("m.", cp);
-        const auto p1 = pool.acquire(6, 20000);
-        const auto p2 = pool.acquire(7, 20000);
-        pool.setLease(p1.slot, img);
-        pool.setLease(p2.slot, img);
-        img.reset();
-        pool.kill(p1.slot, 20100);
-        EXPECT_EQ(pages.liveUniquePages(), 2u) << "shared pages freed "
-                                                  "while a sibling lease "
-                                                  "was still live";
-        pool.kill(p2.slot, 20200);
-        EXPECT_EQ(pages.liveUniquePages(), 0u);
-    }
 }

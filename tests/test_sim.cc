@@ -149,23 +149,6 @@ TEST(Stats, ChildGroupsAndDottedNames)
     EXPECT_EQ(&g.childGroup("cpu"), &g.childGroup("cpu"));
 }
 
-TEST(Stats, DistributionBucketsAndMean)
-{
-    StatGroup g("g");
-    Distribution &d = g.addDistribution("lat", "latency", 0, 100, 10);
-    d.sample(5);
-    d.sample(15);
-    d.sample(15);
-    d.sample(250); // overflow
-    EXPECT_EQ(d.samples(), 4u);
-    EXPECT_EQ(d.bucketCount(0), 1u);
-    EXPECT_EQ(d.bucketCount(1), 2u);
-    EXPECT_EQ(d.overflows(), 1u);
-    EXPECT_DOUBLE_EQ(d.mean(), (5 + 15 + 15 + 250) / 4.0);
-    d.reset();
-    EXPECT_EQ(d.samples(), 0u);
-}
-
 TEST(Stats, PrintProducesOutput)
 {
     StatGroup g("root");

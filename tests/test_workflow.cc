@@ -36,6 +36,8 @@
 #include "load/workflow.hh"
 #include "workloads/workloads.hh"
 
+#include "test_support.hh"
+
 using namespace svb;
 using namespace svb::load;
 
@@ -49,42 +51,6 @@ slurp(const std::string &path)
     std::ostringstream os;
     os << is.rdbuf();
     return os.str();
-}
-
-struct TempCacheFile
-{
-    explicit TempCacheFile(std::string p) : path(std::move(p))
-    {
-        std::remove(path.c_str());
-    }
-    ~TempCacheFile() { std::remove(path.c_str()); }
-    std::string path;
-};
-
-struct TempCheckpointDir
-{
-    explicit TempCheckpointDir(std::string d) : dir(std::move(d))
-    {
-        std::filesystem::remove_all(dir);
-        CheckpointStore::global().resetForTest(dir);
-    }
-    ~TempCheckpointDir()
-    {
-        std::filesystem::remove_all(dir);
-        CheckpointStore::global().resetForTest(dir);
-    }
-    std::string dir;
-};
-
-FunctionSpec
-specFor(const std::string &name)
-{
-    for (const FunctionSpec &spec : workloads::allFunctions()) {
-        if (spec.name == name)
-            return spec;
-    }
-    ADD_FAILURE() << "unknown function " << name;
-    return {};
 }
 
 ClusterConfig
@@ -717,23 +683,6 @@ const TieCase kTieCases[] = {
      " retries=59 timeouts=62 crashes=2 cold=19 warm=95"},
 };
 
-/** Record a hand-written ldcal row (whole milliseconds), so replaying
- *  @p spec on @p cluster simulates no CPU. */
-void
-recordCalibration(ResultCache &cache, const ClusterConfig &cluster,
-                  const FunctionSpec &spec, uint64_t cold_ms,
-                  const uint64_t (&warm_ms)[loadWarmSamples])
-{
-    LoadCalibration cal;
-    cal.name = spec.name;
-    cal.coldNs = cold_ms * 1'000'000;
-    for (unsigned k = 0; k < loadWarmSamples; ++k)
-        cal.warmNs[k] = warm_ms[k] * 1'000'000;
-    cal.ok = true;
-    cache.recordRow(cache.rowKey(cluster, spec, RunMode::LoadCal),
-                    packRunResult(cal));
-}
-
 /** Uniform arrivals every millisecond onto one-slot least-loaded
  *  nodes, whole-millisecond timeouts and backoffs, the breaker, and a
  *  node crash on an arrival instant. */
@@ -797,8 +746,10 @@ TEST(AttemptEngineOrder, SameNanosecondEventsKeepTheirOrder)
     const FunctionSpec fib = specFor("fibonacci-go");
     const FunctionSpec aes = specFor("aes-go");
     const ClusterConfig cluster = standaloneConfig(IsaId::Riscv);
-    recordCalibration(cache, cluster, fib, 3, {1, 1, 2, 1});
-    recordCalibration(cache, cluster, aes, 2, {1, 1, 1, 1});
+    // Whole milliseconds.
+    constexpr uint64_t ms = 1'000'000;
+    recordCalibration(cache, cluster, fib, 3 * ms, {ms, ms, 2 * ms, ms});
+    recordCalibration(cache, cluster, aes, 2 * ms, {ms, ms, ms, ms});
     const std::vector<LoadMixEntry> fns = {
         {fib, &workloads::workloadImpl(fib.workload), 1.0},
         {aes, &workloads::workloadImpl(aes.workload), 1.0}};
