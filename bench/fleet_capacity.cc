@@ -26,12 +26,13 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 #include "bench_common.hh"
-#include "bench_env.hh"
 #include "load/load_runner.hh"
 #include "load/names.hh"
+#include "sim/logging.hh"
 
 using namespace svb;
 
@@ -306,16 +307,17 @@ main()
     // Routing policies under test, overridable from the environment
     // (e.g. SVBENCH_FLEET_POLICIES=least-loaded,p2c,cost). Parsed
     // through the shared name round-trip, so the accepted names are
-    // exactly the ones the tables print.
-    std::vector<load::RoutingPolicy> classPolicies;
-    for (const std::string &tok : benchenv::tokenList(
-             "SVBENCH_FLEET_POLICIES", "least-loaded,cost,power")) {
-        load::RoutingPolicy pol;
-        if (!load::parseRoutingPolicy(tok, pol))
-            svb_panic("SVBENCH_FLEET_POLICIES: unknown routing policy '",
-                      tok, "'");
-        classPolicies.push_back(pol);
-    }
+    // exactly the ones the tables print; any other value warns and
+    // keeps the default.
+    std::vector<load::RoutingPolicy> classPolicies = {
+        load::RoutingPolicy::LeastLoaded, load::RoutingPolicy::CostWeighted,
+        load::RoutingPolicy::PowerWeighted};
+    const char *policies = std::getenv("SVBENCH_FLEET_POLICIES");
+    if (policies != nullptr && policies[0] != '\0' &&
+        !load::parseRoutingPolicies(policies, classPolicies))
+        warn("ignoring SVBENCH_FLEET_POLICIES='", policies,
+             "' (want a comma list of routing policies); using "
+             "least-loaded,cost,power");
 
     std::vector<load::LoadScenario> mixScenarios;
     for (const FleetMix &fm : fleets) {

@@ -21,6 +21,18 @@ runModeName(RunMode mode)
     return "?";
 }
 
+std::string
+trackName(const ClusterConfig &platform, const std::string &subject,
+          const char *kind)
+{
+    std::ostringstream os;
+    os << isaName(platform.system.isa) << "/"
+       << db::dbKindName(platform.dbKind) << (platform.startDb ? 1 : 0)
+       << (platform.startMemcached ? 1 : 0) << "/" << subject << "/"
+       << kind;
+    return os.str();
+}
+
 bool
 runResultOk(const RunResult &result)
 {
@@ -32,26 +44,11 @@ RequestStats::fromStatDelta(const obs::StatSnapshot &delta,
                             const std::string &cpu_prefix,
                             const std::string &mem_prefix)
 {
-    auto get = [&](const std::string &key) {
-        return uint64_t(obs::statValue(delta, key));
-    };
-
-    RequestStats rs;
-    rs.cycles = get(cpu_prefix + "numCycles");
-    rs.insts = get(cpu_prefix + "numInsts");
-    rs.uops = get(cpu_prefix + "numUops");
-    rs.cpi = rs.insts ? double(rs.cycles) / double(rs.insts) : 0.0;
-    rs.l1iMisses = get(mem_prefix + "l1i.misses");
-    rs.l1dMisses = get(mem_prefix + "l1d.misses");
-    rs.l2Misses = get(mem_prefix + "l2.misses");
-    rs.branches = get(cpu_prefix + "numBranches");
-    rs.branchMispredicts = get(cpu_prefix + "branchMispredicts");
-    rs.itlbMisses = get(cpu_prefix + "itlb.misses");
-    rs.dtlbMisses = get(cpu_prefix + "dtlb.misses");
-    for (unsigned c = 0; c < numStallCauses; ++c)
-        rs.stalls[c] =
-            get(cpu_prefix + "stall." + stallCauseName(c));
-    return rs;
+    return read([&](const std::string &, const std::string &stat,
+                    bool mem) {
+        return uint64_t(
+            obs::statValue(delta, (mem ? mem_prefix : cpu_prefix) + stat));
+    });
 }
 
 ExperimentRunner::ExperimentRunner(const ClusterConfig &config)
@@ -61,21 +58,10 @@ ExperimentRunner::ExperimentRunner(const ClusterConfig &config)
 
 ExperimentRunner::~ExperimentRunner() = default;
 
-std::string
-ExperimentRunner::experimentName(const FunctionSpec &spec,
-                                 const char *mode) const
-{
-    std::ostringstream os;
-    os << isaName(cfg.system.isa) << "/" << db::dbKindName(cfg.dbKind)
-       << (cfg.startDb ? 1 : 0) << (cfg.startMemcached ? 1 : 0) << "/"
-       << spec.name << "/" << mode;
-    return os.str();
-}
-
 void
 ExperimentRunner::beginTrace(const FunctionSpec &spec, const char *mode)
 {
-    curName = experimentName(spec, mode);
+    curName = trackName(cfg, spec.name, mode);
     curTrack = obs::Tracer::global().track(curName);
     clusterPtr->setTraceTrack(curTrack);
 }

@@ -72,6 +72,66 @@ struct RequestStats
     }
 
     /**
+     * Call @p fn(row, stat, mem, value) for every counter of @p rs, in
+     * row order: its result-row field name, its stat path under the
+     * server core's O3 group or, when @p mem, under its memory
+     * hierarchy, and the member itself. The stall causes come last,
+     * named "stall.<cause>" in both places. The result rows, their
+     * schema and the stat-delta view all read this one list.
+     */
+    template <class Self, class Fn>
+    static void
+    forEachCounter(Self &rs, Fn fn)
+    {
+        static constexpr struct
+        {
+            const char *row;
+            const char *stat;
+            bool mem;
+            uint64_t RequestStats::*member;
+        } named[] = {
+            {"cycles", "numCycles", false, &RequestStats::cycles},
+            {"insts", "numInsts", false, &RequestStats::insts},
+            {"uops", "numUops", false, &RequestStats::uops},
+            {"l1i", "l1i.misses", true, &RequestStats::l1iMisses},
+            {"l1d", "l1d.misses", true, &RequestStats::l1dMisses},
+            {"l2", "l2.misses", true, &RequestStats::l2Misses},
+            {"branches", "numBranches", false, &RequestStats::branches},
+            {"mispredicts", "branchMispredicts", false,
+             &RequestStats::branchMispredicts},
+            {"itlb", "itlb.misses", false, &RequestStats::itlbMisses},
+            {"dtlb", "dtlb.misses", false, &RequestStats::dtlbMisses},
+        };
+        for (const auto &c : named)
+            fn(std::string(c.row), std::string(c.stat), c.mem,
+               rs.*c.member);
+        for (unsigned c = 0; c < numStallCauses; ++c) {
+            const std::string name =
+                std::string("stall.") + stallCauseName(c);
+            fn(name, name, false, rs.stalls[c]);
+        }
+    }
+
+    /**
+     * Build a view from @p get(row, stat, mem), the value of each
+     * counter named as in forEachCounter(). CPI follows from the cycle
+     * and instruction counts, here only.
+     */
+    template <class Get>
+    static RequestStats
+    read(Get get)
+    {
+        RequestStats rs;
+        forEachCounter(rs, [&](const std::string &row,
+                               const std::string &stat, bool mem,
+                               uint64_t &value) {
+            value = get(row, stat, mem);
+        });
+        rs.cpi = rs.insts ? double(rs.cycles) / double(rs.insts) : 0.0;
+        return rs;
+    }
+
+    /**
      * Build the view over a named-stat delta: @p cpu_prefix names the
      * server core's O3 group ("system.cpu1.o3."), @p mem_prefix its
      * memory hierarchy ("system.core1."). CPI is recomputed from the
@@ -137,6 +197,15 @@ enum class RunMode
 
 /** Stable mode tag used in trace-track names and result-cache keys. */
 const char *runModeName(RunMode mode);
+
+/**
+ * The trace track of a run on @p platform, "<isa>/<db><flags>/<subject>/
+ * <kind>" (subject: a function or a load scenario; kind: "o3",
+ * "load", ...). Every stat dump is named after its track too, so runs
+ * that share a subject on two platforms trace and dump apart.
+ */
+std::string trackName(const ClusterConfig &platform,
+                      const std::string &subject, const char *kind);
 
 /** Mode-specific knobs; fields are read only by the noted modes. */
 struct RunOptions
@@ -252,10 +321,6 @@ class ExperimentRunner
 
     /** Convert a cycle delta to nanoseconds at the configured clock. */
     uint64_t cyclesToNs(uint64_t cycles) const;
-
-    /** The trace-track / stat-dump stem of one experiment. */
-    std::string experimentName(const FunctionSpec &spec,
-                               const char *mode) const;
 
     /** Open the experiment's trace track and point the cluster at it. */
     void beginTrace(const FunctionSpec &spec, const char *mode);

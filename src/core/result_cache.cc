@@ -23,12 +23,10 @@ std::vector<std::string>
 statFields(const std::string &prefix)
 {
     std::vector<std::string> fields;
-    for (const char *n :
-         {"cycles", "insts", "uops", "l1i", "l1d", "l2", "branches",
-          "mispredicts", "itlb", "dtlb"})
-        fields.push_back(prefix + n);
-    for (unsigned c = 0; c < numStallCauses; ++c)
-        fields.push_back(prefix + "stall." + stallCauseName(c));
+    const RequestStats none;
+    RequestStats::forEachCounter(
+        none, [&](const std::string &row, const std::string &, bool,
+                  uint64_t) { fields.push_back(prefix + row); });
     return fields;
 }
 
@@ -164,56 +162,31 @@ namespace
 
 using Row = ResultCache::Row;
 
-Row
-packStats(const RequestStats &rs, const std::string &prefix)
+/** Add @p rs's counters to @p fields under @p prefix. */
+void
+packStats(const RequestStats &rs, const std::string &prefix, Row &fields)
 {
-    Row fields = {
-        {prefix + "cycles", rs.cycles},
-        {prefix + "insts", rs.insts},
-        {prefix + "uops", rs.uops},
-        {prefix + "l1i", rs.l1iMisses},
-        {prefix + "l1d", rs.l1dMisses},
-        {prefix + "l2", rs.l2Misses},
-        {prefix + "branches", rs.branches},
-        {prefix + "mispredicts", rs.branchMispredicts},
-        {prefix + "itlb", rs.itlbMisses},
-        {prefix + "dtlb", rs.dtlbMisses},
-    };
-    for (unsigned c = 0; c < numStallCauses; ++c)
-        fields[prefix + "stall." + stallCauseName(c)] = rs.stalls[c];
-    return fields;
+    RequestStats::forEachCounter(
+        rs, [&](const std::string &row, const std::string &, bool,
+                uint64_t value) { fields[prefix + row] = value; });
 }
 
 RequestStats
 unpackStats(const Row &fields, const std::string &prefix)
 {
-    auto get = [&](const std::string &name) {
-        auto it = fields.find(prefix + name);
-        return it == fields.end() ? 0ull : it->second;
-    };
-    RequestStats rs;
-    rs.cycles = get("cycles");
-    rs.insts = get("insts");
-    rs.uops = get("uops");
-    rs.l1iMisses = get("l1i");
-    rs.l1dMisses = get("l1d");
-    rs.l2Misses = get("l2");
-    rs.branches = get("branches");
-    rs.branchMispredicts = get("mispredicts");
-    rs.itlbMisses = get("itlb");
-    rs.dtlbMisses = get("dtlb");
-    rs.cpi = rs.insts ? double(rs.cycles) / double(rs.insts) : 0.0;
-    for (unsigned c = 0; c < numStallCauses; ++c)
-        rs.stalls[c] = get(std::string("stall.") + stallCauseName(c));
-    return rs;
+    return RequestStats::read(
+        [&](const std::string &row, const std::string &, bool) {
+            const auto it = fields.find(prefix + row);
+            return it == fields.end() ? uint64_t(0) : it->second;
+        });
 }
 
 Row
 packResult(const FunctionResult &res)
 {
-    Row fields = packStats(res.cold, "cold.");
-    for (const auto &[k, v] : packStats(res.warm, "warm."))
-        fields[k] = v;
+    Row fields;
+    packStats(res.cold, "cold.", fields);
+    packStats(res.warm, "warm.", fields);
     fields["ok"] = res.ok ? 1 : 0;
     return fields;
 }

@@ -7,8 +7,7 @@
 namespace svb
 {
 
-System::System(const SystemConfig &config)
-    : cfg(config), rngState(config.seed)
+System::System(const SystemConfig &config) : cfg(config)
 {
     physMem = std::make_unique<PhysMemory>(cfg.memBytes);
     // Reserve the first 64 KiB as a null-guard region.
@@ -131,10 +130,10 @@ System::step(uint64_t limit)
     // Atomic trap stall, or an O3 core with an empty window waiting for
     // fetch to resume. Every core is classified once, as quiet with a
     // window or as acting, and the step covers at most the earliest of
-    // the run limit, every quiet window and the next event:
+    // the run limit and every quiet window:
     //  - no core acts: jump, crediting every core;
-    //  - the only acting core is an untraced fast-tier Atomic core: it
-    //    runs chained;
+    //  - the only acting core is a fast-tier Atomic core: it runs
+    //    chained;
     //  - otherwise the acting cores tick in lockstep, in core order,
     //    which keeps shared-memory spin protocols such as the RPC
     //    rings exactly interleaved.
@@ -146,7 +145,7 @@ System::step(uint64_t limit)
     const uint64_t g0 = globalCycle;
     unsigned acting = 0;
     unsigned actor = 0; // the last acting core
-    uint64_t quiet_end = ~uint64_t(0); // cycles to the next window end or event
+    uint64_t quiet_end = ~uint64_t(0); // cycles to the next window end
     for (unsigned c = 0; c < cfg.numCores; ++c) {
         const uint64_t window = !fastWarm ? 0
                                 : models[c] == CpuModel::Atomic
@@ -160,19 +159,13 @@ System::step(uint64_t limit)
             actor = c;
         }
     }
-    if (eventq.pending() > 0) {
-        const Tick next_ev = eventq.nextEventTick();
-        svb_assert(next_ev > globalCycle, "overdue event");
-        quiet_end = std::min<uint64_t>(quiet_end, next_ev - globalCycle);
-    }
 
-    // The final drain, every core halted with no event due, is a
-    // one-cycle jump: run() ends after it, as after one oracle cycle.
+    // The final drain, every core halted, is a one-cycle jump: run()
+    // ends after it, as after one oracle cycle.
     uint64_t n = std::min(limit, quiet_end);
     if (!fastWarm || (acting == 0 && quiet_end == ~uint64_t(0)))
         n = 1;
-    if (acting == 1 && models[actor] == CpuModel::Atomic &&
-        runsFast(actor)) {
+    if (fastWarm && acting == 1 && models[actor] == CpuModel::Atomic) {
         callStart = g0;
         n = atomics[actor]->runFast(n);
     } else if (acting > 0) {
@@ -204,15 +197,14 @@ System::tickActing(uint64_t n)
                 continue;
             }
             AtomicCpu &core = *atomics[c];
-            if (runsFast(c))
+            if (fastWarm)
                 core.runFast(1);
             else
                 core.tick();
             went_quiet = went_quiet || core.quietCycles() > 0;
         }
-        // After a trap the handler may have scheduled an event or
-        // requested a stop; a core that went quiet may let the next
-        // step jump or chain.
+        // After a trap the handler may have requested a stop; a core
+        // that went quiet may let the next step jump or chain.
         if (++done == n || trapped || went_quiet)
             return done;
     }
@@ -250,8 +242,7 @@ System::run(uint64_t max_cycles)
     uint64_t ran = 0;
     while (ran < max_cycles && !stopRequested) {
         ran += step(max_cycles - ran);
-        eventq.serviceUpTo(globalCycle);
-        if (allHalted() && eventq.pending() == 0)
+        if (allHalted())
             break;
     }
     return ran;
@@ -263,16 +254,6 @@ System::m5Op(int core_id, uint64_t op, uint64_t arg)
     switch (op) {
       case sys::m5ResetStats:
         rootStats.resetAll();
-        break;
-      case sys::m5DumpStats:
-        if (statsDumpStream != nullptr) {
-            *statsDumpStream << "---------- Begin Simulation Statistics"
-                             << " (cycle " << globalCycle
-                             << ") ----------\n";
-            rootStats.printAll(*statsDumpStream);
-            *statsDumpStream << "---------- End Simulation Statistics"
-                             << " ----------\n";
-        }
         break;
       case sys::m5ExitSim:
         requestStop();
@@ -347,7 +328,6 @@ System::restoreCheckpoint(const Checkpoint &cp,
                globalCycle, ", ", decoder->size(), " decoded addresses, ",
                sblocks->size(), " superblocks)");
     globalCycle = cp.getScalar("system.cycle");
-    eventq.clear();
     if (image != nullptr && reapRestore)
         physMem->restoreLazy(std::move(image));
     else

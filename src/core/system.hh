@@ -12,14 +12,11 @@
 #define SVB_CORE_SYSTEM_HH
 
 #include <memory>
-#include <ostream>
 
 #include "cpu/atomic_cpu.hh"
 #include "cpu/o3_cpu.hh"
 #include "cpu/superblock.hh"
 #include "guest/kernel.hh"
-#include "sim/eventq.hh"
-#include "sim/rng.hh"
 #include "system_config.hh"
 
 namespace svb
@@ -41,8 +38,6 @@ class System : public M5Listener
     PhysMemory &phys() { return *physMem; }
     FrameAllocator &frames() { return *frameAlloc; }
     GuestKernel &kernel() { return *guestKernel; }
-    EventQueue &events() { return eventq; }
-    Rng &rng() { return rngState; }
     StatGroup &stats() { return rootStats; }
     AtomicCpu &atomicCpu(unsigned core) { return *atomics.at(core); }
     O3Cpu &o3Cpu(unsigned core) { return *o3s.at(core); }
@@ -83,8 +78,8 @@ class System : public M5Listener
     // --- execution -----------------------------------------------------------
     /**
      * Run for at most @p max_cycles; stops early when requestStop() is
-     * called or every core is halted with no event pending. run(1)
-     * advances exactly one cycle.
+     * called or every core is halted. run(1) advances exactly one
+     * cycle.
      *
      * @return cycles actually run
      */
@@ -99,12 +94,6 @@ class System : public M5Listener
     // --- magic-operation plumbing ---------------------------------------------
     /** Install the downstream listener (the experiment harness). */
     void setM5Listener(M5Listener *listener) { chainedListener = listener; }
-
-    /**
-     * Stream that receives a gem5-style stats listing on every guest
-     * m5DumpStats; nullptr (default) disables dumping.
-     */
-    void setStatsDumpStream(std::ostream *os) { statsDumpStream = os; }
 
     void m5Op(int core_id, uint64_t op, uint64_t arg) override;
 
@@ -154,13 +143,6 @@ class System : public M5Listener
      *  @return cycles advanced */
     uint64_t tickActing(uint64_t n);
 
-    /** True when Atomic core @p c runs through the superblock engine:
-     *  the fast tier is on and no trace sink needs tick(). */
-    bool runsFast(unsigned c) const
-    {
-        return fastWarm && !atomics[c]->tracing();
-    }
-
     /** Credit quiet core @p c through global cycle @p to. */
     void creditQuietCore(unsigned c, uint64_t to);
 
@@ -172,8 +154,6 @@ class System : public M5Listener
 
     SystemConfig cfg;
     StatGroup rootStats{"system"};
-    Rng rngState;
-    EventQueue eventq;
 
     std::unique_ptr<PhysMemory> physMem;
     std::unique_ptr<FrameAllocator> frameAlloc;
@@ -200,7 +180,6 @@ class System : public M5Listener
     bool reapRestore = true;
     bool stopRequested = false;
     M5Listener *chainedListener = nullptr;
-    std::ostream *statsDumpStream = nullptr;
 };
 
 } // namespace svb

@@ -100,8 +100,6 @@ AtomicCpu::tick()
         mem.warmFetch(itr.paddr, inst.length);
 
     ++statInsts;
-    if (traceSink)
-        traceSink(ctx.pc, inst);
     const Addr next_pc = ctx.pc + inst.length;
     Addr redirect = 0;
     bool redirected = false;
@@ -195,14 +193,15 @@ AtomicCpu::runFast(uint64_t budget)
 {
     // The run loop credits a quiet core instead of running it, so an
     // acting core has no idle or stall cycle to count here.
-    svb_assert(!traceSink && quietCycles() == 0, "runFast() on core ",
-               coreId, ", which is traced or quiet");
+    svb_assert(quietCycles() == 0, "runFast() on core ", coreId,
+               ", which is quiet");
     uint64_t consumed = 0;
 
     // Per-batch accumulators. Flushed before any trap handler runs and
     // on every return, so the StatGroup tree is never stale at a point
-    // where guest or host code could observe it (m5 stat dumps fire
-    // inside syscalls, possibly on another core).
+    // where guest or host code could observe it (m5 stat resets and
+    // work-begin/end snapshots fire inside syscalls, possibly on
+    // another core).
     uint64_t d_cycles = 0, d_insts = 0, d_uops = 0, d_branches = 0;
     uint64_t d_loads = 0, d_stores = 0, d_itlb_hits = 0;
     const auto flush_stats = [&] {

@@ -47,14 +47,13 @@ class AtomicCpu final : public BaseCpu
 
     /**
      * Superblock execution of an acting core (quietCycles() == 0): run
-     * up to @p budget cycles without returning to the event loop,
+     * up to @p budget cycles without returning to the run loop,
      * ending early at any trap (syscall / halt, after whose handler
-     * the caller must re-evaluate scheduling and events). Nothing
-     * executed here schedules events or changes another core, so the
-     * caller bounds @p budget by the next pending event tick and by
-     * the end of every other core's stall. Statistics are flushed
-     * before returning, so callers may interleave one-cycle calls
-     * freely with tick() and with other cores.
+     * the caller must re-evaluate scheduling). Nothing executed here
+     * changes another core, so the caller bounds @p budget by the run
+     * limit and by the end of every other core's stall. Statistics are
+     * flushed before returning, so callers may interleave one-cycle
+     * calls freely with tick() and with other cores.
      *
      * @return cycles consumed (>= 1 when budget >= 1)
      */

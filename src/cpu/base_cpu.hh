@@ -73,25 +73,11 @@ class BaseCpu
     Tlb &dtlb() { return dtlbUnit; }
 
     /**
-     * Committed-instruction trace callback (gem5's Exec trace
-     * equivalent): invoked once per retired macro instruction with its
-     * pc. Pass nullptr to disable. Tracing is expensive; leave off in
-     * measurement runs.
-     */
-    using TraceSink = std::function<void(Addr pc, const StaticInst &)>;
-    void setTraceSink(TraceSink sink) { traceSink = std::move(sink); }
-
-    /** @return true while a trace sink is installed (the superblock
-     *  fast path is bypassed so every retirement is observed). */
-    bool tracing() const { return static_cast<bool>(traceSink); }
-
-    /**
      * Invoked just before every trap handler runs, with the number of
      * cycles the current call into the core has consumed, the trapping
      * one included. The system uses it to bring the global cycle and
      * the quiet cores' statistics up to date, because trap handlers
-     * can observe both (m5 stat dumps and resets, work-begin/end
-     * marks).
+     * can observe both (m5 stat resets, work-begin/end marks).
      */
     using PreTrap = std::function<void(uint64_t call_cycles)>;
     void setPreTrap(PreTrap hook) { preTrap = std::move(hook); }
@@ -108,7 +94,6 @@ class BaseCpu
     Tlb itlbUnit;
     Tlb dtlbUnit;
     HwContext ctx;
-    TraceSink traceSink;
     PreTrap preTrap;
 };
 

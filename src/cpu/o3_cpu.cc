@@ -767,8 +767,6 @@ O3Cpu::commitStage()
         ++commitsThisCycle;
         if (d.lastUop) {
             ++statInsts;
-            if (traceSink)
-                traceSink(d.pc, *d.sinst);
             if (d.uop.isControl()) {
                 ++statBranches;
                 if (d.uop.isCondCtrl())

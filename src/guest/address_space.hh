@@ -16,7 +16,7 @@ namespace svb
 /**
  * Bump allocator handing out 4 KiB physical frames.
  */
-class FrameAllocator : public Serializable
+class FrameAllocator
 {
   public:
     /**
@@ -28,10 +28,8 @@ class FrameAllocator : public Serializable
     /** Allocate @p count contiguous frames; fatal on exhaustion. */
     Addr allocFrames(size_t count);
 
-    void serializeState(const std::string &prefix,
-                        Checkpoint &cp) const override;
-    void unserializeState(const std::string &prefix,
-                          const Checkpoint &cp) override;
+    void serializeState(const std::string &prefix, Checkpoint &cp) const;
+    void unserializeState(const std::string &prefix, const Checkpoint &cp);
 
   private:
     Addr next;

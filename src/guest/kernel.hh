@@ -41,7 +41,7 @@ class M5Listener
 /**
  * The guest kernel; implements the CPUs' TrapHandler.
  */
-class GuestKernel : public TrapHandler, public Serializable
+class GuestKernel : public TrapHandler
 {
   public:
     /** Trap/scheduling costs, in cycles. */
@@ -82,12 +82,10 @@ class GuestKernel : public TrapHandler, public Serializable
     void setM5Listener(M5Listener *listener) { m5 = listener; }
     const Costs &costs() const { return cost; }
 
-    void serializeState(const std::string &prefix,
-                        Checkpoint &cp) const override;
+    void serializeState(const std::string &prefix, Checkpoint &cp) const;
     /** Rebuild the process table from @p cp: create every process
      *  past the current table; those that exist must match. */
-    void unserializeState(const std::string &prefix,
-                          const Checkpoint &cp) override;
+    void unserializeState(const std::string &prefix, const Checkpoint &cp);
 
   private:
     /** Read the syscall number/args from @p ctx per the ISA ABI. */

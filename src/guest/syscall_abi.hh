@@ -24,13 +24,14 @@ enum Number : uint64_t
     sysNow = 4,   ///< returns the kernel's trap counter (coarse clock)
 };
 
-/** Magic simulation operations (the M5-instruction equivalents). */
+/** Magic simulation operations (the M5-instruction equivalents). The
+ *  values are guest-visible: generated code carries them as
+ *  immediates. */
 enum M5Op : uint64_t
 {
     m5WorkBegin = 1,
     m5WorkEnd = 2,
     m5ResetStats = 3,
-    m5DumpStats = 4,
     m5ExitSim = 5,
     m5Event = 6,
 };

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
-#include "isa/isa_info.hh"
 #include "names.hh"
+#include "obs/stat_export.hh"
 #include "sim/logging.hh"
 
 namespace svb::load
@@ -143,7 +142,7 @@ AttemptEngine::AttemptEngine(const ReplayScenario &scenario, size_t num_fns,
                              const CalibrationMatrix &cals_arg,
                              ReplayResult &res_arg, const char *track_kind)
     : s(scenario), cals(cals_arg), res(res_arg),
-      tasksPerUnit(tasks_per_unit),
+      tasksPerUnit(tasks_per_unit), kind(track_kind),
       // Substream ids come from the StreamId claim table
       // (load_runner.hh).
       warmRng(Rng(scenario.seed).split(kStreamWarm)),
@@ -170,15 +169,8 @@ AttemptEngine::AttemptEngine(const ReplayScenario &scenario, size_t num_fns,
     // from the replay timeline, so the track is deterministic in
     // (scenario, calibrations).
     obs::Tracer &tracer = obs::Tracer::global();
-    if (tracer.enabled()) {
-        std::ostringstream os;
-        os << isaName(s.cluster.system.isa) << "/"
-           << db::dbKindName(s.cluster.dbKind)
-           << (s.cluster.startDb ? 1 : 0)
-           << (s.cluster.startMemcached ? 1 : 0) << "/" << s.name << "/"
-           << track_kind;
-        track = tracer.track(os.str());
-    }
+    if (tracer.enabled())
+        track = tracer.track(trackName(s.cluster, s.name, kind));
 
     // Arrivals are drawn up front, in arrival order.
     ArrivalProcess arrival(s.arrival, Rng(s.seed).split(kStreamArrival));
@@ -197,6 +189,13 @@ AttemptEngine::AttemptEngine(const ReplayScenario &scenario, size_t num_fns,
         push({.timeNs = s.fleet.nodeFaults[f].atNs,
               .unit = uint32_t(f),
               .kind = EvKind::NodeFault});
+}
+
+void
+AttemptEngine::dumpStats(const char *part, const StatGroup &stats) const
+{
+    obs::dumpRequestStats(trackName(s.cluster, s.name, kind) + "." + part,
+                          obs::snapshot(stats));
 }
 
 void

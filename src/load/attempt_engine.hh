@@ -44,6 +44,7 @@
 #include "core/parallel.hh"
 #include "load_runner.hh"
 #include "obs/trace.hh"
+#include "sim/stats.hh"
 
 namespace svb::load
 {
@@ -225,6 +226,9 @@ class AttemptEngine
     bool tracing() const { return track != obs::badTrack; }
     void trace(const std::string &name, const char *cat, uint64_t start_ns,
                uint64_t dur_ns, SpanArgs args = {}) const;
+    /** Write @p stats under SVBENCH_STATDUMP, named after the replay's
+     *  trace track (trackName()) and @p part. */
+    void dumpStats(const char *part, const StatGroup &stats) const;
     const Fleet &fleetState() const { return fleet; }
     /** Units whose failed task ran out of attempts. */
     uint64_t failures() const { return failed; }
@@ -297,6 +301,7 @@ class AttemptEngine
     const CalibrationMatrix &cals;
     ReplayResult &res;
     const uint32_t tasksPerUnit;
+    const char *const kind; ///< "load" or "wflow"
 
     // Fault, retry and routing randomness live on substreams of their
     // own: runs with faults disabled never touch them, and enabling

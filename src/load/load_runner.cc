@@ -124,8 +124,7 @@ simulateStream(const LoadScenario &s, const CalibrationMatrix &cals)
             res.succeeded);
         set("outcome.failed", "invocations exhausted without success",
             res.failedInvocations);
-        obs::dumpRequestStats("load_" + s.name + "_fault",
-                              obs::snapshot(fstats));
+        engine.dumpStats("fault", fstats);
     }
 
     // fleet.* StatGroup counters, same discipline: only emitted when
@@ -181,8 +180,7 @@ simulateStream(const LoadScenario &s, const CalibrationMatrix &cals)
             set(p + "evictions", "instance evictions on the node",
                 ps.evictions);
         }
-        obs::dumpRequestStats("load_" + s.name + "_fleet",
-                              obs::snapshot(fstats));
+        engine.dumpStats("fleet", fstats);
     }
     return res;
 }

@@ -3,26 +3,6 @@
 namespace svb::load
 {
 
-namespace
-{
-
-/** Match @p name against name_fn over the enum values [0, count). */
-template <typename E, typename NameFn>
-bool
-parseByName(const std::string &name, unsigned count, NameFn name_fn,
-            E &out)
-{
-    for (unsigned v = 0; v < count; ++v) {
-        if (name == name_fn(E(v))) {
-            out = E(v);
-            return true;
-        }
-    }
-    return false;
-}
-
-} // namespace
-
 const char *
 routingPolicyName(RoutingPolicy policy)
 {
@@ -40,7 +20,31 @@ routingPolicyName(RoutingPolicy policy)
 bool
 parseRoutingPolicy(const std::string &name, RoutingPolicy &out)
 {
-    return parseByName(name, 6, routingPolicyName, out);
+    for (unsigned v = 0; v < 6; ++v) {
+        if (name == routingPolicyName(RoutingPolicy(v))) {
+            out = RoutingPolicy(v);
+            return true;
+        }
+    }
+    return false;
+}
+
+bool
+parseRoutingPolicies(const std::string &csv, std::vector<RoutingPolicy> &out)
+{
+    std::vector<RoutingPolicy> policies;
+    for (size_t start = 0;;) {
+        const size_t comma = csv.find(',', start);
+        RoutingPolicy policy;
+        if (!parseRoutingPolicy(csv.substr(start, comma - start), policy))
+            return false;
+        policies.push_back(policy);
+        if (comma == std::string::npos)
+            break;
+        start = comma + 1;
+    }
+    out = std::move(policies);
+    return true;
 }
 
 const char *
@@ -55,12 +59,6 @@ keepAlivePolicyName(KeepAlivePolicy policy)
     return "?";
 }
 
-bool
-parseKeepAlivePolicy(const std::string &name, KeepAlivePolicy &out)
-{
-    return parseByName(name, 4, keepAlivePolicyName, out);
-}
-
 const char *
 arrivalKindName(ArrivalKind kind)
 {
@@ -70,12 +68,6 @@ arrivalKindName(ArrivalKind kind)
       case ArrivalKind::Burst: return "burst";
     }
     return "?";
-}
-
-bool
-parseArrivalKind(const std::string &name, ArrivalKind &out)
-{
-    return parseByName(name, 3, arrivalKindName, out);
 }
 
 const char *
@@ -88,12 +80,6 @@ nodeFaultKindName(NodeFaultEvent::Kind kind)
     return "?";
 }
 
-bool
-parseNodeFaultKind(const std::string &name, NodeFaultEvent::Kind &out)
-{
-    return parseByName(name, 2, nodeFaultKindName, out);
-}
-
 const char *
 stagePlacementName(StagePlacement placement)
 {
@@ -102,12 +88,6 @@ stagePlacementName(StagePlacement placement)
       case StagePlacement::PayloadAffinity: return "payload-affinity";
     }
     return "?";
-}
-
-bool
-parseStagePlacement(const std::string &name, StagePlacement &out)
-{
-    return parseByName(name, 2, stagePlacementName, out);
 }
 
 } // namespace svb::load

@@ -4,21 +4,21 @@
  * enums, in one place.
  *
  * Every scenario knob that lands in a result-cache row key or a bench
- * table needs a stable printable name, and benches that take knobs
- * from the environment need the reverse direction. The name functions
- * are the single source of truth; each parse function simply walks
- * the enum's values through its name function, so the two directions
- * can never drift apart (tests/test_fleet.cc pins the round-trips).
+ * table needs a stable printable name. The routing policies also parse
+ * back, because fleet_capacity takes its policy list from
+ * SVBENCH_FLEET_POLICIES: the parser walks the enum's values through
+ * routingPolicyName(), so the two directions can never drift apart
+ * (tests/test_fleet.cc pins the round-trip).
  *
- * Parse functions return false (leaving @p out untouched) on an
- * unknown name rather than dying: the callers own the error message
- * and the context (usually an environment variable name).
+ * The parsers return false (leaving @p out untouched) on a bad value
+ * rather than dying: the callers own the warning and the fallback.
  */
 
 #ifndef SVB_LOAD_NAMES_HH
 #define SVB_LOAD_NAMES_HH
 
 #include <string>
+#include <vector>
 
 #include "arrival.hh"
 #include "dag.hh"
@@ -30,18 +30,16 @@ namespace svb::load
 
 const char *routingPolicyName(RoutingPolicy policy);
 bool parseRoutingPolicy(const std::string &name, RoutingPolicy &out);
+/** Parse a comma list of routing policy names ("least-loaded,cost"):
+ *  every element must be a whole known name, with no space or empty
+ *  element. */
+bool parseRoutingPolicies(const std::string &csv,
+                          std::vector<RoutingPolicy> &out);
 
 const char *keepAlivePolicyName(KeepAlivePolicy policy);
-bool parseKeepAlivePolicy(const std::string &name, KeepAlivePolicy &out);
-
 const char *arrivalKindName(ArrivalKind kind);
-bool parseArrivalKind(const std::string &name, ArrivalKind &out);
-
 const char *nodeFaultKindName(NodeFaultEvent::Kind kind);
-bool parseNodeFaultKind(const std::string &name, NodeFaultEvent::Kind &out);
-
 const char *stagePlacementName(StagePlacement placement);
-bool parseStagePlacement(const std::string &name, StagePlacement &out);
 
 } // namespace svb::load
 

@@ -341,8 +341,7 @@ simulateWorkflow(const WorkflowScenario &s, const CalibrationMatrix &cals)
             set("crit." + s.dag.stages[st].name,
                 "critical-path ns attributed to the stage",
                 res.critNsByStage[st]);
-        obs::dumpRequestStats("wflow_" + s.name + "_engine",
-                              obs::snapshot(wstats));
+        engine.dumpStats("engine", wstats);
     }
     return res;
 }

@@ -66,7 +66,7 @@ static_assert(std::endian::native == std::endian::little,
 /**
  * The guest's physical DRAM contents.
  */
-class PhysMemory : public Serializable
+class PhysMemory
 {
   public:
     /** @param size_bytes capacity, a whole number of 4 KiB pages;
@@ -176,10 +176,8 @@ class PhysMemory : public Serializable
     void attachStats(StatGroup &g);
 
     // --- checkpointing ------------------------------------------------------
-    void serializeState(const std::string &prefix,
-                        Checkpoint &cp) const override;
-    void unserializeState(const std::string &prefix,
-                          const Checkpoint &cp) override;
+    void serializeState(const std::string &prefix, Checkpoint &cp) const;
+    void unserializeState(const std::string &prefix, const Checkpoint &cp);
 
     /**
      * Structural validation of a checkpoint's memory image (the

@@ -17,9 +17,13 @@
  * for a given tree state.
  *
  * SVBENCH_STATDUMP=<dir> makes the experiment runner write one
- * JSON+CSV pair per measured request into <dir>; the load engine
- * additionally writes one "load_<scenario>_fault" pair of fault.*
- * counters per scenario whose fault/breaker machinery is engaged.
+ * JSON+CSV pair per measured request into <dir>, named after its trace
+ * track (<isa>_<db><flags>_<function>_<mode>.<cold|warm>). The load
+ * and workflow engines name theirs the same way, after the replay's
+ * track: <isa>_<db><flags>_<scenario>_load.fault (fault.* counters,
+ * when the fault or breaker machinery is engaged), ..._load.fleet
+ * (fleet.*, when the fleet machinery is engaged) and ..._wflow.engine
+ * (wflow.*, every workflow scenario).
  */
 
 #ifndef SVB_OBS_STAT_EXPORT_HH

@@ -9,9 +9,9 @@
  *
  * This is the one sink shared by every simulation thread, so
  * logMessage() serialises writes under a mutex (whole lines, never
- * torn). Everything else in sim/ (EventQueue, StatGroup, Rng,
- * serialization) is instance-scoped state owned by a single System
- * and needs no locking.
+ * torn). Everything else in sim/ (StatGroup, Rng, serialization) is
+ * instance-scoped state owned by a single System and needs no
+ * locking.
  */
 
 #ifndef SVB_SIM_LOGGING_HH

@@ -89,21 +89,6 @@ class Checkpoint
     std::map<std::string, std::vector<uint8_t>> blobs;
 };
 
-/** Interface for objects that participate in checkpointing. */
-class Serializable
-{
-  public:
-    virtual ~Serializable() = default;
-
-    /** Record this object's state into @p cp under @p prefix. */
-    virtual void serializeState(const std::string &prefix,
-                                Checkpoint &cp) const = 0;
-
-    /** Restore this object's state from @p cp under @p prefix. */
-    virtual void unserializeState(const std::string &prefix,
-                                  const Checkpoint &cp) = 0;
-};
-
 /**
  * Little-endian encoder for packing structured component state
  * (cache line arrays, TLB entries, ...) into one checkpoint blob

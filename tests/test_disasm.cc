@@ -1,16 +1,10 @@
 /**
  * @file
- * Disassembler and tracing tests.
+ * Disassembler tests.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "core/system.hh"
-#include "guest/syscall_abi.hh"
-#include "gen/ir.hh"
-#include "guest/loader.hh"
 #include "isa/cx86/assembler.hh"
 #include "isa/disasm.hh"
 #include "isa/riscv/assembler.hh"
@@ -68,63 +62,4 @@ TEST(Disasm, InvalidBytesDoNotDerail)
     const auto lines = disassembleBuffer(junk, IsaId::Cx86);
     EXPECT_GE(lines.size(), 1u);
     EXPECT_EQ(lines[0].text, "<invalid>");
-}
-
-TEST(Trace, SinkSeesCommittedInstructions)
-{
-    gen::ProgramBuilder pb;
-    auto f = pb.beginFunction("main", 0);
-    const int a = f.imm(1), b = f.imm(2), c = f.newVreg();
-    f.bin(gen::BinOp::Add, c, a, b);
-    f.ret();
-    pb.setEntry("main");
-
-    for (CpuModel model : {CpuModel::Atomic, CpuModel::O3}) {
-        SystemConfig cfg = SystemConfig::paperConfig(IsaId::Riscv);
-        cfg.numCores = 1;
-        System sys(cfg);
-        LoadableImage image =
-            gen::compileProgram(pb.program(), IsaId::Riscv);
-        loadProcess(sys.kernel(), image, "t", 0);
-        sys.scheduleIdleCores();
-        sys.switchCpu(0, model);
-
-        std::vector<Addr> pcs;
-        sys.cpu(0).setTraceSink([&](Addr pc, const StaticInst &inst) {
-            EXPECT_TRUE(inst.valid);
-            pcs.push_back(pc);
-        });
-        sys.run(1'000'000);
-        ASSERT_GT(pcs.size(), 5u);
-        EXPECT_EQ(pcs.front(), layout::codeBase); // _start's first inst
-        // pcs are committed in program order: strictly forward through
-        // the straight-line _start prologue.
-        EXPECT_GT(pcs[1], pcs[0]);
-    }
-}
-
-TEST(Trace, StatsDumpStreamReceivesM5Dump)
-{
-    SystemConfig cfg = SystemConfig::paperConfig(IsaId::Riscv);
-    cfg.numCores = 1;
-    System machine(cfg);
-    std::ostringstream dump;
-    machine.setStatsDumpStream(&dump);
-
-    gen::ProgramBuilder pb;
-    auto f = pb.beginFunction("main", 0);
-    const int op = f.imm(int64_t(sys::m5DumpStats));
-    const int arg = f.imm(0);
-    f.syscall(sys::sysM5, {op, arg});
-    f.ret();
-    pb.setEntry("main");
-    loadProcess(machine.kernel(),
-                gen::compileProgram(pb.take(), IsaId::Riscv), "t", 0);
-    machine.scheduleIdleCores();
-    machine.run(1'000'000);
-
-    EXPECT_NE(dump.str().find("Begin Simulation Statistics"),
-              std::string::npos);
-    EXPECT_NE(dump.str().find("system.cpu0.atomic.numInsts"),
-              std::string::npos);
 }

@@ -421,33 +421,106 @@ TEST(FleetClasses, NameRoundTripsParseBothDirections)
         ASSERT_TRUE(parseRoutingPolicy(routingPolicyName(pol), out));
         EXPECT_EQ(out, pol);
     }
-    for (unsigned v = 0; v < 4; ++v) {
-        const KeepAlivePolicy pol = KeepAlivePolicy(v);
-        KeepAlivePolicy out;
-        ASSERT_TRUE(parseKeepAlivePolicy(keepAlivePolicyName(pol), out));
-        EXPECT_EQ(out, pol);
-    }
-    for (unsigned v = 0; v < 3; ++v) {
-        const ArrivalKind kind = ArrivalKind(v);
-        ArrivalKind out;
-        ASSERT_TRUE(parseArrivalKind(arrivalKindName(kind), out));
-        EXPECT_EQ(out, kind);
-    }
-    for (unsigned v = 0; v < 2; ++v) {
-        const NodeFaultEvent::Kind kind = NodeFaultEvent::Kind(v);
-        NodeFaultEvent::Kind out;
-        ASSERT_TRUE(parseNodeFaultKind(nodeFaultKindName(kind), out));
-        EXPECT_EQ(out, kind);
-    }
-    for (unsigned v = 0; v < 2; ++v) {
-        const StagePlacement placement = StagePlacement(v);
-        StagePlacement out;
-        ASSERT_TRUE(parseStagePlacement(stagePlacementName(placement),
-                                        out));
-        EXPECT_EQ(out, placement);
-    }
     RoutingPolicy out;
     EXPECT_FALSE(parseRoutingPolicy("no-such-policy", out));
+
+    // The other enums only print, into row keys and tables: their
+    // names must tell every value apart.
+    const auto distinct = [](std::vector<std::string> names) {
+        std::sort(names.begin(), names.end());
+        return std::adjacent_find(names.begin(), names.end()) ==
+                   names.end() &&
+               std::find(names.begin(), names.end(), "?") == names.end();
+    };
+    std::vector<std::string> names;
+    for (unsigned v = 0; v < 4; ++v)
+        names.push_back(keepAlivePolicyName(KeepAlivePolicy(v)));
+    EXPECT_TRUE(distinct(names));
+    names.clear();
+    for (unsigned v = 0; v < 3; ++v)
+        names.push_back(arrivalKindName(ArrivalKind(v)));
+    EXPECT_TRUE(distinct(names));
+    names.clear();
+    for (unsigned v = 0; v < 2; ++v)
+        names.push_back(nodeFaultKindName(NodeFaultEvent::Kind(v)));
+    EXPECT_TRUE(distinct(names));
+    names.clear();
+    for (unsigned v = 0; v < 2; ++v)
+        names.push_back(stagePlacementName(StagePlacement(v)));
+    EXPECT_TRUE(distinct(names));
+}
+
+// SVBENCH_FLEET_POLICIES reads through parseRoutingPolicies(): a comma
+// list of whole policy names parses, and anything else (an unknown or
+// misspelt name, a space, an empty element) fails and leaves the
+// caller's list as it was, so fleet_capacity can warn and keep its
+// default. Seeded mutations of valid lists are checked against a plain
+// split-and-look-up model.
+TEST(FleetClasses, PolicyListSeededMutationsParseWholeNamesOrFail)
+{
+    std::vector<std::string> known;
+    for (unsigned v = 0; v < 6; ++v)
+        known.push_back(routingPolicyName(RoutingPolicy(v)));
+    const auto model = [&known](const std::string &csv,
+                                std::vector<RoutingPolicy> &want) {
+        want.clear();
+        std::string tok;
+        for (size_t i = 0; i <= csv.size(); ++i) {
+            if (i < csv.size() && csv[i] != ',') {
+                tok += csv[i];
+                continue;
+            }
+            const auto it = std::find(known.begin(), known.end(), tok);
+            if (it == known.end())
+                return false;
+            want.push_back(RoutingPolicy(it - known.begin()));
+            tok.clear();
+        }
+        return true;
+    };
+    const std::vector<RoutingPolicy> sentinel = {RoutingPolicy::Affinity};
+    const auto check = [&](const std::string &csv) {
+        std::vector<RoutingPolicy> want;
+        const bool valid = model(csv, want);
+        std::vector<RoutingPolicy> out = sentinel;
+        EXPECT_EQ(parseRoutingPolicies(csv, out), valid) << "'" << csv << "'";
+        EXPECT_EQ(out, valid ? want : sentinel) << "'" << csv << "'";
+    };
+
+    for (const char *csv :
+         {"least-loaded,cost,power", "p2c", "random,random", "", ",",
+          "cost,", ",cost", "cost,,power", " cost", "cost ", "cost, power",
+          "COST", "p2c;cost", "least_loaded", "affinity\n", "power\t"})
+        check(csv);
+
+    const std::string alphabet = "-,acdeflnoprstwy2 \t";
+    Rng rng(2026);
+    for (int i = 0; i < 2000; ++i) {
+        std::string csv;
+        for (uint64_t n = 1 + rng.nextBounded(3); n > 0; --n) {
+            if (!csv.empty())
+                csv += ',';
+            csv += known[rng.nextBounded(known.size())];
+        }
+        for (uint64_t k = rng.nextBounded(3); k > 0; --k) {
+            const size_t at = rng.nextBounded(csv.size() + 1);
+            const char c = alphabet[rng.nextBounded(alphabet.size())];
+            switch (rng.nextBounded(3)) {
+              case 0: csv.insert(at, 1, c); break;
+              case 1:
+                if (at < csv.size())
+                    csv[at] = c;
+                break;
+              default:
+                if (at < csv.size())
+                    csv.erase(at, 1);
+                break;
+            }
+        }
+        check(csv);
+        if (::testing::Test::HasFailure())
+            break; // the first mismatch names the value
+    }
 }
 
 // --------------------------------------------------------------------------

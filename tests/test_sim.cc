@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the simulation kernel: event queue, RNG, statistics,
- * checkpoints, on/off environment switches.
+ * Unit tests for the simulation kernel: RNG, statistics, checkpoints,
+ * on/off environment switches.
  */
 
 #include <gtest/gtest.h>
@@ -13,47 +13,11 @@
 #include <utility>
 
 #include "sim/env.hh"
-#include "sim/eventq.hh"
 #include "sim/rng.hh"
 #include "sim/serialize.hh"
 #include "sim/stats.hh"
 
 using namespace svb;
-
-TEST(EventQueue, FiresInTimeThenInsertionOrder)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(20, "b", [&] { order.push_back(2); });
-    q.schedule(10, "a", [&] { order.push_back(1); });
-    q.schedule(20, "c", [&] { order.push_back(3); });
-    EXPECT_EQ(q.nextEventTick(), 10u);
-    EXPECT_EQ(q.serviceUpTo(15), 1u);
-    EXPECT_EQ(q.serviceUpTo(25), 2u);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(q.pending(), 0u);
-}
-
-TEST(EventQueue, CallbackMaySchedule)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(5, "outer", [&] {
-        ++fired;
-        q.schedule(6, "inner", [&] { ++fired; });
-    });
-    q.serviceUpTo(10);
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, ClearDropsEverything)
-{
-    EventQueue q;
-    q.schedule(5, "x", [] {});
-    q.clear();
-    EXPECT_EQ(q.pending(), 0u);
-    EXPECT_EQ(q.nextEventTick(), maxTick);
-}
 
 TEST(Rng, DeterministicAcrossInstances)
 {
