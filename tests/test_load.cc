@@ -752,6 +752,52 @@ TEST(ResultCacheSchema, LoadCalRowRoundTrips)
     EXPECT_TRUE(back.ok);
 }
 
+// An o3 row carries every RequestStats counter, cold and warm, under the
+// name RequestStats::forEachCounter() gives it. Distinct values catch a
+// counter packed under one name and read back under another; CPI is not
+// stored but follows from the cycles and instructions read back.
+TEST(ResultCacheSchema, O3RowRoundTripsEveryCounter)
+{
+    const FunctionSpec spec = specFor("fibonacci-go");
+    const ClusterConfig cfg = standaloneConfig(IsaId::Riscv);
+
+    TempCacheFile file("test_load_o3_roundtrip.csv");
+    FunctionResult res;
+    res.name = spec.name;
+    res.ok = true;
+    uint64_t next = 1000;
+    for (RequestStats *rs : {&res.cold, &res.warm}) {
+        RequestStats::forEachCounter(
+            *rs, [&](const std::string &, const std::string &, bool,
+                     uint64_t &value) { value = next++; });
+    }
+    {
+        ResultCache cache(file.path);
+        cache.recordRow(cache.rowKey(cfg, spec, RunMode::Detailed),
+                        packRunResult(res));
+    }
+    ResultCache cache(file.path);
+    ResultCache::Row row;
+    ASSERT_TRUE(
+        cache.lookupRow(cache.rowKey(cfg, spec, RunMode::Detailed), row));
+    const auto back = std::get<FunctionResult>(
+        unpackRunResult(RunMode::Detailed, spec.name, row));
+    EXPECT_TRUE(back.ok);
+    for (const auto &[want, got] : {std::pair{&res.cold, &back.cold},
+                                    std::pair{&res.warm, &back.warm}}) {
+        std::vector<uint64_t> sent, read;
+        RequestStats::forEachCounter(
+            *want, [&](const std::string &, const std::string &, bool,
+                       uint64_t value) { sent.push_back(value); });
+        RequestStats::forEachCounter(
+            *got, [&](const std::string &, const std::string &, bool,
+                      uint64_t value) { read.push_back(value); });
+        EXPECT_EQ(read, sent);
+        EXPECT_DOUBLE_EQ(got->cpi,
+                         double(want->cycles) / double(want->insts));
+    }
+}
+
 // --------------------------------------------------------------------------
 // Seeded mutation fuzzing of the result CSV loader
 // --------------------------------------------------------------------------
